@@ -8,6 +8,12 @@ it dominant node by node and therefore, through the deviation bound
 applied to the shifted difference sequence, nearly unbeatable in total
 loss over N steps: any rival's lead at the usual threshold has probability
 below eps/2.  Decisions never influence the tree's dynamics.
+
+A loss spec, like a tree, is immutable after construction.  Each (tree,
+loss) pair is validated once, and its expected-loss stacks, Bayesian
+strategy and the realized total losses of each strategy seen are computed
+once and cached on the loss spec; strategies passed in must therefore not
+be modified either.  Arrays handed out from that cache are read-only.
 """
 
 from __future__ import annotations
@@ -74,8 +80,10 @@ class LossSpec:
             if len(per_decision) != len(self.space):
                 raise ValueError(f"step {n}: expected {len(self.space)} decision tables")
             for d, tab in enumerate(per_decision):
-                if np.any(tab < -_LOSS_TOL) or np.any(tab > 1.0 + _LOSS_TOL):
+                if not np.all((tab >= -_LOSS_TOL) & (tab <= 1.0 + _LOSS_TOL)):  # rejects NaN
                     raise ValueError(f"step {n}, decision {d}: losses must lie in [0, 1]")
+        # Derived quantities per tree, keyed by id(tree); see `_problem`.
+        object.__setattr__(self, "_problems", {})
 
     @property
     def n_steps(self) -> int:
@@ -109,6 +117,46 @@ def _check_decision_inputs(tree: ProbabilityTree, loss: LossSpec) -> None:
                 )
 
 
+class _Problem:
+    """Cached quantities of one validated (tree, loss) pair, each filled on first use.
+
+    Every slot is published by one assignment of a finished value, so two
+    threads filling the same slot at once both compute it and one copy stays.
+    """
+
+    __slots__ = ("tree", "stacks", "bayes", "totals")
+
+    def __init__(self, tree: ProbabilityTree) -> None:
+        self.tree = tree  # holding the tree keeps its id from being reused
+        self.stacks: tuple[np.ndarray, ...] | None = None
+        self.bayes: Strategy | None = None
+        self.totals: dict[int, tuple[Strategy, np.ndarray]] = {}
+
+
+def _problem(tree: ProbabilityTree, loss: LossSpec) -> _Problem:
+    """The cache entry of (tree, loss), created after the pair is validated."""
+    prob = loss._problems.get(id(tree))
+    if prob is None:
+        _check_decision_inputs(tree, loss)
+        prob = loss._problems.setdefault(id(tree), _Problem(tree))
+    return prob
+
+
+def _loss_stacks(tree: ProbabilityTree, loss: LossSpec) -> tuple[np.ndarray, ...]:
+    """Per step n, E(step-n loss of each decision | F_n): (decisions, depth-n nodes)."""
+    prob = _problem(tree, loss)
+    if prob.stacks is None:
+        stacks = []
+        for n in range(1, loss.n_steps + 1):
+            table = np.stack(
+                [_pull_back(tree, tab, n + loss.horizon, n) for tab in loss.tables[n - 1]]
+            )
+            table.flags.writeable = False
+            stacks.append(table)
+        prob.stacks = tuple(stacks)
+    return prob.stacks
+
+
 def _check_strategy(tree: ProbabilityTree, loss: LossSpec, strategy: Strategy) -> None:
     if strategy.n_steps != loss.n_steps:
         raise ValueError(f"strategy covers {strategy.n_steps} steps, losses {loss.n_steps}")
@@ -121,13 +169,13 @@ def _check_strategy(tree: ProbabilityTree, loss: LossSpec, strategy: Strategy) -
 
 
 def expected_losses(tree: ProbabilityTree, loss: LossSpec, n: int, d: int) -> np.ndarray:
-    """E(loss of decision d at step n | F_n), one value per depth-n node."""
-    _check_decision_inputs(tree, loss)
+    """E(loss of decision d at step n | F_n), one value per depth-n node (read-only)."""
+    stacks = _loss_stacks(tree, loss)
     if not 1 <= n <= loss.n_steps:
         raise ValueError(f"step n must lie in [1, {loss.n_steps}], got {n}")
     if not 0 <= d < len(loss.space):
         raise ValueError(f"decision index must lie in [0, {len(loss.space)}), got {d}")
-    return _pull_back(tree, loss.tables[n - 1][d], n + loss.horizon, n)
+    return stacks[n - 1][d]
 
 
 def expected_loss(tree: ProbabilityTree, loss: LossSpec, n: int, d: int, node: int) -> float:
@@ -143,38 +191,49 @@ def bayesian_strategy(tree: ProbabilityTree, loss: LossSpec) -> Strategy:
 
     Dominance holds by construction: at every depth-n node the chosen
     decision's conditional expected loss is <= that of any decision, hence
-    of any rival strategy's choice there.
+    of any rival strategy's choice there.  Computed once per (tree, loss);
+    its choice arrays are read-only.
     """
-    _check_decision_inputs(tree, loss)
-    choices = []
-    for n in range(1, loss.n_steps + 1):
-        table = np.stack([expected_losses(tree, loss, n, d) for d in range(len(loss.space))])
-        choices.append(np.argmin(table, axis=0))  # argmin takes the first minimizer
-    return Strategy(choices=tuple(choices))
+    prob = _problem(tree, loss)
+    if prob.bayes is None:
+        choices = []
+        for table in _loss_stacks(tree, loss):
+            ch = np.argmin(table, axis=0)  # argmin takes the first minimizer
+            ch.flags.writeable = False
+            choices.append(ch)
+        prob.bayes = Strategy(choices=tuple(choices))
+    return prob.bayes
+
+
+def _step_losses(
+    tree: ProbabilityTree, loss: LossSpec, strategy: Strategy, n: int
+) -> np.ndarray:
+    """Realized step-n loss of a strategy, one value per depth-(n+K) node.
+
+    The decision made at a depth-n node is carried down to its depth-(n+K)
+    descendants, where the step-n table rows live.
+    """
+    choice = strategy.choices[n - 1]
+    for d in range(n, n + loss.horizon):
+        choice = choice[tree.parents[d]]
+    return np.stack(loss.tables[n - 1])[choice, np.arange(len(choice))]
 
 
 def total_losses(tree: ProbabilityTree, loss: LossSpec, strategy: Strategy) -> np.ndarray:
-    """Realized N-step total loss per depth-(N+K) node."""
-    _check_decision_inputs(tree, loss)
-    _check_strategy(tree, loss, strategy)
-    N, K = loss.n_steps, loss.horizon
-    counts = tree.node_counts
-    acc = np.zeros(1)
-    # Decisions made at depth n are carried down; their losses attach at
-    # depth n+K where the corresponding table rows live.
-    carried: dict[int, np.ndarray] = {}
-    for d in range(1, N + K + 1):
-        acc = acc[tree.parents[d - 1]]
-        if d <= N:
-            carried[d] = strategy.choices[d - 1]
-        for n in list(carried):
-            if n < d:
-                carried[n] = carried[n][tree.parents[d - 1]]
-        n = d - K
-        if n >= 1:
-            stacked = np.stack([loss.tables[n - 1][j] for j in range(len(loss.space))])
-            acc = acc + stacked[carried.pop(n), np.arange(counts[d])]
-    return acc
+    """Realized N-step total loss per depth-(N+K) node (read-only; cached per strategy)."""
+    prob = _problem(tree, loss)
+    hit = prob.totals.get(id(strategy))
+    if hit is None:
+        _check_strategy(tree, loss, strategy)
+        acc = np.zeros(1)
+        for d in range(1, loss.n_steps + loss.horizon + 1):
+            acc = acc[tree.parents[d - 1]]
+            if d > loss.horizon:
+                acc = acc + _step_losses(tree, loss, strategy, d - loss.horizon)
+        acc.flags.writeable = False
+        # The entry holds the strategy, so its id cannot be reused while cached.
+        hit = prob.totals.setdefault(id(strategy), (strategy, acc))
+    return hit[1]
 
 
 def total_loss(tree: ProbabilityTree, loss: LossSpec, strategy: Strategy, leaf: int) -> float:
@@ -200,21 +259,12 @@ def shifted_sequence(tree: ProbabilityTree, loss: LossSpec, alt: Strategy) -> Ad
     depth-(n+K) node because both losses are, so the sequence is adapted by
     construction and bounded by 1 since losses live in [0, 1].
     """
-    _check_decision_inputs(tree, loss)
-    _check_strategy(tree, loss, alt)
     bayes = bayesian_strategy(tree, loss)
-    N, K = loss.n_steps, loss.horizon
+    _check_strategy(tree, loss, alt)
     counts = tree.node_counts
-    values = [np.zeros(counts[d]) for d in range(1, N + K + 1)]
-    for n in range(1, N + 1):
-        stacked = np.stack([loss.tables[n - 1][j] for j in range(len(loss.space))])
-        b = bayes.choices[n - 1]
-        a = alt.choices[n - 1]
-        for d in range(n, n + K):  # carry depth-n choices down to depth n+K
-            b = b[tree.parents[d]]
-            a = a[tree.parents[d]]
-        cols = np.arange(counts[n + K])
-        values[n + K - 1] = stacked[b, cols] - stacked[a, cols]
+    values = [np.zeros(counts[d]) for d in range(1, loss.horizon + 1)]
+    for n in range(1, loss.n_steps + 1):
+        values.append(_step_losses(tree, loss, bayes, n) - _step_losses(tree, loss, alt, n))
     return AdaptedSequence(values=tuple(values))
 
 
@@ -275,7 +325,7 @@ def shifted_deviation_check(
 
 def random_strategy(tree: ProbabilityTree, loss: LossSpec, seed: int) -> Strategy:
     """Uniform random decision at every node; deterministic given the seed."""
-    _check_decision_inputs(tree, loss)
+    _problem(tree, loss)
     rng = np.random.default_rng(seed)
     counts = tree.node_counts
     return Strategy(
@@ -287,12 +337,7 @@ def random_strategy(tree: ProbabilityTree, loss: LossSpec, seed: int) -> Strateg
 
 def adversarial_strategy(tree: ProbabilityTree, loss: LossSpec) -> Strategy:
     """Per node, the first decision maximizing conditional expected loss."""
-    _check_decision_inputs(tree, loss)
-    choices = []
-    for n in range(1, loss.n_steps + 1):
-        table = np.stack([expected_losses(tree, loss, n, d) for d in range(len(loss.space))])
-        choices.append(np.argmax(table, axis=0))
-    return Strategy(choices=tuple(choices))
+    return Strategy(choices=tuple(np.argmax(table, axis=0) for table in _loss_stacks(tree, loss)))
 
 
 def clairvoyant_envelope(tree: ProbabilityTree, loss: LossSpec) -> np.ndarray:
@@ -302,7 +347,7 @@ def clairvoyant_envelope(tree: ProbabilityTree, loss: LossSpec) -> np.ndarray:
     would require seeing K steps ahead, so no adapted strategy attains it
     unless the impact horizon is zero.
     """
-    _check_decision_inputs(tree, loss)
+    _problem(tree, loss)
     N, K = loss.n_steps, loss.horizon
     acc = np.zeros(1)
     for d in range(1, N + K + 1):

@@ -186,11 +186,6 @@ def mc_tail(
         try:
             dev = sampler(seed, idx)
         except Exception as exc:
-            for i in idx:
-                try:
-                    sampler(seed, np.array([i], dtype=np.uint64))
-                except Exception:
-                    raise RuntimeError(f"sampler failed at trial {int(i)}") from exc
             raise RuntimeError(f"sampler failed in trials [{int(idx[0])}, {int(idx[-1])}]") from exc
         if len(dev) != len(idx):
             raise RuntimeError(f"sampler returned {len(dev)} values for {len(idx)} trials")

@@ -29,8 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .decision import DecisionSpace, LossSpec
-from .trees import AdaptedSequence, ProbabilityTree
+from .decision import DecisionSpace, LossSpec, _problem
+from .trees import AdaptedSequence, ProbabilityTree, _check_consistent
 
 __all__ = ["TreeFileError", "TreeBundle", "bundle_to_dict", "bundle_from_dict", "save_tree", "load_tree"]
 
@@ -69,49 +69,77 @@ def bundle_to_dict(bundle: TreeBundle) -> dict:
     return doc
 
 
+def _array(items, dtype: type, what: str) -> np.ndarray:
+    """A JSON list of integers (int64) or of numbers (float64) as a 1-D array.
+
+    Booleans, strings and nested lists are refused here rather than coerced;
+    finiteness and ranges are checked by the tree types themselves.
+    """
+    integral = dtype is np.int64
+    allowed = {int} if integral else {int, float}  # exact types: a bool is not a number here
+    if not isinstance(items, list) or not set(map(type, items)) <= allowed:
+        raise TreeFileError(f"{what} must be a list of {'integers' if integral else 'numbers'}")
+    try:
+        return np.array(items, dtype=dtype)
+    except OverflowError as exc:
+        raise TreeFileError(f"{what}: {exc}") from exc
+
+
 def bundle_from_dict(doc: dict) -> TreeBundle:
     try:
         depth = doc["depth"]
         levels = doc["nodes"]
     except (KeyError, TypeError) as exc:
         raise TreeFileError(f"missing required field: {exc}") from exc
-    if not isinstance(levels, list) or len(levels) != depth:
-        raise TreeFileError(f"'nodes' must list {depth} levels, got {len(levels)!r}")
+    if type(depth) is not int or not isinstance(levels, list) or len(levels) != depth:
+        raise TreeFileError(f"'nodes' must be a list of 'depth' = {depth!r} levels")
+    parents, branch_probs = [], []
+    for d, level in enumerate(levels, start=1):
+        if not isinstance(level, list) or not all(isinstance(n, dict) for n in level):
+            raise TreeFileError(f"malformed node record: depth {d} must list node objects")
+        try:
+            parents.append(_array([n["parent"] for n in level], np.int64, f"depth {d} parents"))
+            branch_probs.append(_array([n["prob"] for n in level], np.float64, f"depth {d} probs"))
+        except (KeyError, TreeFileError) as exc:
+            raise TreeFileError(f"malformed node record: {exc}") from exc
     try:
-        parents = tuple(
-            np.array([n["parent"] for n in level], dtype=np.int64) for level in levels
-        )
-        branch_probs = tuple(
-            np.array([n["prob"] for n in level], dtype=np.float64) for level in levels
-        )
-    except (KeyError, TypeError) as exc:
-        raise TreeFileError(f"malformed node record: {exc}") from exc
-    try:
-        tree = ProbabilityTree(parents=parents, branch_probs=branch_probs)
+        tree = ProbabilityTree(parents=tuple(parents), branch_probs=tuple(branch_probs))
     except ValueError as exc:
         raise TreeFileError(f"invalid tree: {exc}") from exc
 
     sequence = None
     if doc.get("Y") is not None:
         try:
+            if not isinstance(doc["Y"], list):
+                raise TreeFileError("'Y' must be a list of levels")
             sequence = AdaptedSequence(
-                values=tuple(np.array(level, dtype=np.float64) for level in doc["Y"])
+                values=tuple(
+                    _array(level, np.float64, f"step {n}")
+                    for n, level in enumerate(doc["Y"], start=1)
+                )
             )
-        except (TypeError, ValueError) as exc:
+            _check_consistent(tree, sequence)
+        except ValueError as exc:
             raise TreeFileError(f"invalid Y values: {exc}") from exc
 
     losses = None
     if doc.get("losses") is not None:
         block = doc["losses"]
         try:
+            labels, horizon, tables = block["decisions"], block["impact_horizon"], block["tables"]
+            if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+                raise TreeFileError("'decisions' must be a list of strings")
+            if type(horizon) is not int:
+                raise TreeFileError(f"'impact_horizon' must be an integer, got {horizon!r}")
             losses = LossSpec(
-                space=DecisionSpace(labels=tuple(block["decisions"])),
-                horizon=int(block["impact_horizon"]),
+                space=DecisionSpace(labels=tuple(labels)),
+                horizon=horizon,
                 tables=tuple(
-                    tuple(np.array(tab, dtype=np.float64) for tab in per_decision)
-                    for per_decision in block["tables"]
+                    tuple(_array(tab, np.float64, f"step {n} table") for tab in per_decision)
+                    for n, per_decision in enumerate(tables, start=1)
                 ),
             )
+            _problem(tree, losses)  # checks the tables against the tree, once
         except (KeyError, TypeError, ValueError) as exc:
             raise TreeFileError(f"invalid losses block: {exc}") from exc
     return TreeBundle(tree=tree, sequence=sequence, losses=losses)
@@ -125,10 +153,10 @@ def load_tree(path: str | Path) -> TreeBundle:
     p = Path(path)
     try:
         text = p.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise TreeFileError(f"cannot read tree file {p}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise TreeFileError(f"tree file {p} is not valid JSON: {exc}") from exc
     return bundle_from_dict(doc)

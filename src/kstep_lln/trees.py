@@ -13,8 +13,13 @@ probabilities of the deviation statistic
 come out exact up to float accumulation, and serve as the oracle against
 which Monte Carlo estimates (see `sampling`) are judged.
 
-Trees are meant to be treated as immutable after construction.  Desk scale
-is about 10^6 leaves for exact enumeration; beyond that, sample.
+Trees and loss specs (see `decision`) are immutable after construction,
+and their arrays must not be modified once built: derived quantities are
+cached on them.  A tree keeps the node counts and leaf probabilities its
+validation computes; a loss spec keeps, per tree, the expected-loss stacks,
+the Bayesian strategy and realized total losses.  Arrays handed out from a
+cache are read-only.  Desk scale is about 10^6 leaves for exact
+enumeration; beyond that, sample.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ class ProbabilityTree:
             raise ValueError("parents and branch_probs must cover the same depths")
         if not self.parents:
             raise ValueError("tree must have depth at least 1")
-        counts = self.node_counts
+        counts = (1,) + tuple(len(p) for p in self.parents)
         for d, (par, pr) in enumerate(zip(self.parents, self.branch_probs), start=1):
             if len(par) != len(pr):
                 raise ValueError(f"depth {d}: parent and probability arrays differ in length")
@@ -76,9 +81,13 @@ class ProbabilityTree:
                 raise ValueError(
                     f"depth {d}: branch probabilities at parent {bad} sum to {sums[bad]!r}"
                 )
-        leaf_total = math.fsum(self.leaf_probabilities().tolist())
+        leaves = self._probabilities(self.depth)
+        leaf_total = math.fsum(leaves.tolist())
         if abs(leaf_total - 1.0) > _LEAF_SUM_TOL:
             raise ValueError(f"leaf probabilities sum to {leaf_total!r}")
+        leaves.flags.writeable = False
+        object.__setattr__(self, "_node_counts", counts)
+        object.__setattr__(self, "_leaf_probs", leaves)
 
     @property
     def depth(self) -> int:
@@ -86,12 +95,17 @@ class ProbabilityTree:
 
     @property
     def node_counts(self) -> tuple[int, ...]:
-        return (1,) + tuple(len(p) for p in self.parents)
+        return self._node_counts
 
     def node_probabilities(self, depth: int) -> np.ndarray:
-        """Unconditional probabilities of the depth-d nodes."""
+        """Unconditional probabilities of the depth-d nodes (read-only at the leaves)."""
         if not 0 <= depth <= self.depth:
             raise ValueError(f"depth must lie in [0, {self.depth}], got {depth}")
+        if depth == self.depth:
+            return self._leaf_probs
+        return self._probabilities(depth)
+
+    def _probabilities(self, depth: int) -> np.ndarray:
         probs = np.ones(1)
         for d in range(1, depth + 1):
             probs = probs[self.parents[d - 1]] * self.branch_probs[d - 1]
@@ -105,8 +119,9 @@ class ProbabilityTree:
 class AdaptedSequence:
     """One value per node, per step: `values[n-1]` lives on the depth-n nodes.
 
-    All values are bounded by 1 in absolute value; adaptedness is structural
-    (a step-n value is a function of the depth-n node and nothing else).
+    All values are finite and bounded by 1 in absolute value; adaptedness is
+    structural (a step-n value is a function of the depth-n node and nothing
+    else).
     """
 
     values: tuple[np.ndarray, ...]
@@ -115,8 +130,10 @@ class AdaptedSequence:
         if not self.values:
             raise ValueError("sequence must cover at least one step")
         for n, v in enumerate(self.values, start=1):
-            if np.any(np.abs(v) > 1.0 + _VALUE_TOL):
-                raise ValueError(f"step {n}: values must be bounded by 1 in absolute value")
+            if not np.all(np.abs(v) <= 1.0 + _VALUE_TOL):  # NaN fails every comparison
+                raise ValueError(
+                    f"step {n}: values must be finite and bounded by 1 in absolute value"
+                )
 
     @property
     def n_steps(self) -> int:
@@ -176,7 +193,7 @@ def deviation_per_leaf(tree: ProbabilityTree, seq: AdaptedSequence, lag: int) ->
     pending = [np.zeros(counts[d]) for d in range(N + 1)]
     for n in range(1, N + 1):
         d = max(n - lag, 0)
-        pending[d] = pending[d] + conditional_expectation(tree, seq, n, lag)
+        pending[d] = pending[d] + _pull_back(tree, seq.values[n - 1], n, d)
     acc = -pending[0]
     for d in range(1, N + 1):
         acc = acc[tree.parents[d - 1]] + seq.values[d - 1] - pending[d]

@@ -1,11 +1,17 @@
+import io
 import json
 import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kstep_lln.cli import EXIT_OK, EXIT_TREEFILE, EXIT_USAGE, EXIT_VERIFY, main
-from kstep_lln.treefile import TreeBundle, save_tree
+from kstep_lln.treefile import TreeBundle, bundle_to_dict, save_tree
 from kstep_lln.trees import random_tree
 from tests.test_treefile import full_bundle
 
@@ -230,3 +236,48 @@ class TestVerifyAllQuick:
         assert (tmp_path / "criterion_7.csv").exists()
         assert (tmp_path / "criterion_8.csv").exists()
         assert (tmp_path / "criterion_9.csv").exists()
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def mutated_tree_documents(draw):
+    """A valid tree document with up to three values replaced by any JSON value, or deleted."""
+    doc = bundle_to_dict(full_bundle(seed=draw(st.integers(0, 50))))
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key = None, None
+        node = doc
+        while isinstance(node, (dict, list)) and node and draw(st.booleans()):
+            parent = node
+            key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+            node = node[key]
+        if parent is None:
+            continue
+        if draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = draw(json_values)
+    return doc
+
+
+class TestTreeFileFuzz:
+    @given(st.one_of(json_values, mutated_tree_documents()))
+    @settings(max_examples=150, deadline=None)
+    def test_any_document_exits_ok_or_treefile_error(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "doc.json"
+            path.write_text(json.dumps(doc))
+            for argv in (
+                ["simulate", "--tree-file", str(path), "--K", "1", "--C", "0.5",
+                 "--sided", "two_sided", "--trials", "64"],
+                ["decide", "--tree-file", str(path)],
+            ):
+                err = io.StringIO()
+                with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                    code = main(argv)
+                assert code in (EXIT_OK, EXIT_TREEFILE), (argv[0], code, err.getvalue())

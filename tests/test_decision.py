@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -63,6 +65,15 @@ class TestValidation:
                 space=DecisionSpace(("a",)),
                 horizon=1,
                 tables=((np.array([0.5, 1.2, 0.0, 0.1]),),),
+            )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_losses(self, bad):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            LossSpec(
+                space=DecisionSpace(("a",)),
+                horizon=1,
+                tables=((np.array([0.5, bad, 0.0, 0.1]),),),
             )
 
     def test_tree_too_shallow(self):
@@ -336,3 +347,96 @@ class TestBaselines:
             for bits2 in itertools.product((0, 1), repeat=4):
                 strat = Strategy(choices=(np.array(bits1, int), np.array(bits2, int)))
                 assert np.all(env <= total_losses(tree, loss, strat) + 1e-12)
+
+
+def decision_results(tree, loss, alt):
+    """Every cached quantity of (tree, loss), as plain values for comparison."""
+    bayes = bayesian_strategy(tree, loss)
+    return {
+        "expected": [
+            expected_losses(tree, loss, n, d).tolist()
+            for n in range(1, loss.n_steps + 1)
+            for d in range(len(loss.space))
+        ],
+        "bayes": [c.tolist() for c in bayes.choices],
+        "adversarial": [c.tolist() for c in adversarial_strategy(tree, loss).choices],
+        "bayes_totals": total_losses(tree, loss, bayes).tolist(),
+        "alt_totals": total_losses(tree, loss, alt).tolist(),
+        "shift": shifted_deviation_check(tree, loss, alt),
+        "tails": [regret_tail(tree, loss, alt, C) for C in (0.0, 0.25, 0.5, 1.0)],
+    }
+
+
+def fresh(loss):
+    """The same loss tables in a new spec, which has nothing cached yet."""
+    return LossSpec(space=loss.space, horizon=loss.horizon, tables=loss.tables)
+
+
+class TestCachedQuantities:
+    def test_repeated_calls_agree(self):
+        tree, _ = random_tree(4, 3, seed=41)
+        loss = random_loss(tree, 2, 2, 3, seed=42)
+        alt = random_strategy(tree, loss, seed=43)
+        assert bayesian_strategy(tree, loss) is bayesian_strategy(tree, loss)
+        first = decision_results(tree, loss, alt)
+        assert decision_results(tree, loss, alt) == first
+        assert first == decision_results(tree, fresh(loss), alt)
+
+    def test_cached_arrays_are_read_only(self):
+        tree, _ = random_tree(4, 2, seed=44)
+        loss = random_loss(tree, 2, 1, 2, seed=45)
+        alt = random_strategy(tree, loss, seed=46)
+        bayes = bayesian_strategy(tree, loss)
+        arrays = [
+            expected_losses(tree, loss, 1, 0),
+            total_losses(tree, loss, alt),
+            total_losses(tree, loss, bayes),
+            bayes.choices[0],
+            tree.node_probabilities(tree.depth),
+        ]
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+        assert decision_results(tree, loss, alt) == decision_results(tree, fresh(loss), alt)
+
+    def test_one_loss_spec_across_trees(self):
+        # Same-shaped binary trees with different probabilities share one
+        # loss spec; each must get its own results.  Trees built and dropped
+        # in a loop may also reuse an earlier tree's id.
+        first = uniform_binary_tree(3)
+        loss = random_loss(first, 2, 1, 2, seed=47)
+        alt = random_strategy(first, loss, seed=48)
+        before = decision_results(first, loss, alt)
+        for seed in range(6):
+            tree, _ = random_tree(3, 2, seed=seed)
+            got = decision_results(tree, loss, alt)
+            assert got == decision_results(tree, fresh(loss), alt)
+            assert got["expected"] != before["expected"]
+        assert decision_results(first, loss, alt) == before
+
+    def test_threads_filling_one_pair_agree(self):
+        tree, _ = random_tree(5, 3, seed=49)
+        base = random_loss(tree, 3, 2, 3, seed=50)
+        alt = adversarial_strategy(tree, base)
+        expected = decision_results(tree, fresh(base), alt)
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                loss = fresh(base)  # every round races on empty caches
+                barrier = threading.Barrier(4)
+                results = [None] * 4
+
+                def work(k):
+                    barrier.wait(timeout=30)
+                    results[k] = decision_results(tree, loss, alt)
+
+                threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert results == [expected] * 4
+        finally:
+            sys.setswitchinterval(old_interval)

@@ -115,14 +115,18 @@ class TestMcTail:
         )
         assert est.contains(exact)
 
-    def test_sampler_failure_reports_trial_index(self):
+    def test_sampler_failure_reports_chunk_range(self):
+        calls = []
+
         def broken(master_seed, trials):
+            calls.append(len(trials))
             if 70_000 in trials:
                 raise RuntimeError("boom")
             return np.zeros(len(trials))
 
-        with pytest.raises(RuntimeError, match="trial 70000"):
+        with pytest.raises(RuntimeError, match=r"trials \[65536, 98303\]"):
             mc_tail(broken, 0.5, sided="upper", trials=100_000, seed=0)
+        assert calls == [32768, 32768, 32768]  # the failing chunk is not rerun per trial
 
     def test_rejects_bad_arguments(self):
         sampler = block_deviation_sampler(4, 2)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -106,3 +107,51 @@ class TestErrors:
         doc = {"depth": 1, "nodes": [[{"prob": 1.0}]]}
         with pytest.raises(TreeFileError, match="malformed node record"):
             bundle_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"depth": 1, "nodes": [[{"parent": 0, "prob": "0.5"}, {"parent": 0, "prob": 0.5}]]},
+            {"depth": 1, "nodes": [[{"parent": 0.7, "prob": 0.5}, {"parent": 0, "prob": 0.5}]]},
+            {"depth": 1, "nodes": [[{"parent": 2**70, "prob": 1.0}]]},
+            {"depth": 1, "nodes": [[{"parent": 0, "prob": True}]]},
+            {"depth": 1, "nodes": 5},
+            {"depth": "1", "nodes": [[{"parent": 0, "prob": 1.0}]]},
+        ],
+    )
+    def test_wrong_types_are_refused_not_coerced(self, doc):
+        with pytest.raises(TreeFileError):
+            bundle_from_dict(doc)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "0.5", [0.5]])
+    def test_bad_numbers_in_y_and_losses(self, bad):
+        doc = bundle_to_dict(full_bundle())
+        doc["Y"][0][0] = bad
+        with pytest.raises(TreeFileError, match="invalid Y"):
+            bundle_from_dict(json.loads(json.dumps(doc)))
+        doc = bundle_to_dict(full_bundle())
+        doc["losses"]["tables"][0][0][0] = bad
+        with pytest.raises(TreeFileError, match="invalid losses"):
+            bundle_from_dict(json.loads(json.dumps(doc)))
+
+    def test_values_inconsistent_with_the_tree(self):
+        doc = bundle_to_dict(full_bundle())
+        doc["Y"][0].append(0.0)
+        with pytest.raises(TreeFileError, match="invalid Y"):
+            bundle_from_dict(doc)
+        doc = bundle_to_dict(full_bundle())
+        doc["losses"]["impact_horizon"] = 3  # two steps need depth 5
+        with pytest.raises(TreeFileError, match="too shallow"):
+            bundle_from_dict(doc)
+        doc["losses"]["impact_horizon"] = 2.0
+        with pytest.raises(TreeFileError, match="impact_horizon"):
+            bundle_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "content", [b"\xff\xfe not utf-8", b"[" * 100_000 + b"]" * 100_000]
+    )
+    def test_undecodable_or_deeply_nested_file(self, tmp_path, content):
+        path = tmp_path / "odd.json"
+        path.write_bytes(content)
+        with pytest.raises(TreeFileError):
+            load_tree(path)

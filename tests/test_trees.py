@@ -66,11 +66,24 @@ class TestProbabilityTree:
         with pytest.raises(ValueError):
             two_level_tree().node_probabilities(3)
 
+    def test_leaf_probabilities_are_cached_read_only(self):
+        tree = two_level_tree()
+        assert tree.node_probabilities(2) is tree.leaf_probabilities()
+        for probs in (tree.node_probabilities(2), tree.leaf_probabilities()):
+            with pytest.raises(ValueError, match="read-only"):
+                probs[0] = 0.5
+        np.testing.assert_allclose(tree.leaf_probabilities(), [0.125, 0.125, 0.075, 0.675])
+
 
 class TestAdaptedSequence:
     def test_rejects_values_above_one(self):
         with pytest.raises(ValueError, match="bounded by 1"):
             AdaptedSequence(values=(np.array([0.5, 1.5]),))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            AdaptedSequence(values=(np.array([0.5, bad]),))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -129,6 +142,22 @@ class TestConditionalExpectation:
 
 
 class TestDeviationPerLeaf:
+    @given(st.integers(0, 10_000), st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_sum_of_conditional_expectations(self, seed, lag):
+        # Reference: push every Y_n - E(Y_n | F_{n-lag}) down to the leaves.
+        tree, seq = random_tree(depth=5, max_branching=3, seed=seed)
+        ref = np.zeros(tree.node_counts[-1])
+        for n in range(1, seq.n_steps + 1):
+            cond = conditional_expectation(tree, seq, n, lag)
+            for d in range(max(n - lag, 0) + 1, n + 1):
+                cond = cond[tree.parents[d - 1]]
+            term = seq.values[n - 1] - cond
+            for d in range(n + 1, seq.n_steps + 1):
+                term = term[tree.parents[d - 1]]
+            ref += term
+        np.testing.assert_allclose(deviation_per_leaf(tree, seq, lag), ref, atol=1e-12)
+
     def test_zero_process(self):
         tree = two_level_tree()
         seq = AdaptedSequence(values=(np.zeros(2), np.zeros(4)))

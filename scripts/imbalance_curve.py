@@ -5,13 +5,10 @@ Emits the exact P(imbalance >= sqrt(m)) per m together with the limiting
 survival value at 1, making the dip to 7/64 at m = 6 and the slow climb
 back toward 0.1587 visible in one table.
 
-Usage: python scripts/imbalance_curve.py --m-max 500 [--output curve.csv]
+Usage: PYTHONPATH=src python scripts/imbalance_curve.py --m-max 500 [--output curve.csv]
 """
 
 import argparse
-import sys
-
-sys.path.insert(0, "src")
 
 from kstep_lln.bounds import gaussian_survival
 from kstep_lln.constructions import imbalance_prob, imbalance_threshold

@@ -5,20 +5,16 @@ Doubles the trial count from 1k to 512k on one (N, K, C) instance and
 reports the estimate, its exact 99% interval, the interval width, and
 whether the exact value is covered at each size.
 
-Usage: python scripts/mc_convergence.py --N 64 --K 2 [--output conv.csv]
+Usage: PYTHONPATH=src python scripts/mc_convergence.py --N 64 --K 2 [--output conv.csv]
 """
 
 import argparse
 import math
-import sys
-
-sys.path.insert(0, "src")
 
 from kstep_lln.constructions import block_deviation_tail
 from kstep_lln.output import format_csv, write_output
 from kstep_lln.sampling import block_deviation_sampler, mc_tail
-
-DEFAULT_SEED = 1729
+from kstep_lln.verify import DEFAULT_SEED
 
 
 def main():

@@ -6,13 +6,10 @@ the two lower-bound construction levels (where applicable), and their
 ratios.  The ratio column shows how far the constant 4 sits from the
 constructions' 0.5 and 0.6.
 
-Usage: python scripts/threshold_table.py [--output table.csv]
+Usage: PYTHONPATH=src python scripts/threshold_table.py [--output table.csv]
 """
 
 import argparse
-import sys
-
-sys.path.insert(0, "src")
 
 from kstep_lln.bounds import HorizonParams, kr_threshold, mv_threshold, deviation_threshold
 from kstep_lln.output import format_csv, write_output

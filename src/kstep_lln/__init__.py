@@ -9,7 +9,6 @@ from .bounds import (
     AggregationParams,
     HorizonParams,
     LowerBoundParams,
-    LowerBoundVariant,
     aggregation_bound,
     coefficient_feasible,
     deviation_threshold,

@@ -18,13 +18,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 
 __all__ = [
     "EPSILON_CUTOFF",
     "HorizonParams",
     "AggregationParams",
-    "LowerBoundVariant",
     "LowerBoundParams",
     "ThresholdCheck",
     "deviation_threshold",
@@ -94,18 +92,12 @@ class AggregationParams:
         return cls(C=C, K=K, a=K / (2.0 * N))
 
 
-class LowerBoundVariant(Enum):
-    MATOUSEK_VONDRAK = "matousek_vondrak"
-    KUNSCH_RUDOLF = "kunsch_rudolf"
-
-
 @dataclass(frozen=True)
 class LowerBoundParams:
     """Binomial large-deviation lower bound inputs: m fair signs, deviation t."""
 
     m: int
     t: int
-    variant: LowerBoundVariant = LowerBoundVariant.MATOUSEK_VONDRAK
 
 
 @dataclass(frozen=True)
@@ -334,8 +326,6 @@ def mv_lower_bound(lb: LowerBoundParams) -> float:
     Valid for even m and integer t in [0, m/8]; P(Z >= m/2 + t) is at
     least this value for Z ~ Binomial(m, 1/2).
     """
-    if lb.variant is not LowerBoundVariant.MATOUSEK_VONDRAK:
-        raise ValueError(f"lower bound constants only known for MatousekVondrak, got {lb.variant}")
     if not isinstance(lb.m, int) or lb.m < 1:
         raise ValueError(f"m must be a positive integer, got {lb.m!r}")
     if lb.m % 2 != 0:

@@ -131,10 +131,6 @@ class BlockProcess:
         """Number of blocks."""
         return self.N // self.K
 
-    @property
-    def block_signs(self) -> tuple[int, ...]:
-        return self.values[:: self.K]
-
     def deviation(self) -> int:
         """Cumulative deviation sum(values) = (2Z - m) K for Z = #(+1 blocks)."""
         return sum(self.values)

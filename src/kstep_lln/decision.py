@@ -10,10 +10,11 @@ loss over N steps: any rival's lead at the usual threshold has probability
 below eps/2.  Decisions never influence the tree's dynamics.
 
 A loss spec, like a tree, is immutable after construction.  Each (tree,
-loss) pair is validated once, and its expected-loss stacks, Bayesian
-strategy and the realized total losses of each strategy seen are computed
-once and cached on the loss spec; strategies passed in must therefore not
-be modified either.  Arrays handed out from that cache are read-only.
+loss) pair is validated once, and its stacked loss tables, expected-loss
+stacks and Bayesian strategy are computed once and cached on the loss
+spec, as is, for each strategy seen, its validation and its per-step and
+total realized losses; strategies passed in must therefore not be
+modified either.  Arrays handed out from that cache are read-only.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ __all__ = [
     "shifted_deviation_check",
     "random_strategy",
     "adversarial_strategy",
-    "clairvoyant_envelope",
 ]
 
 _COND_TOL = 1e-9
@@ -124,13 +124,14 @@ class _Problem:
     threads filling the same slot at once both compute it and one copy stays.
     """
 
-    __slots__ = ("tree", "stacks", "bayes", "totals")
+    __slots__ = ("tree", "tables", "stacks", "bayes", "realized")
 
     def __init__(self, tree: ProbabilityTree) -> None:
         self.tree = tree  # holding the tree keeps its id from being reused
-        self.stacks: tuple[np.ndarray, ...] | None = None
+        self.tables: tuple[np.ndarray, ...] | None = None  # per step: (decisions, depth-(n+K) nodes)
+        self.stacks: tuple[np.ndarray, ...] | None = None  # per step: (decisions, depth-n nodes)
         self.bayes: Strategy | None = None
-        self.totals: dict[int, tuple[Strategy, np.ndarray]] = {}
+        self.realized: dict[int, tuple[Strategy, tuple[np.ndarray, ...], np.ndarray]] = {}
 
 
 def _problem(tree: ProbabilityTree, loss: LossSpec) -> _Problem:
@@ -205,35 +206,45 @@ def bayesian_strategy(tree: ProbabilityTree, loss: LossSpec) -> Strategy:
     return prob.bayes
 
 
-def _step_losses(
-    tree: ProbabilityTree, loss: LossSpec, strategy: Strategy, n: int
-) -> np.ndarray:
-    """Realized step-n loss of a strategy, one value per depth-(n+K) node.
+def _realized(
+    tree: ProbabilityTree, loss: LossSpec, strategy: Strategy
+) -> tuple[Strategy, tuple[np.ndarray, ...], np.ndarray]:
+    """A strategy's realized losses: per step n on the depth-(n+K) nodes, and their path totals.
 
     The decision made at a depth-n node is carried down to its depth-(n+K)
-    descendants, where the step-n table rows live.
+    descendants, where the step-n table rows live.  Validated and computed
+    once per (tree, loss, strategy).
     """
-    choice = strategy.choices[n - 1]
-    for d in range(n, n + loss.horizon):
-        choice = choice[tree.parents[d]]
-    return np.stack(loss.tables[n - 1])[choice, np.arange(len(choice))]
-
-
-def total_losses(tree: ProbabilityTree, loss: LossSpec, strategy: Strategy) -> np.ndarray:
-    """Realized N-step total loss per depth-(N+K) node (read-only; cached per strategy)."""
     prob = _problem(tree, loss)
-    hit = prob.totals.get(id(strategy))
+    hit = prob.realized.get(id(strategy))
     if hit is None:
         _check_strategy(tree, loss, strategy)
+        if prob.tables is None:
+            tables = tuple(np.stack(per_decision) for per_decision in loss.tables)
+            for table in tables:
+                table.flags.writeable = False
+            prob.tables = tables
+        steps = []
+        for n, choice in enumerate(strategy.choices, start=1):
+            for d in range(n, n + loss.horizon):
+                choice = choice[tree.parents[d]]
+            step = prob.tables[n - 1][choice, np.arange(len(choice))]
+            step.flags.writeable = False
+            steps.append(step)
         acc = np.zeros(1)
         for d in range(1, loss.n_steps + loss.horizon + 1):
             acc = acc[tree.parents[d - 1]]
             if d > loss.horizon:
-                acc = acc + _step_losses(tree, loss, strategy, d - loss.horizon)
+                acc = acc + steps[d - loss.horizon - 1]
         acc.flags.writeable = False
         # The entry holds the strategy, so its id cannot be reused while cached.
-        hit = prob.totals.setdefault(id(strategy), (strategy, acc))
-    return hit[1]
+        hit = prob.realized.setdefault(id(strategy), (strategy, tuple(steps), acc))
+    return hit
+
+
+def total_losses(tree: ProbabilityTree, loss: LossSpec, strategy: Strategy) -> np.ndarray:
+    """Realized N-step total loss per depth-(N+K) node (read-only; cached per strategy)."""
+    return _realized(tree, loss, strategy)[2]
 
 
 def total_loss(tree: ProbabilityTree, loss: LossSpec, strategy: Strategy, leaf: int) -> float:
@@ -259,12 +270,11 @@ def shifted_sequence(tree: ProbabilityTree, loss: LossSpec, alt: Strategy) -> Ad
     depth-(n+K) node because both losses are, so the sequence is adapted by
     construction and bounded by 1 since losses live in [0, 1].
     """
-    bayes = bayesian_strategy(tree, loss)
-    _check_strategy(tree, loss, alt)
+    bayes_steps = _realized(tree, loss, bayesian_strategy(tree, loss))[1]
+    alt_steps = _realized(tree, loss, alt)[1]
     counts = tree.node_counts
     values = [np.zeros(counts[d]) for d in range(1, loss.horizon + 1)]
-    for n in range(1, loss.n_steps + 1):
-        values.append(_step_losses(tree, loss, bayes, n) - _step_losses(tree, loss, alt, n))
+    values += [b - a for b, a in zip(bayes_steps, alt_steps)]
     return AdaptedSequence(values=tuple(values))
 
 
@@ -339,21 +349,3 @@ def adversarial_strategy(tree: ProbabilityTree, loss: LossSpec) -> Strategy:
     """Per node, the first decision maximizing conditional expected loss."""
     return Strategy(choices=tuple(np.argmax(table, axis=0) for table in _loss_stacks(tree, loss)))
 
-
-def clairvoyant_envelope(tree: ProbabilityTree, loss: LossSpec) -> np.ndarray:
-    """Per-leaf lower envelope: min-over-decisions loss summed along each path.
-
-    This is an out-of-model stress baseline, not a strategy: realizing it
-    would require seeing K steps ahead, so no adapted strategy attains it
-    unless the impact horizon is zero.
-    """
-    _problem(tree, loss)
-    N, K = loss.n_steps, loss.horizon
-    acc = np.zeros(1)
-    for d in range(1, N + K + 1):
-        acc = acc[tree.parents[d - 1]]
-        n = d - K
-        if n >= 1:
-            stacked = np.stack([loss.tables[n - 1][j] for j in range(len(loss.space))])
-            acc = acc + stacked.min(axis=0)
-    return acc

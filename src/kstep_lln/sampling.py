@@ -10,7 +10,6 @@ because small tail probabilities are precisely the quantity of interest.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable

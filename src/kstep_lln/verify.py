@@ -7,8 +7,9 @@ runs at publication scale; the quick tier shrinks grids and trial counts
 
 Criteria 7-9 also emit CSV artifacts.  Their computations key every random
 choice off (master seed, criterion, instance), so rerunning with a
-different worker count reproduces the artifacts byte for byte; criterion
-10 asserts exactly that.
+different worker count reproduces the artifacts byte for byte.  Criterion
+10 checks exactly that: the artifacts this run wrote are reproduced at
+another worker count.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .output import format_csv
 from .sampling import block_deviation_sampler, derive_seed, mc_tail, tree_deviation_sampler
 from .trees import deviation_per_leaf, exact_tail, random_tree, verify_deviation_bound
 
-__all__ = ["CriterionResult", "DEFAULT_SEED", "CRITERIA", "run_criterion", "run_all"]
+__all__ = ["CriterionResult", "DEFAULT_SEED", "CRITERIA", "dominance_rows", "run_all"]
 
 #: Master seed used by the CLI when none is given.
 DEFAULT_SEED = 1729
@@ -95,15 +96,9 @@ def criterion_3_epsilon_cutoff(quick: bool = False, seed: int = DEFAULT_SEED, wo
     return _result(3, "epsilon-cutoff", passed, detail, t0)
 
 
-def criterion_4_dominance_chain(quick: bool = False, seed: int = DEFAULT_SEED, workers: int = 1):
-    """Exact <= relaxed <= midpoint on a parameter grid; midpoint discharge < eps/2."""
-    t0 = time.perf_counter()
-    ks = [1, 2, 3, 4, 5]
-    ms = [2, 4, 8, 16, 32]
-    ratios = [0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0]
-    if quick:
-        ks, ms, ratios = [1, 2, 4], [2, 8, 32], [0.5, 1.0, 3.0, 8.0]
-    chain_bad = []
+def dominance_rows(ks, ms, ratios) -> list[dict]:
+    """One row per grid point: the exact <= relaxed <= midpoint chain at N = K m, C = r sqrt(K N)."""
+    rows = []
     for K in ks:
         for m in ms:
             N = K * m
@@ -113,9 +108,26 @@ def criterion_4_dominance_chain(quick: bool = False, seed: int = DEFAULT_SEED, w
                 exact = bounds.aggregation_bound(ap, relaxed=False)
                 relaxed = bounds.aggregation_bound(ap, relaxed=True)
                 mid = bounds.midpoint_bound(C, K, N)
-                if not (exact <= relaxed + 1e-9 and relaxed <= mid + 1e-9):
-                    chain_bad.append((N, K, C))
-    n_triples = len(ks) * len(ms) * len(ratios)
+                rows.append(
+                    {
+                        "N": N, "K": K, "C": C, "a": ap.a,
+                        "exact": exact, "relaxed": relaxed, "midpoint": mid,
+                        "chain_ok": exact <= relaxed + 1e-9 and relaxed <= mid + 1e-9,
+                    }
+                )
+    return rows
+
+
+def criterion_4_dominance_chain(quick: bool = False, seed: int = DEFAULT_SEED, workers: int = 1):
+    """Exact <= relaxed <= midpoint on a parameter grid; midpoint discharge < eps/2."""
+    t0 = time.perf_counter()
+    ks = [1, 2, 3, 4, 5]
+    ms = [2, 4, 8, 16, 32]
+    ratios = [0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0]
+    if quick:
+        ks, ms, ratios = [1, 2, 4], [2, 8, 32], [0.5, 1.0, 3.0, 8.0]
+    rows = dominance_rows(ks, ms, ratios)
+    chain_bad = [r for r in rows if not r["chain_ok"]]
     discharge_bad = []
     for eps in (0.05, 0.2, 0.5, 0.69):
         for K in ks:
@@ -126,7 +138,7 @@ def criterion_4_dominance_chain(quick: bool = False, seed: int = DEFAULT_SEED, w
                     discharge_bad.append((N, K, eps))
     passed = not chain_bad and not discharge_bad
     detail = (
-        f"{n_triples} (N,K,C) triples, chain violations: {len(chain_bad)}; "
+        f"{len(rows)} (N,K,C) triples, chain violations: {len(chain_bad)}; "
         f"midpoint >= eps/2 cases: {len(discharge_bad)}"
     )
     return _result(4, "dominance-chain", passed, detail, t0)
@@ -164,6 +176,14 @@ def criterion_6_inverse_bound_instance(quick: bool = False, seed: int = DEFAULT_
     return _result(6, "inverse-bound-instance", passed, detail, t0)
 
 
+def _map_instances(one, n: int, workers: int) -> list:
+    """`one(i)` for i in range(n), in instance order; threaded when workers > 1."""
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(one, range(n)))
+    return [one(i) for i in range(n)]
+
+
 def _deviation_rows(n_trees: int, seed: int, workers: int) -> list[dict]:
     eps_grid = (0.05, 0.3, 0.69)
 
@@ -188,10 +208,7 @@ def _deviation_rows(n_trees: int, seed: int, workers: int) -> list[dict]:
             "ok": bool(check.holds and one_sided < eps / 2.0),
         }
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, range(n_trees)))
-    return [one(i) for i in range(n_trees)]
+    return _map_instances(one, n_trees, workers)
 
 
 def criterion_7_deviation_suite(quick: bool = False, seed: int = DEFAULT_SEED, workers: int = 1):
@@ -321,10 +338,7 @@ def _corollary_rows(n_trees: int, seed: int, workers: int) -> list[dict]:
             "ok": bool(dominance_ok and shift.passed and regret_ok),
         }
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, range(n_trees)))
-    return [one(i) for i in range(n_trees)]
+    return _map_instances(one, n_trees, workers)
 
 
 def criterion_9_corollary_suite(quick: bool = False, seed: int = DEFAULT_SEED, workers: int = 1):
@@ -342,16 +356,18 @@ def criterion_9_corollary_suite(quick: bool = False, seed: int = DEFAULT_SEED, w
     return _result(9, "regret-bound-suite", not bad, detail, t0, artifact=csv)
 
 
-def criterion_10_determinism(quick: bool = False, seed: int = DEFAULT_SEED, workers: int = 1):
-    """Criteria 7-9 artifacts are byte-identical across worker counts."""
+def criterion_10_determinism(
+    prior: list[CriterionResult], quick: bool = False, seed: int = DEFAULT_SEED, workers: int = 1
+):
+    """This run's criterion 7-9 artifacts (`prior`, made at `workers`) recur at another worker count."""
     t0 = time.perf_counter()
-    same = []
-    for fn in (criterion_7_deviation_suite, criterion_8_mc_coverage, criterion_9_corollary_suite):
-        a = fn(quick=quick, seed=seed, workers=1).artifact
-        b = fn(quick=quick, seed=seed, workers=3).artifact
-        same.append(a == b)
+    given = {r.number: r.artifact for r in prior}
+    other = 1 if workers > 1 else 3
+    # Resolved at call time, so wrappers installed on this module see the reruns.
+    reruns = {7: criterion_7_deviation_suite, 8: criterion_8_mc_coverage, 9: criterion_9_corollary_suite}
+    same = [fn(quick=quick, seed=seed, workers=other).artifact == given[n] for n, fn in reruns.items()]
     passed = all(same)
-    detail = f"criteria 7-9 rerun with 1 vs 3 workers: byte-identical = {same}"
+    detail = f"criteria 7-9 rerun with {workers} vs {other} workers: byte-identical = {same}"
     return _result(10, "determinism", passed, detail, t0)
 
 
@@ -369,9 +385,8 @@ CRITERIA = {
 }
 
 
-def run_criterion(number: int, quick: bool = False, seed: int = DEFAULT_SEED, workers: int = 1):
-    return CRITERIA[number](quick=quick, seed=seed, workers=workers)
-
-
 def run_all(quick: bool = False, seed: int = DEFAULT_SEED, workers: int = 1):
-    return [run_criterion(n, quick=quick, seed=seed, workers=workers) for n in sorted(CRITERIA)]
+    """Criteria 1-9 in order, then criterion 10 on this run's criterion 7-9 results."""
+    results = [CRITERIA[n](quick=quick, seed=seed, workers=workers) for n in range(1, 10)]
+    results.append(CRITERIA[10](results[6:9], quick=quick, seed=seed, workers=workers))
+    return results

@@ -4,6 +4,8 @@ Runs the full (publication-scale) tier of the verification runner that
 also backs `kstep-lln verify-all --full`.
 """
 
+import dataclasses
+
 import pytest
 
 from kstep_lln import verify
@@ -81,13 +83,25 @@ def test_criterion_9_regret_bound_suite(criterion_9):
 
 
 def test_criterion_10_thread_count_determinism(seed, criterion_7, criterion_8, criterion_9):
-    # rerunning criteria 7-9 with a different worker count reproduces the
-    # artifacts byte for byte
-    result = report(verify.criterion_10_determinism(quick=False, seed=seed))
-    rerun = [
-        verify.criterion_7_deviation_suite(quick=False, seed=seed, workers=3),
-        verify.criterion_8_mc_coverage(quick=False, seed=seed, workers=3),
-        verify.criterion_9_corollary_suite(quick=False, seed=seed, workers=3),
+    # rerunning criteria 7-9 with 3 workers reproduces the artifacts of the
+    # 1-worker results above byte for byte
+    result = report(
+        verify.criterion_10_determinism([criterion_7, criterion_8, criterion_9], quick=False, seed=seed)
+    )
+    assert result.detail == "criteria 7-9 rerun with 1 vs 3 workers: byte-identical = [True, True, True]"
+
+
+def test_criterion_10_fails_on_one_changed_artifact_byte(seed):
+    prior = [
+        verify.criterion_7_deviation_suite(quick=True, seed=seed),
+        verify.criterion_8_mc_coverage(quick=True, seed=seed),
+        verify.criterion_9_corollary_suite(quick=True, seed=seed),
     ]
-    for direct, threaded in zip((criterion_7, criterion_8, criterion_9), rerun):
-        assert direct.artifact == threaded.artifact
+    art = prior[1].artifact
+    i = len(art) - 2  # the last character of the last row
+    flipped = art[:i] + ("0" if art[i] != "0" else "1") + art[i + 1:]
+    assert len(flipped.encode()) == len(art.encode()) and flipped != art
+    prior[1] = dataclasses.replace(prior[1], artifact=flipped)
+    result = verify.criterion_10_determinism(prior, quick=True, seed=seed)
+    assert not result.passed
+    assert result.detail.endswith("byte-identical = [True, False, True]")

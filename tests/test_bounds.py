@@ -10,7 +10,6 @@ from kstep_lln.bounds import (
     AggregationParams,
     HorizonParams,
     LowerBoundParams,
-    LowerBoundVariant,
     aggregation_bound,
     aggregation_objective,
     coefficient_feasible,
@@ -314,7 +313,3 @@ class TestMvLowerBound:
     def test_rejects_odd_m(self):
         with pytest.raises(ValueError, match="even"):
             mv_lower_bound(LowerBoundParams(m=9, t=1))
-
-    def test_rejects_other_variant(self):
-        with pytest.raises(ValueError, match="MatousekVondrak"):
-            mv_lower_bound(LowerBoundParams(m=8, t=1, variant=LowerBoundVariant.KUNSCH_RUDOLF))

@@ -224,6 +224,31 @@ class TestOutputHandling:
         assert exc.value.code == EXIT_USAGE
 
 
+class TestErrorPath:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bound", "--N", "0", "--K", "1", "--epsilon", "0.1"],
+             "N must be a positive integer, got 0"),
+            (["bound", "--N", "100", "--K", "5", "--epsilon", "0.75"],
+             "epsilon must lie in (0, 0.7) for the upper-bound threshold, got 0.75"),
+            (["invert", "--m", "8", "--t", "2"],
+             "t must lie in [0, m/8] = [0, 1.0], got 2"),
+            (["invert", "--N", "64", "--K", "1", "--epsilon", "0.2"],
+             "requires 15*epsilon < 1 (log argument positive), got epsilon=0.2"),
+            (["construct", "--N", "5", "--K", "2"],
+             "need K | N with both positive, got N=5, K=2"),
+            (["scan", "--what", "mv-audit", "--m-max", "1"],
+             "m_max must be at least 8, got 1"),
+        ],
+    )
+    def test_invalid_parameter_exits_with_usage_error(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+
 class TestVerifyAllQuick:
     def test_quick_tier_passes_and_writes_artifacts(self, capsys, tmp_path):
         code, out, _ = run(
@@ -236,6 +261,19 @@ class TestVerifyAllQuick:
         assert (tmp_path / "criterion_7.csv").exists()
         assert (tmp_path / "criterion_8.csv").exists()
         assert (tmp_path / "criterion_9.csv").exists()
+
+    def test_artifacts_identical_across_worker_counts(self, capsys, tmp_path):
+        outs = {}
+        for workers in ("1", "3"):
+            code, outs[workers], _ = run(
+                capsys, "verify-all", "--quick", "--workers", workers,
+                "--artifact-dir", str(tmp_path / workers),
+            )
+            assert code == EXIT_OK
+        assert "criteria 7-9 rerun with 3 vs 1 workers: byte-identical = [True, True, True]" in outs["3"]
+        for n in (7, 8, 9):
+            name = f"criterion_{n}.csv"
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "3" / name).read_bytes()
 
 
 json_values = st.recursive(

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kstep_lln import decision
 from kstep_lln.bounds import HorizonParams, deviation_threshold
 from kstep_lln.decision import (
     DecisionSpace,
@@ -15,7 +16,6 @@ from kstep_lln.decision import (
     Strategy,
     adversarial_strategy,
     bayesian_strategy,
-    clairvoyant_envelope,
     expected_loss,
     expected_losses,
     random_strategy,
@@ -339,15 +339,6 @@ class TestBaselines:
         b = random_strategy(tree, loss, seed=7)
         assert all(np.array_equal(x, y) for x, y in zip(a.choices, b.choices))
 
-    def test_envelope_lower_bounds_every_strategy(self):
-        tree = uniform_binary_tree(3)
-        loss = random_loss(tree, 2, 1, 2, seed=33)
-        env = clairvoyant_envelope(tree, loss)
-        for bits1 in itertools.product((0, 1), repeat=2):
-            for bits2 in itertools.product((0, 1), repeat=4):
-                strat = Strategy(choices=(np.array(bits1, int), np.array(bits2, int)))
-                assert np.all(env <= total_losses(tree, loss, strat) + 1e-12)
-
 
 def decision_results(tree, loss, alt):
     """Every cached quantity of (tree, loss), as plain values for comparison."""
@@ -398,6 +389,19 @@ class TestCachedQuantities:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
         assert decision_results(tree, loss, alt) == decision_results(tree, fresh(loss), alt)
+
+    def test_each_strategy_validated_once(self, monkeypatch):
+        tree, _ = random_tree(4, 3, seed=51)
+        loss = random_loss(tree, 2, 2, 3, seed=52)
+        alt = random_strategy(tree, loss, seed=53)
+        checked = []
+        check = decision._check_strategy
+        monkeypatch.setattr(
+            decision, "_check_strategy", lambda t, l, s: (checked.append(s), check(t, l, s))[1]
+        )
+        decision_results(tree, loss, alt)
+        bayes = bayesian_strategy(tree, loss)
+        assert [id(s) for s in checked] == [id(bayes), id(alt)]
 
     def test_one_loss_spec_across_trees(self):
         # Same-shaped binary trees with different probabilities share one

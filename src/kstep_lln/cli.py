@@ -165,16 +165,8 @@ def cmd_simulate(args) -> int:
         exact = exact_tail(bundle.tree, bundle.sequence, args.K, args.C, sided=args.sided)
         sampler = tree_deviation_sampler(bundle.tree, bundle.sequence, args.K) if args.trials else None
     elif args.N is not None:
-        if args.N % args.K != 0:
-            raise CliError(f"block process needs K | N, got N={args.N}, K={args.K}")
         config["N"] = args.N
-        if args.sided == "upper":
-            exact = constructions.block_deviation_tail(args.N, args.K, args.C)
-        else:
-            from .trees import block_process_tree
-
-            tree, seq = block_process_tree(args.N, args.K)
-            exact = exact_tail(tree, seq, args.K, args.C, sided=args.sided)
+        exact = constructions.block_deviation_tail(args.N, args.K, args.C, sided=args.sided)
         sampler = block_deviation_sampler(args.N, args.K) if args.trials else None
     else:
         raise CliError("simulate requires --tree-file or --N")

@@ -44,6 +44,27 @@ _RESTART = 4096
 _LATTICE_TOL = 1e-9
 
 
+def _block_count(N: int, K: int) -> int:
+    """m = N/K, the number of K-step blocks in N steps; K must divide N."""
+    if N < 1 or K < 1 or N % K != 0:
+        raise ValueError(f"need K | N with both positive, got N={N}, K={K}")
+    return N // K
+
+
+def _tail_event(C: float, sided: str):
+    """The tail event {|S| >= C} (two_sided) or {S >= C} (upper) as a mask of S values.
+
+    Raises for a non-finite threshold or an unknown side, before any tail work.
+    """
+    if sided not in ("two_sided", "upper"):
+        raise ValueError(f"sided must be 'two_sided' or 'upper', got {sided!r}")
+    if not math.isfinite(C):
+        raise ValueError(f"threshold C must be finite, got {C!r}")
+    if sided == "two_sided":
+        return lambda s: np.abs(s) >= C
+    return lambda s: s >= C
+
+
 def _pmf_float(m: int, k: int) -> float:
     """P(Binomial(m, 1/2) = k) via 30-digit log-gamma, rounded to float."""
     with mpmath.workdps(30):
@@ -116,8 +137,7 @@ class BlockProcess:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.N < 1 or self.K < 1 or self.N % self.K != 0:
-            raise ValueError(f"need K | N with both positive, got N={self.N}, K={self.K}")
+        _block_count(self.N, self.K)
         if len(self.values) != self.N:
             raise ValueError(f"expected {self.N} values, got {len(self.values)}")
         if any(v not in (-1, 1) for v in self.values):
@@ -138,10 +158,8 @@ class BlockProcess:
 
 def sample_block_process(N: int, K: int, seed: int) -> BlockProcess:
     """Draw m = N/K independent fair signs and expand them into K-step blocks."""
-    if N < 1 or K < 1 or N % K != 0:
-        raise ValueError(f"need K | N with both positive, got N={N}, K={K}")
     rng = np.random.default_rng(seed)
-    signs = 2 * rng.integers(0, 2, size=N // K) - 1
+    signs = 2 * rng.integers(0, 2, size=_block_count(N, K)) - 1
     return BlockProcess(N=N, K=K, values=tuple(int(s) for s in np.repeat(signs, K)))
 
 
@@ -193,17 +211,21 @@ def deviation_count_threshold(m: int, C: float, K: int) -> int:
     return max(0, math.ceil(x - _LATTICE_TOL))
 
 
-def block_deviation_tail(N: int, K: int, C: float) -> float:
-    """Exact P(cumulative deviation of the block process >= C).
+def block_deviation_tail(N: int, K: int, C: float, sided: str = "upper") -> float:
+    """Exact P(S >= C) (upper) or P(|S| >= C) (two_sided) for the block process.
 
     The lagged conditional means vanish (each block's sign is revealed
     strictly after every step that forecasts it from K steps back), so the
-    deviation equals (2Z - m) K and the tail is a fair-binomial tail.
+    deviation S equals (2Z - m) K and the tail is a fair-binomial tail.  By
+    coin symmetry P(S <= -C) = P(Z >= k0), the upper tail's count, and the
+    two events are disjoint unless 2 k0 - m <= 0, where {|S| >= C} is sure.
     """
-    if N < 1 or K < 1 or N % K != 0:
-        raise ValueError(f"need K | N with both positive, got N={N}, K={K}")
-    m = N // K
-    return binomial_upper_tail(m, deviation_count_threshold(m, C, K))
+    _tail_event(C, sided)  # rejects a non-finite C or an unknown side
+    m = _block_count(N, K)
+    k0 = deviation_count_threshold(m, C, K)
+    if sided == "upper":
+        return binomial_upper_tail(m, k0)
+    return 1.0 if 2 * k0 - m <= 0 else 2.0 * binomial_upper_tail(m, k0)
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,13 @@ loss over N steps: any rival's lead at the usual threshold has probability
 below eps/2.  Decisions never influence the tree's dynamics.
 
 A loss spec, like a tree, is immutable after construction.  Each (tree,
-loss) pair is validated once, and its stacked loss tables, expected-loss
-stacks and Bayesian strategy are computed once and cached on the loss
-spec, as is, for each strategy seen, its validation and its per-step and
-total realized losses; strategies passed in must therefore not be
-modified either.  Arrays handed out from that cache are read-only.
+loss) pair becomes one decision problem, validated and built in one step:
+its stacked loss tables, expected-loss stacks, Bayesian strategy and that
+strategy's realized losses.  The loss spec caches the last tree's problem,
+the Bayesian strategy and the last rival: the rival is validated once and
+its per-step and total realized losses are kept until another rival or
+tree is used, so strategies passed in must not be modified either.  Arrays
+handed out from that cache are read-only.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constructions import _tail_event
 from .trees import AdaptedSequence, ProbabilityTree, _pull_back
 
 __all__ = [
@@ -82,8 +85,8 @@ class LossSpec:
             for d, tab in enumerate(per_decision):
                 if not np.all((tab >= -_LOSS_TOL) & (tab <= 1.0 + _LOSS_TOL)):  # rejects NaN
                     raise ValueError(f"step {n}, decision {d}: losses must lie in [0, 1]")
-        # Derived quantities per tree, keyed by id(tree); see `_problem`.
-        object.__setattr__(self, "_problems", {})
+        # The decision problem of the last tree used with this spec; see `_problem`.
+        object.__setattr__(self, "_last", None)
 
     @property
     def n_steps(self) -> int:
@@ -101,61 +104,89 @@ class Strategy:
         return len(self.choices)
 
 
-def _check_decision_inputs(tree: ProbabilityTree, loss: LossSpec) -> None:
-    if loss.n_steps + loss.horizon > tree.depth:
-        raise ValueError(
-            f"tree depth {tree.depth} too shallow for {loss.n_steps} steps "
-            f"with impact horizon {loss.horizon}"
-        )
-    counts = tree.node_counts
-    for n, per_decision in enumerate(loss.tables, start=1):
-        for d, tab in enumerate(per_decision):
-            if len(tab) != counts[n + loss.horizon]:
-                raise ValueError(
-                    f"step {n}, decision {d}: {len(tab)} losses for "
-                    f"{counts[n + loss.horizon]} depth-{n + loss.horizon} nodes"
-                )
+def _frozen(arrays) -> tuple[np.ndarray, ...]:
+    out = tuple(arrays)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 class _Problem:
-    """Cached quantities of one validated (tree, loss) pair, each filled on first use.
+    """One validated (tree, loss) pair and all it derives, built in one step.
 
-    Every slot is published by one assignment of a finished value, so two
-    threads filling the same slot at once both compute it and one copy stays.
+    Holds, per step, the stacked loss tables (decisions, depth-(n+K) nodes)
+    and expected-loss stacks (decisions, depth-n nodes); the Bayesian
+    strategy and the last rival seen, each as (strategy, per-step realized
+    losses, path totals).  The rival slot is replaced by one assignment of
+    a finished tuple, so threads racing on it each read a consistent entry.
     """
 
-    __slots__ = ("tree", "tables", "stacks", "bayes", "realized")
+    __slots__ = ("tree", "tables", "stacks", "bayes", "rival")
 
-    def __init__(self, tree: ProbabilityTree) -> None:
-        self.tree = tree  # holding the tree keeps its id from being reused
-        self.tables: tuple[np.ndarray, ...] | None = None  # per step: (decisions, depth-(n+K) nodes)
-        self.stacks: tuple[np.ndarray, ...] | None = None  # per step: (decisions, depth-n nodes)
-        self.bayes: Strategy | None = None
-        self.realized: dict[int, tuple[Strategy, tuple[np.ndarray, ...], np.ndarray]] = {}
+    def __init__(self, tree: ProbabilityTree, loss: LossSpec) -> None:
+        K = loss.horizon
+        if loss.n_steps + K > tree.depth:
+            raise ValueError(
+                f"tree depth {tree.depth} too shallow for {loss.n_steps} steps "
+                f"with impact horizon {K}"
+            )
+        counts = tree.node_counts
+        for n, per_decision in enumerate(loss.tables, start=1):
+            for d, tab in enumerate(per_decision):
+                if len(tab) != counts[n + K]:
+                    raise ValueError(
+                        f"step {n}, decision {d}: {len(tab)} losses for "
+                        f"{counts[n + K]} depth-{n + K} nodes"
+                    )
+        self.tree = tree
+        self.tables = _frozen(np.stack(per_decision) for per_decision in loss.tables)
+        self.stacks = _frozen(
+            np.stack([_pull_back(tree, tab, n + K, n) for tab in loss.tables[n - 1]])
+            for n in range(1, loss.n_steps + 1)
+        )
+        # argmin takes the first minimizer
+        bayes = Strategy(choices=_frozen(np.argmin(table, axis=0) for table in self.stacks))
+        self.bayes = self.rival = (bayes, *self._realize(K, bayes))
+
+    def _realize(self, K: int, strategy: Strategy) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """Per step n the realized losses on the depth-(n+K) nodes, and their path totals.
+
+        The decision made at a depth-n node is carried down to its
+        depth-(n+K) descendants, where the step-n table rows live.
+        """
+        parents = self.tree.parents
+        steps = []
+        for n, choice in enumerate(strategy.choices, start=1):
+            for d in range(n, n + K):
+                choice = choice[parents[d]]
+            steps.append(self.tables[n - 1][choice, np.arange(len(choice))])
+        acc = np.zeros(1)
+        for d in range(1, len(steps) + K + 1):
+            acc = acc[parents[d - 1]]
+            if d > K:
+                acc = acc + steps[d - K - 1]
+        acc.flags.writeable = False
+        return _frozen(steps), acc
+
+    def realized(
+        self, loss: LossSpec, strategy: Strategy
+    ) -> tuple[Strategy, tuple[np.ndarray, ...], np.ndarray]:
+        """(strategy, per-step realized losses, totals); a new rival is validated once."""
+        for hit in (self.bayes, self.rival):
+            if hit[0] is strategy:
+                return hit
+        _check_strategy(self.tree, loss, strategy)
+        hit = self.rival = (strategy, *self._realize(loss.horizon, strategy))
+        return hit
 
 
 def _problem(tree: ProbabilityTree, loss: LossSpec) -> _Problem:
-    """The cache entry of (tree, loss), created after the pair is validated."""
-    prob = loss._problems.get(id(tree))
-    if prob is None:
-        _check_decision_inputs(tree, loss)
-        prob = loss._problems.setdefault(id(tree), _Problem(tree))
+    """The problem of (tree, loss): the spec's last one if built for this tree, else a new one."""
+    prob = loss._last
+    if prob is None or prob.tree is not tree:
+        prob = _Problem(tree, loss)
+        object.__setattr__(loss, "_last", prob)
     return prob
-
-
-def _loss_stacks(tree: ProbabilityTree, loss: LossSpec) -> tuple[np.ndarray, ...]:
-    """Per step n, E(step-n loss of each decision | F_n): (decisions, depth-n nodes)."""
-    prob = _problem(tree, loss)
-    if prob.stacks is None:
-        stacks = []
-        for n in range(1, loss.n_steps + 1):
-            table = np.stack(
-                [_pull_back(tree, tab, n + loss.horizon, n) for tab in loss.tables[n - 1]]
-            )
-            table.flags.writeable = False
-            stacks.append(table)
-        prob.stacks = tuple(stacks)
-    return prob.stacks
 
 
 def _check_strategy(tree: ProbabilityTree, loss: LossSpec, strategy: Strategy) -> None:
@@ -171,7 +202,7 @@ def _check_strategy(tree: ProbabilityTree, loss: LossSpec, strategy: Strategy) -
 
 def expected_losses(tree: ProbabilityTree, loss: LossSpec, n: int, d: int) -> np.ndarray:
     """E(loss of decision d at step n | F_n), one value per depth-n node (read-only)."""
-    stacks = _loss_stacks(tree, loss)
+    stacks = _problem(tree, loss).stacks
     if not 1 <= n <= loss.n_steps:
         raise ValueError(f"step n must lie in [1, {loss.n_steps}], got {n}")
     if not 0 <= d < len(loss.space):
@@ -192,59 +223,15 @@ def bayesian_strategy(tree: ProbabilityTree, loss: LossSpec) -> Strategy:
 
     Dominance holds by construction: at every depth-n node the chosen
     decision's conditional expected loss is <= that of any decision, hence
-    of any rival strategy's choice there.  Computed once per (tree, loss);
-    its choice arrays are read-only.
+    of any rival strategy's choice there.  Built with the (tree, loss)
+    problem; its choice arrays are read-only.
     """
-    prob = _problem(tree, loss)
-    if prob.bayes is None:
-        choices = []
-        for table in _loss_stacks(tree, loss):
-            ch = np.argmin(table, axis=0)  # argmin takes the first minimizer
-            ch.flags.writeable = False
-            choices.append(ch)
-        prob.bayes = Strategy(choices=tuple(choices))
-    return prob.bayes
-
-
-def _realized(
-    tree: ProbabilityTree, loss: LossSpec, strategy: Strategy
-) -> tuple[Strategy, tuple[np.ndarray, ...], np.ndarray]:
-    """A strategy's realized losses: per step n on the depth-(n+K) nodes, and their path totals.
-
-    The decision made at a depth-n node is carried down to its depth-(n+K)
-    descendants, where the step-n table rows live.  Validated and computed
-    once per (tree, loss, strategy).
-    """
-    prob = _problem(tree, loss)
-    hit = prob.realized.get(id(strategy))
-    if hit is None:
-        _check_strategy(tree, loss, strategy)
-        if prob.tables is None:
-            tables = tuple(np.stack(per_decision) for per_decision in loss.tables)
-            for table in tables:
-                table.flags.writeable = False
-            prob.tables = tables
-        steps = []
-        for n, choice in enumerate(strategy.choices, start=1):
-            for d in range(n, n + loss.horizon):
-                choice = choice[tree.parents[d]]
-            step = prob.tables[n - 1][choice, np.arange(len(choice))]
-            step.flags.writeable = False
-            steps.append(step)
-        acc = np.zeros(1)
-        for d in range(1, loss.n_steps + loss.horizon + 1):
-            acc = acc[tree.parents[d - 1]]
-            if d > loss.horizon:
-                acc = acc + steps[d - loss.horizon - 1]
-        acc.flags.writeable = False
-        # The entry holds the strategy, so its id cannot be reused while cached.
-        hit = prob.realized.setdefault(id(strategy), (strategy, tuple(steps), acc))
-    return hit
+    return _problem(tree, loss).bayes[0]
 
 
 def total_losses(tree: ProbabilityTree, loss: LossSpec, strategy: Strategy) -> np.ndarray:
-    """Realized N-step total loss per depth-(N+K) node (read-only; cached per strategy)."""
-    return _realized(tree, loss, strategy)[2]
+    """Realized N-step total loss per depth-(N+K) node (read-only)."""
+    return _problem(tree, loss).realized(loss, strategy)[2]
 
 
 def total_loss(tree: ProbabilityTree, loss: LossSpec, strategy: Strategy, leaf: int) -> float:
@@ -255,12 +242,17 @@ def total_loss(tree: ProbabilityTree, loss: LossSpec, strategy: Strategy, leaf: 
     return float(totals[leaf])
 
 
+def _regret(tree: ProbabilityTree, loss: LossSpec, alt: Strategy) -> np.ndarray:
+    """Loss(Bayesian) - Loss(alt) per depth-(N+K) node."""
+    prob = _problem(tree, loss)
+    return prob.bayes[2] - prob.realized(loss, alt)[2]
+
+
 def regret_tail(tree: ProbabilityTree, loss: LossSpec, alt: Strategy, C: float) -> float:
     """Exact P(Loss(Bayesian) - Loss(alt) >= C) by leaf enumeration."""
-    bayes = bayesian_strategy(tree, loss)
-    regret = total_losses(tree, loss, bayes) - total_losses(tree, loss, alt)
+    event = _tail_event(C, "upper")
     probs = tree.node_probabilities(loss.n_steps + loss.horizon)
-    return math.fsum(probs[regret >= C].tolist())
+    return math.fsum(probs[event(_regret(tree, loss, alt))].tolist())
 
 
 def shifted_sequence(tree: ProbabilityTree, loss: LossSpec, alt: Strategy) -> AdaptedSequence:
@@ -270,11 +262,10 @@ def shifted_sequence(tree: ProbabilityTree, loss: LossSpec, alt: Strategy) -> Ad
     depth-(n+K) node because both losses are, so the sequence is adapted by
     construction and bounded by 1 since losses live in [0, 1].
     """
-    bayes_steps = _realized(tree, loss, bayesian_strategy(tree, loss))[1]
-    alt_steps = _realized(tree, loss, alt)[1]
+    prob = _problem(tree, loss)
     counts = tree.node_counts
     values = [np.zeros(counts[d]) for d in range(1, loss.horizon + 1)]
-    values += [b - a for b, a in zip(bayes_steps, alt_steps)]
+    values += [b - a for b, a in zip(prob.bayes[1], prob.realized(loss, alt)[1])]
     return AdaptedSequence(values=tuple(values))
 
 
@@ -300,7 +291,6 @@ def shifted_deviation_check(
     coordinates rather than raised.
     """
     seq = shifted_sequence(tree, loss, alt)
-    bayes = bayesian_strategy(tree, loss)
     N, K = loss.n_steps, loss.horizon
     failures: list[str] = []
 
@@ -318,8 +308,7 @@ def shifted_deviation_check(
     path_sums = np.zeros(1)
     for d in range(1, N + K + 1):
         path_sums = path_sums[tree.parents[d - 1]] + seq.values[d - 1]
-    regret = total_losses(tree, loss, bayes) - total_losses(tree, loss, alt)
-    err = np.abs(path_sums - regret)
+    err = np.abs(path_sums - _regret(tree, loss, alt))
     max_err = float(err.max())
     if max_err > _COND_TOL:
         leaf = int(np.argmax(err))
@@ -347,5 +336,6 @@ def random_strategy(tree: ProbabilityTree, loss: LossSpec, seed: int) -> Strateg
 
 def adversarial_strategy(tree: ProbabilityTree, loss: LossSpec) -> Strategy:
     """Per node, the first decision maximizing conditional expected loss."""
-    return Strategy(choices=tuple(np.argmax(table, axis=0) for table in _loss_stacks(tree, loss)))
+    stacks = _problem(tree, loss).stacks
+    return Strategy(choices=tuple(np.argmax(table, axis=0) for table in stacks))
 

@@ -17,6 +17,7 @@ from typing import Callable
 import numpy as np
 from scipy.stats import beta as _beta_dist
 
+from .constructions import _block_count, _tail_event
 from .trees import AdaptedSequence, ProbabilityTree, deviation_per_leaf
 
 __all__ = [
@@ -105,9 +106,7 @@ Sampler = Callable[[int, np.ndarray], np.ndarray]
 
 def block_deviation_sampler(N: int, K: int) -> Sampler:
     """Sampler of the block-process deviation (2Z - m) K."""
-    if N < 1 or K < 1 or N % K != 0:
-        raise ValueError(f"need K | N with both positive, got N={N}, K={K}")
-    m = N // K
+    m = _block_count(N, K)
 
     def sample(master_seed: int, trials: np.ndarray) -> np.ndarray:
         u = counter_uniforms(counter_seeds(master_seed, trials), m)
@@ -154,10 +153,18 @@ def tree_deviation_sampler(tree: ProbabilityTree, seq: AdaptedSequence, lag: int
     return sample
 
 
-def _count_hits(dev: np.ndarray, C: float, sided: str) -> int:
-    if sided == "two_sided":
-        return int((np.abs(dev) >= C).sum())
-    return int((dev >= C).sum())
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+
+
+def _map_ordered(fn: Callable, items, workers: int) -> list:
+    """`fn(x)` for each x of `items`, in order; threaded when workers > 1."""
+    _check_workers(workers)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
 
 
 def mc_tail(
@@ -176,8 +183,7 @@ def mc_tail(
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    if sided not in ("two_sided", "upper"):
-        raise ValueError(f"sided must be 'two_sided' or 'upper', got {sided!r}")
+    event = _tail_event(C, sided)
     starts = range(0, trials, _CHUNK)
 
     def run_chunk(start: int) -> int:
@@ -188,13 +194,9 @@ def mc_tail(
             raise RuntimeError(f"sampler failed in trials [{int(idx[0])}, {int(idx[-1])}]") from exc
         if len(dev) != len(idx):
             raise RuntimeError(f"sampler returned {len(dev)} values for {len(idx)} trials")
-        return _count_hits(dev, C, sided)
+        return int(event(dev).sum())
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            hits = sum(pool.map(run_chunk, starts))
-    else:
-        hits = sum(run_chunk(s) for s in starts)
+    hits = sum(_map_ordered(run_chunk, starts, workers))
 
     lo, hi = clopper_pearson(hits, trials)
     return TailEstimate(

@@ -16,10 +16,10 @@ which Monte Carlo estimates (see `sampling`) are judged.
 Trees and loss specs (see `decision`) are immutable after construction,
 and their arrays must not be modified once built: derived quantities are
 cached on them.  A tree keeps the node counts and leaf probabilities its
-validation computes; a loss spec keeps, per tree, the expected-loss stacks,
-the Bayesian strategy and realized total losses.  Arrays handed out from a
-cache are read-only.  Desk scale is about 10^6 leaves for exact
-enumeration; beyond that, sample.
+validation computes; a loss spec keeps the last tree's problem, the
+Bayesian strategy and the last rival.  Arrays handed out from a cache are
+read-only.  Desk scale is about 10^6 leaves for exact enumeration; beyond
+that, sample.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import HorizonParams, deviation_threshold
+from .constructions import _block_count, _tail_event
 
 __all__ = [
     "ProbabilityTree",
@@ -208,12 +209,10 @@ def exact_tail(
     sided: str = "two_sided",
 ) -> float:
     """Exact P(|S| >= C) (two_sided) or P(S >= C) (upper) by leaf enumeration."""
-    if sided not in ("two_sided", "upper"):
-        raise ValueError(f"sided must be 'two_sided' or 'upper', got {sided!r}")
+    event = _tail_event(C, sided)
     dev = deviation_per_leaf(tree, seq, lag)
     probs = tree.node_probabilities(seq.n_steps)
-    mask = (np.abs(dev) >= C) if sided == "two_sided" else (dev >= C)
-    return math.fsum(probs[mask].tolist())
+    return math.fsum(probs[event(dev)].tolist())
 
 
 @dataclass(frozen=True)
@@ -274,8 +273,7 @@ def block_process_tree(N: int, K: int) -> tuple[ProbabilityTree, AdaptedSequence
     equal probabilities); all other steps are deterministic pass-throughs.
     Node index bit 0 encodes the newest block's sign: 0 is +1, 1 is -1.
     """
-    if N < 1 or K < 1 or N % K != 0:
-        raise ValueError(f"need K | N with both positive, got N={N}, K={K}")
+    _block_count(N, K)
     parents: list[np.ndarray] = []
     branch_probs: list[np.ndarray] = []
     values: list[np.ndarray] = []

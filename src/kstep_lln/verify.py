@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,7 +33,8 @@ from .decision import (
     shifted_deviation_check,
 )
 from .output import format_csv
-from .sampling import block_deviation_sampler, derive_seed, mc_tail, tree_deviation_sampler
+from .sampling import _check_workers, _map_ordered, block_deviation_sampler, derive_seed
+from .sampling import mc_tail, tree_deviation_sampler
 from .trees import deviation_per_leaf, exact_tail, random_tree, verify_deviation_bound
 
 __all__ = ["CriterionResult", "DEFAULT_SEED", "CRITERIA", "dominance_rows", "run_all"]
@@ -176,14 +176,6 @@ def criterion_6_inverse_bound_instance(quick: bool = False, seed: int = DEFAULT_
     return _result(6, "inverse-bound-instance", passed, detail, t0)
 
 
-def _map_instances(one, n: int, workers: int) -> list:
-    """`one(i)` for i in range(n), in instance order; threaded when workers > 1."""
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, range(n)))
-    return [one(i) for i in range(n)]
-
-
 def _deviation_rows(n_trees: int, seed: int, workers: int) -> list[dict]:
     eps_grid = (0.05, 0.3, 0.69)
 
@@ -208,7 +200,7 @@ def _deviation_rows(n_trees: int, seed: int, workers: int) -> list[dict]:
             "ok": bool(check.holds and one_sided < eps / 2.0),
         }
 
-    return _map_instances(one, n_trees, workers)
+    return _map_ordered(one, range(n_trees), workers)
 
 
 def criterion_7_deviation_suite(quick: bool = False, seed: int = DEFAULT_SEED, workers: int = 1):
@@ -338,7 +330,7 @@ def _corollary_rows(n_trees: int, seed: int, workers: int) -> list[dict]:
             "ok": bool(dominance_ok and shift.passed and regret_ok),
         }
 
-    return _map_instances(one, n_trees, workers)
+    return _map_ordered(one, range(n_trees), workers)
 
 
 def criterion_9_corollary_suite(quick: bool = False, seed: int = DEFAULT_SEED, workers: int = 1):
@@ -387,6 +379,7 @@ CRITERIA = {
 
 def run_all(quick: bool = False, seed: int = DEFAULT_SEED, workers: int = 1):
     """Criteria 1-9 in order, then criterion 10 on this run's criterion 7-9 results."""
+    _check_workers(workers)
     results = [CRITERIA[n](quick=quick, seed=seed, workers=workers) for n in range(1, 10)]
     results.append(CRITERIA[10](results[6:9], quick=quick, seed=seed, workers=workers))
     return results

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kstep_lln.cli import EXIT_OK, EXIT_TREEFILE, EXIT_USAGE, EXIT_VERIFY, main
+from kstep_lln.constructions import binomial_upper_tail
 from kstep_lln.treefile import TreeBundle, bundle_to_dict, save_tree
 from kstep_lln.trees import random_tree
 from tests.test_treefile import full_bundle
@@ -152,6 +153,15 @@ class TestSimulate:
         rec = dict(zip(*[line.split(",") for line in out.strip().splitlines()[1:3]]))
         assert rec["ci_contains_exact"] == "true"
 
+    def test_block_two_sided_without_enumeration(self, capsys):
+        # 2^64 sign paths: the tail comes from the binomial count, not a tree.
+        code, out, _ = run(
+            capsys, "simulate", "--N", "64", "--K", "1", "--C", "3", "--sided", "two_sided"
+        )
+        assert code == EXIT_OK
+        rec = dict(zip(*[line.split(",") for line in out.strip().splitlines()[1:3]]))
+        assert float(rec["exact_tail"]) == 2 * binomial_upper_tail(64, 34)
+
     def test_tree_file_two_sided(self, capsys, tmp_path):
         path = tmp_path / "t.json"
         save_tree(path, full_bundle())
@@ -244,6 +254,34 @@ class TestErrorPath:
     )
     def test_invalid_parameter_exits_with_usage_error(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--N", "8", "--K", "0", "--C", "1"],
+             "need K | N with both positive, got N=8, K=0"),
+            (["simulate", "--N", "8", "--K", "2", "--C", "inf"],
+             "threshold C must be finite, got inf"),
+            (["simulate", "--N", "8", "--K", "2", "--C=-inf", "--sided", "two_sided"],
+             "threshold C must be finite, got -inf"),
+            (["simulate", "--tree-file", "TREE", "--K", "1", "--C", "nan"],
+             "threshold C must be finite, got nan"),
+            (["simulate", "--tree-file", "TREE", "--K", "1", "--C", "nan", "--trials", "100"],
+             "threshold C must be finite, got nan"),
+            (["simulate", "--N", "8", "--K", "2", "--C", "1", "--trials", "100", "--workers", "0"],
+             "workers must be at least 1, got 0"),
+            (["verify-all", "--quick", "--workers", "0"],
+             "workers must be at least 1, got 0"),
+        ],
+    )
+    def test_invalid_run_parameter_exits_before_any_output(self, capsys, tmp_path, argv, message):
+        path = tmp_path / "t.json"
+        save_tree(path, full_bundle())
+        code, out, err = run(capsys, *[str(path) if a == "TREE" else a for a in argv])
         assert code == EXIT_USAGE
         assert out == ""
         assert err == f"error: {message}\n"

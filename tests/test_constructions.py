@@ -21,6 +21,7 @@ from kstep_lln.constructions import (
     sample_block_process,
     verify_mv_bound,
 )
+from kstep_lln.trees import block_process_tree, exact_tail
 
 
 class TestBinomialUpperTail:
@@ -163,6 +164,35 @@ class TestBlockDeviationTail:
     def test_rejects_ragged_blocks(self):
         with pytest.raises(ValueError):
             block_deviation_tail(10, 3, 1.0)
+
+    @pytest.mark.parametrize(
+        "C, sided, match",
+        [(math.nan, "upper", "finite"), (math.inf, "two_sided", "finite"),
+         (-math.inf, "upper", "finite"), (1.0, "lower", "sided")],
+    )
+    def test_rejects_bad_threshold_or_side(self, C, sided, match):
+        with pytest.raises(ValueError, match=match):
+            block_deviation_tail(8, 2, C, sided=sided)
+
+    @pytest.mark.parametrize("m, K", [(m, K) for m in range(1, 9) for K in (1, 2, 3)])
+    def test_two_sided_against_tree_enumeration(self, m, K):
+        # C runs over lattice points (2j - m) K, midpoints between them and
+        # values outside the range; none lies within the 1e-9 snap of a
+        # lattice point without being one.
+        tree, seq = block_process_tree(m * K, K)
+        for C in [-1.0, 0.0, 0.25 * K] + [K * (h / 2.0) for h in range(1, 2 * m + 2)]:
+            enumerated = exact_tail(tree, seq, K, C, sided="two_sided")
+            got = block_deviation_tail(m * K, K, C, sided="two_sided")
+            assert got == pytest.approx(enumerated, abs=1e-15), C
+
+    @pytest.mark.parametrize("K", [1, 2])
+    def test_two_sided_at_64_blocks_doubles_the_upper_tail(self, K):
+        # 2^64 leaves: checked against the exact rational tail, never enumerated.
+        for C, k0 in [(3.0, 34), (4.0, 34), (8.5, 37), (40.0, 52)]:
+            want = 2 * float(binomial_upper_tail_exact(64, k0))
+            got = block_deviation_tail(64 * K, K, C * K, sided="two_sided")
+            assert got == pytest.approx(want, rel=1e-13)
+        assert block_deviation_tail(64 * K, K, 0.0, sided="two_sided") == 1.0
 
     @given(st.integers(1, 10), st.integers(1, 4), st.floats(-5.0, 25.0))
     @settings(max_examples=200)

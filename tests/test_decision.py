@@ -1,7 +1,9 @@
+import gc
 import itertools
 import math
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -264,6 +266,13 @@ class TestRegretTail:
         alt = random_strategy(tree, loss, seed=13)
         assert regret_tail(tree, loss, alt, loss.n_steps + 0.1) == 0.0
 
+    @pytest.mark.parametrize("C", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_threshold(self, C):
+        tree = uniform_binary_tree(3)
+        loss = random_loss(tree, 2, 1, 2, seed=14)
+        with pytest.raises(ValueError, match="must be finite"):
+            regret_tail(tree, loss, adversarial_strategy(tree, loss), C)
+
     @given(st.integers(0, 2000))
     @settings(max_examples=60, deadline=None)
     def test_bounded_by_threshold_guarantee(self, seed):
@@ -391,17 +400,38 @@ class TestCachedQuantities:
         assert decision_results(tree, loss, alt) == decision_results(tree, fresh(loss), alt)
 
     def test_each_strategy_validated_once(self, monkeypatch):
+        # Patched before the first call on the pair: the rival is validated
+        # once across the criterion-9 call pattern, and the Bayesian
+        # strategy, built with the problem, never.
         tree, _ = random_tree(4, 3, seed=51)
         loss = random_loss(tree, 2, 2, 3, seed=52)
-        alt = random_strategy(tree, loss, seed=53)
         checked = []
         check = decision._check_strategy
         monkeypatch.setattr(
             decision, "_check_strategy", lambda t, l, s: (checked.append(s), check(t, l, s))[1]
         )
+        alt = random_strategy(tree, loss, seed=53)
         decision_results(tree, loss, alt)
-        bayes = bayesian_strategy(tree, loss)
-        assert [id(s) for s in checked] == [id(bayes), id(alt)]
+        decision_results(tree, loss, alt)
+        assert [id(s) for s in checked] == [id(alt)]
+
+    def test_dropped_trees_and_rivals_are_collected(self):
+        # A long-lived loss spec keeps only the last tree's problem and the
+        # last rival, so trees and strategies dropped after use are freed.
+        loss = random_loss(uniform_binary_tree(3), 2, 1, 2, seed=54)
+        refs = []
+        for seed in range(5):
+            tree, _ = random_tree(3, 2, seed=seed)
+            for k in range(3):
+                alt = random_strategy(tree, loss, seed=10 * seed + k)
+                decision_results(tree, loss, alt)
+                refs.append(weakref.ref(alt))
+            refs.append(weakref.ref(tree))
+        del tree, alt
+        last = uniform_binary_tree(3)
+        decision_results(last, loss, random_strategy(last, loss, seed=99))
+        gc.collect()
+        assert [r() for r in refs] == [None] * len(refs)
 
     def test_one_loss_spec_across_trees(self):
         # Same-shaped binary trees with different probabilities share one

@@ -134,6 +134,11 @@ class TestMcTail:
             mc_tail(sampler, 1.0, sided="upper", trials=0, seed=0)
         with pytest.raises(ValueError):
             mc_tail(sampler, 1.0, sided="middle", trials=10, seed=0)
+        for C in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                mc_tail(sampler, C, sided="upper", trials=10, seed=0)
+        with pytest.raises(ValueError, match="workers must be at least 1, got 0"):
+            mc_tail(sampler, 1.0, sided="upper", trials=10, seed=0, workers=0)
 
     def test_coverage_over_repeated_seeds(self):
         # 99% intervals of a conservative exact method must contain the true

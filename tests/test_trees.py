@@ -196,6 +196,13 @@ class TestExactTail:
         with pytest.raises(ValueError, match="sided"):
             exact_tail(tree, seq, 1, 0.5, sided="lower")
 
+    @pytest.mark.parametrize("C", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_threshold(self, C):
+        tree, seq = random_tree(depth=2, max_branching=2, seed=3)
+        for sided in ("two_sided", "upper"):
+            with pytest.raises(ValueError, match="must be finite"):
+                exact_tail(tree, seq, 1, C, sided=sided)
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_monotone_nonincreasing_in_threshold(self, seed):

@@ -15,7 +15,7 @@ import sys
 from . import bounds, constructions
 from .decision import adversarial_strategy, bayesian_strategy, random_strategy, regret_tail, shifted_deviation_check
 from .output import format_csv, format_json, write_output
-from .sampling import block_deviation_sampler, mc_tail, tree_deviation_sampler
+from .sampling import _check_workers, block_deviation_sampler, mc_tail, tree_deviation_sampler
 from .treefile import TreeFileError, load_tree
 from .trees import exact_tail
 from .verify import DEFAULT_SEED, dominance_rows, run_all
@@ -133,6 +133,8 @@ def cmd_scan(args) -> int:
         _emit(rows, list(rows[0]), {"command": "scan", "what": "mv-audit", "m_max": args.m_max}, args)
         return EXIT_OK if report.ok else EXIT_VERIFY
     if args.what == "imbalance":
+        if args.m_max < 1:
+            raise CliError(f"m_max must be at least 1, got {args.m_max}")
         rows = [
             {"m": m, "probability": constructions.imbalance_prob(m)}
             for m in range(1, args.m_max + 1)
@@ -153,6 +155,7 @@ def _load_bundle(path: str):
 
 
 def cmd_simulate(args) -> int:
+    _check_workers(args.workers)
     config = {
         "command": "simulate", "K": args.K, "C": args.C, "sided": args.sided,
         "trials": args.trials, "seed": args.seed,

@@ -6,9 +6,13 @@ K consecutive steps.  A forecaster looking K steps back never sees the
 current block's sign, so every lagged conditional mean vanishes and the
 cumulative deviation collapses to (2Z - m) K, where Z counts the +1 blocks.
 Everything about the construction therefore reduces to exact fair-binomial
-tail probabilities, which this module computes two ways: a float path
-(log-gamma start, ratio recurrence, compensated summation) good to ~1e-13
-relative up to m = 10^6, and an exact rational path for small m.
+tail probabilities, which this module computes two ways: a float path good
+to ~1e-13 relative up to m = 10^6, and an exact rational path for small m.
+The float path starts from a pmf value (the correctly rounded integer ratio
+C(m, k)/2^m for moderate m, 30-digit log-gamma beyond), runs the ratio
+recurrence in blocks, drops each block's suffix once its terms fall below
+2^-110 of the block's first (they cannot move the rounded sum), and totals
+the rest with compensated summation.
 """
 
 from __future__ import annotations
@@ -39,6 +43,14 @@ __all__ = [
 # so rounding cannot accumulate across long tails.
 _RESTART = 4096
 
+# Up to this m an exact integer pmf start, comb(m, k) / 2^m, costs less than
+# the 30-digit log-gamma one (about equal near m = 1200 on CPython 3.11).
+_COMB_MAX = 1200
+
+# A recurrence block's terms below this fraction of its first term are cut:
+# fewer than _RESTART of them add under 2^-98 of the tail, far below an ulp.
+_NEGLIGIBLE = 2.0**-110
+
 # Lattice snap for thresholds that are mathematically integral but arrive
 # with floating-point dust (e.g. 0.5*sqrt(64*ln e) = 4 + 1 ulp).
 _LATTICE_TOL = 1e-9
@@ -66,7 +78,15 @@ def _tail_event(C: float, sided: str):
 
 
 def _pmf_float(m: int, k: int) -> float:
-    """P(Binomial(m, 1/2) = k) via 30-digit log-gamma, rounded to float."""
+    """P(Binomial(m, 1/2) = k) as a float.
+
+    Exactly 2^-m at k = m, correctly rounded from integers up to m =
+    _COMB_MAX, and from a 30-digit log-gamma value beyond.
+    """
+    if k == m:
+        return math.ldexp(1.0, -m)
+    if m <= _COMB_MAX:
+        return math.comb(m, k) / (1 << m)
     with mpmath.workdps(30):
         lg = (
             mpmath.loggamma(m + 1)
@@ -82,7 +102,8 @@ def binomial_upper_tail(m: int, k0: int) -> float:
 
     The tail is summed in the decreasing direction starting from a
     high-precision pmf value, advancing by the exact ratio recurrence
-    pmf(k+1) = pmf(k) (m-k)/(k+1) and totalled with compensated summation.
+    pmf(k+1) = pmf(k) (m-k)/(k+1) and totalled with compensated summation;
+    a block's suffix below 2^-110 of its first term is left out.
     k0 may lie outside [0, m]; the lower half is handled through the
     symmetry complement so the summed tail is always the short one.
     """
@@ -106,9 +127,13 @@ def binomial_upper_tail(m: int, k0: int) -> float:
         hi = min(m, k + _RESTART)
         ks = np.arange(k, hi, dtype=np.float64)
         block = term * np.cumprod((m - ks) / (ks + 1.0))
-        pieces.extend(block.tolist())
         total += float(block.sum())
         term = float(block[-1])
+        cut = block[0] * _NEGLIGIBLE
+        if term < cut:  # the terms decrease, so the kept ones are a prefix
+            pieces.extend(block[: np.count_nonzero(block >= cut)].tolist())
+            break
+        pieces.extend(block.tolist())
         k = hi
         if term < total * 1e-18:
             break

@@ -4,7 +4,10 @@ Every random draw is a pure function of (master seed, trial index, draw
 index) through the splitmix64 finalizer, a published counter-based mixing
 function.  Trials therefore carry their own streams: partitioning them
 across threads, reordering chunks, or resuming mid-run cannot change any
-estimate.  Intervals are exact Clopper-Pearson, not normal-approximate,
+estimate.  The block sampler spends one bit per sign: a trial's m signs are
+the low m bits of its first ceil(m/64) 64-bit words, keyed by word index,
+and its +1 count is their popcount.  The tree sampler spends one uniform
+per depth.  Intervals are exact Clopper-Pearson, not normal-approximate,
 because small tail probabilities are precisely the quantity of interest.
 """
 
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.stats import beta as _beta_dist
+from scipy.special import betaincinv
 
 from .constructions import _block_count, _tail_event
 from .trees import AdaptedSequence, ProbabilityTree, deviation_per_leaf
@@ -51,11 +54,15 @@ def counter_seeds(master_seed: int, counters: np.ndarray) -> np.ndarray:
     return _mix(base + (c + np.uint64(1)) * _GOLDEN)
 
 
+def _counter_words(keys: np.ndarray, n_draws: int) -> np.ndarray:
+    """Matrix of 64-bit words: row k, column j is mix(keys[k] + (j + 1) * golden)."""
+    j = (np.arange(n_draws, dtype=np.uint64) + np.uint64(1)) * _GOLDEN
+    return _mix(np.asarray(keys, dtype=np.uint64)[:, None] + j[None, :])
+
+
 def counter_uniforms(keys: np.ndarray, n_draws: int) -> np.ndarray:
     """Matrix of uniforms in [0, 1): row k, column j depends only on (keys[k], j)."""
-    j = (np.arange(n_draws, dtype=np.uint64) + np.uint64(1)) * _GOLDEN
-    z = _mix(np.asarray(keys, dtype=np.uint64)[:, None] + j[None, :])
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return (_counter_words(keys, n_draws) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
 def derive_seed(master_seed: int, *path: int) -> int:
@@ -73,8 +80,9 @@ def clopper_pearson(hits: int, trials: int, confidence: float = 0.99) -> tuple[f
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence!r}")
     alpha = 1.0 - confidence
-    lo = 0.0 if hits == 0 else float(_beta_dist.ppf(alpha / 2.0, hits, trials - hits + 1))
-    hi = 1.0 if hits == trials else float(_beta_dist.ppf(1.0 - alpha / 2.0, hits + 1, trials - hits))
+    # Beta quantiles, the same values as scipy.stats.beta.ppf without loading scipy.stats.
+    lo = 0.0 if hits == 0 else float(betaincinv(hits, trials - hits + 1, alpha / 2.0))
+    hi = 1.0 if hits == trials else float(betaincinv(hits + 1, trials - hits, 1.0 - alpha / 2.0))
     return lo, hi
 
 
@@ -105,12 +113,19 @@ Sampler = Callable[[int, np.ndarray], np.ndarray]
 
 
 def block_deviation_sampler(N: int, K: int) -> Sampler:
-    """Sampler of the block-process deviation (2Z - m) K."""
+    """Sampler of the block-process deviation (2Z - m) K.
+
+    Z is the popcount of a trial's first m stream bits: ceil(m/64) words,
+    the last one masked to the low bits that remain.
+    """
     m = _block_count(N, K)
+    n_words = -(-m // 64)
+    tail_mask = np.uint64((1 << (m - 64 * (n_words - 1))) - 1)
 
     def sample(master_seed: int, trials: np.ndarray) -> np.ndarray:
-        u = counter_uniforms(counter_seeds(master_seed, trials), m)
-        z = (u < 0.5).sum(axis=1)
+        words = _counter_words(counter_seeds(master_seed, trials), n_words)
+        words[:, -1] &= tail_mask
+        z = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
         return (2.0 * z - m) * K
 
     return sample

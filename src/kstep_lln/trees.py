@@ -16,10 +16,11 @@ which Monte Carlo estimates (see `sampling`) are judged.
 Trees and loss specs (see `decision`) are immutable after construction,
 and their arrays must not be modified once built: derived quantities are
 cached on them.  A tree keeps the node counts and leaf probabilities its
-validation computes; a loss spec keeps the last tree's problem, the
-Bayesian strategy and the last rival.  Arrays handed out from a cache are
-read-only.  Desk scale is about 10^6 leaves for exact enumeration; beyond
-that, sample.
+validation computes; an adapted sequence keeps its deviation per leaf for
+the last (tree, lag) it was evaluated on; a loss spec keeps the last
+tree's problem, the Bayesian strategy and the last rival.  Arrays handed
+out from a cache are read-only.  Desk scale is about 10^6 leaves for exact
+enumeration; beyond that, sample.
 """
 
 from __future__ import annotations
@@ -135,6 +136,8 @@ class AdaptedSequence:
                 raise ValueError(
                     f"step {n}: values must be finite and bounded by 1 in absolute value"
                 )
+        # (tree, lag, deviation per leaf) of the last `deviation_per_leaf` call.
+        object.__setattr__(self, "_deviation", (None, 0, None))
 
     @property
     def n_steps(self) -> int:
@@ -183,7 +186,11 @@ def deviation_per_leaf(tree: ProbabilityTree, seq: AdaptedSequence, lag: int) ->
     """Deviation S = sum_n (Y_n - E(Y_n|F_{n-lag})), one value per depth-N node.
 
     N is the sequence length; each of the N terms has magnitude at most 2.
+    The result is cached on `seq` for the last (tree, lag) and read-only.
     """
+    last_tree, last_lag, last = seq._deviation
+    if last_tree is tree and last_lag == lag:
+        return last
     _check_consistent(tree, seq)
     if lag < 1:
         raise ValueError(f"lag must be a positive integer, got {lag}")
@@ -198,6 +205,8 @@ def deviation_per_leaf(tree: ProbabilityTree, seq: AdaptedSequence, lag: int) ->
     acc = -pending[0]
     for d in range(1, N + 1):
         acc = acc[tree.parents[d - 1]] + seq.values[d - 1] - pending[d]
+    acc.flags.writeable = False
+    object.__setattr__(seq, "_deviation", (tree, lag, acc))
     return acc
 
 

@@ -250,6 +250,10 @@ class TestErrorPath:
              "need K | N with both positive, got N=5, K=2"),
             (["scan", "--what", "mv-audit", "--m-max", "1"],
              "m_max must be at least 8, got 1"),
+            (["scan", "--what", "imbalance", "--m-max", "0"],
+             "m_max must be at least 1, got 0"),
+            (["scan", "--what", "imbalance", "--m-max=-5"],
+             "m_max must be at least 1, got -5"),
         ],
     )
     def test_invalid_parameter_exits_with_usage_error(self, capsys, argv, message):
@@ -273,6 +277,10 @@ class TestErrorPath:
             (["simulate", "--tree-file", "TREE", "--K", "1", "--C", "nan", "--trials", "100"],
              "threshold C must be finite, got nan"),
             (["simulate", "--N", "8", "--K", "2", "--C", "1", "--trials", "100", "--workers", "0"],
+             "workers must be at least 1, got 0"),
+            (["simulate", "--N", "8", "--K", "2", "--C", "1", "--workers", "0"],
+             "workers must be at least 1, got 0"),
+            (["simulate", "--tree-file", "TREE", "--K", "1", "--C", "1", "--workers", "0"],
              "workers must be at least 1, got 0"),
             (["verify-all", "--quick", "--workers", "0"],
              "workers must be at least 1, got 0"),

@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
@@ -21,6 +22,7 @@ from kstep_lln.constructions import (
     sample_block_process,
     verify_mv_bound,
 )
+from kstep_lln.constructions import _COMB_MAX, _pmf_float
 from kstep_lln.trees import block_process_tree, exact_tail
 
 
@@ -41,11 +43,13 @@ class TestBinomialUpperTail:
         assert binomial_upper_tail_exact(4, 0) == 1
         assert binomial_upper_tail_exact(4, 5) == 0
 
-    @given(st.integers(1, 64), st.integers(-2, 66))
-    @settings(max_examples=300)
-    def test_matches_exact_rational_path(self, m, k0):
-        exact = binomial_upper_tail_exact(m, k0)
-        assert binomial_upper_tail(m, k0) == pytest.approx(float(exact), abs=1e-14)
+    def test_matches_exact_rational_path(self):
+        # Every (m, k0) with m <= 200, deep tails included: 1e-13 relative and 1e-14 absolute.
+        for m in range(1, 201):
+            for k0 in range(-1, m + 2):
+                exact = binomial_upper_tail_exact(m, k0)
+                err = abs(Fraction(binomial_upper_tail(m, k0)) - exact)
+                assert err <= min(Fraction(1e-13) * exact, Fraction(1e-14)), (m, k0)
 
     @given(st.integers(1, 64), st.integers(0, 65))
     @settings(max_examples=200)
@@ -76,6 +80,22 @@ class TestBinomialUpperTail:
         assert binomial_upper_tail(999999, 500500) == pytest.approx(
             0.15865513294604034842, rel=1e-12
         )
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_both_sides_of_the_integer_start_match_40_digit_references(self, side):
+        m = _COMB_MAX + side
+        # The deepest k0 keeps the tail a normal float (it is about 1e-290).
+        for k0 in (m // 2 + 1, m // 2 + 20, m // 2 + 60, m // 2 + 300, m - 40):
+            with mpmath.workdps(40):
+                ref = mpmath.fsum(mpmath.binomial(m, k) for k in range(k0, m + 1)) / mpmath.mpf(2) ** m
+                pmf = mpmath.binomial(m, k0) / mpmath.mpf(2) ** m
+                assert abs(binomial_upper_tail(m, k0) - ref) <= 1e-13 * ref, k0
+                assert abs(_pmf_float(m, k0) - pmf) <= 2.0**-52 * pmf, k0  # the start itself
+
+    def test_last_term_is_exact(self):
+        for m in (1, 64, 1074, _COMB_MAX + 1, 5000):
+            assert _pmf_float(m, m) == math.ldexp(1.0, -m)  # 2^-m, or 0.0 below the subnormals
+        assert binomial_upper_tail(1074, 1074) == 2.0**-1074
 
     def test_rejects_nonpositive_m(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +69,24 @@ class TestClopperPearson:
             clopper_pearson(5, 4)
         with pytest.raises(ValueError):
             clopper_pearson(0, 10, confidence=1.0)
+
+    @given(st.integers(1, 200_000), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_beta_ppf(self, trials, data):
+        hits = data.draw(st.integers(0, trials))
+        lo, hi = clopper_pearson(hits, trials)
+        beta, half = scipy.stats.beta, (1.0 - 0.99) / 2.0
+        assert lo == (0.0 if hits == 0 else float(beta.ppf(half, hits, trials - hits + 1)))
+        assert hi == (1.0 if hits == trials else float(beta.ppf(1.0 - half, hits + 1, trials - hits)))
+
+    def test_import_does_not_load_scipy_stats(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = "import sys, kstep_lln.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={"PYTHONPATH": src}, timeout=60,
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestTailEstimate:
@@ -162,3 +183,50 @@ class TestMcTail:
     def test_samplers_reject_ragged_blocks(self):
         with pytest.raises(ValueError):
             block_deviation_sampler(7, 2)
+
+
+def _splitmix_word(key: int, j: int) -> int:
+    """Word j of a stream keyed by `key`, in plain integer arithmetic."""
+    mask = (1 << 64) - 1
+    z = (key + (j + 1) * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+class TestBlockSampler:
+    BLOCKS = (1, 63, 64, 65, 128, 1024)
+
+    @pytest.mark.parametrize("m", BLOCKS)
+    def test_counts_lie_on_the_lattice_with_binomial_moments(self, m):
+        K = 3
+        n = 1 << 16
+        dev = block_deviation_sampler(m * K, K)(2024, np.arange(n, dtype=np.uint64))
+        z = (dev / K + m) / 2.0
+        assert np.array_equal(z, np.round(z))  # on the lattice {(2j - m) K}
+        assert z.min() >= 0 and z.max() <= m  # the masked last word adds no signs
+        mean, var = m / 2.0, m / 4.0
+        # Var of the unbiased sample variance: (mu4 - (n-3)/(n-1) var^2) / n, where
+        # a Binomial(m, 1/2) count has fourth central moment var (1 + 3 (m-2)/4).
+        mu4 = var * (1.0 + 3.0 * (m - 2) / 4.0)
+        var_sd = math.sqrt((mu4 - (n - 3) / (n - 1) * var**2) / n)
+        assert abs(z.mean() - mean) <= 5.0 * math.sqrt(var / n)
+        assert abs(z.var(ddof=1) - var) <= 5.0 * var_sd
+
+    @pytest.mark.parametrize("m", BLOCKS)
+    def test_counts_are_the_popcount_of_the_first_m_stream_bits(self, m):
+        trials = np.array([0, 1, 7, 2**40 + 3], dtype=np.uint64)
+        dev = block_deviation_sampler(m, 1)(99, trials)
+        for t, d in zip(trials, dev):
+            key = int(counter_seeds(99, np.array([t], dtype=np.uint64))[0])
+            bits = sum(_splitmix_word(key, j) << (64 * j) for j in range(-(-m // 64)))
+            assert d == 2 * bin(bits & ((1 << m) - 1)).count("1") - m
+
+    @given(st.sampled_from(BLOCKS), st.integers(0, 2**63), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_each_trial_depends_only_on_its_index(self, m, seed, data):
+        idx = np.array(data.draw(st.lists(st.integers(0, 2**40), min_size=1, max_size=50)),
+                       dtype=np.uint64)
+        sel = np.array(data.draw(st.lists(st.booleans(), min_size=len(idx), max_size=len(idx))))
+        sampler = block_deviation_sampler(2 * m, 2)
+        np.testing.assert_array_equal(sampler(seed, idx)[sel], sampler(seed, idx[sel]))

@@ -176,6 +176,34 @@ class TestDeviationPerLeaf:
         assert sorted(dev.tolist()) == [-4.0, 0.0, 0.0, 4.0]
         np.testing.assert_allclose(tree.leaf_probabilities(), np.full(4, 0.25))
 
+    def test_computed_once_per_tree_and_lag_and_read_only(self, monkeypatch):
+        import kstep_lln.trees as trees_mod
+
+        tree, seq = random_tree(depth=6, max_branching=3, seed=11)
+        pulls = []
+        real = trees_mod._pull_back
+
+        def counted(*args):
+            pulls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(trees_mod, "_pull_back", counted)
+        check = verify_deviation_bound(tree, seq, 2, 0.3)
+        exact_tail(tree, seq, 2, check.threshold, sided="upper")
+        dev = deviation_per_leaf(tree, seq, 2)
+        assert len(pulls) == seq.n_steps  # one backward induction per step, one pass in all
+        assert deviation_per_leaf(tree, seq, 2) is dev
+        assert not dev.flags.writeable
+        with pytest.raises(ValueError):
+            dev[0] = 0.0
+        # Another lag, or another tree, is a new computation with its own value.
+        other = deviation_per_leaf(tree, seq, 1)
+        assert other is not dev and len(pulls) == 2 * seq.n_steps
+        twin = ProbabilityTree(parents=tree.parents, branch_probs=tree.branch_probs)
+        again = deviation_per_leaf(twin, seq, 2)
+        assert again is not dev and len(pulls) == 3 * seq.n_steps
+        np.testing.assert_array_equal(again, dev)
+
 
 class TestExactTail:
     def test_zero_process_upper_at_zero(self):

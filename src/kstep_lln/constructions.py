@@ -80,11 +80,9 @@ def _tail_event(C: float, sided: str):
 def _pmf_float(m: int, k: int) -> float:
     """P(Binomial(m, 1/2) = k) as a float.
 
-    Exactly 2^-m at k = m, correctly rounded from integers up to m =
-    _COMB_MAX, and from a 30-digit log-gamma value beyond.
+    Correctly rounded from integers up to m = _COMB_MAX, and from a
+    30-digit log-gamma value beyond.
     """
-    if k == m:
-        return math.ldexp(1.0, -m)
     if m <= _COMB_MAX:
         return math.comb(m, k) / (1 << m)
     with mpmath.workdps(30):
@@ -130,10 +128,10 @@ def binomial_upper_tail(m: int, k0: int) -> float:
         total += float(block.sum())
         term = float(block[-1])
         cut = block[0] * _NEGLIGIBLE
-        if term < cut:  # the terms decrease, so the kept ones are a prefix
-            pieces.extend(block[: np.count_nonzero(block >= cut)].tolist())
-            break
-        pieces.extend(block.tolist())
+        # The terms decrease, so the kept ones are a prefix; a cut block's
+        # last term is below total * 1e-18, so the stop below ends the loop.
+        keep = block if term >= cut else block[: np.count_nonzero(block >= cut)]
+        pieces.extend(keep.tolist())
         k = hi
         if term < total * 1e-18:
             break

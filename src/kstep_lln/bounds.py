@@ -16,7 +16,6 @@ so it can be checked numerically.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 __all__ = [
@@ -153,24 +152,31 @@ def feller_upper(z: float) -> float:
     return math.exp(-0.5 * z * z) / (z * SQRT_2PI)
 
 
-def _gauss_integral(a: float, lo: float, hi: float) -> float:
-    """Closed form of int_lo^hi exp(-a x^2) dx via the error function."""
+def _survival_integral(a: float, lo: float, hi: float) -> float:
+    """Closed form of int_lo^hi min(1, exp(-a x^2)) dx, for lo < hi and hi > 0.
+
+    The part of [lo, hi] below 0 contributes its length.  Above 0 the
+    difference of complementary error functions keeps deep tails from
+    cancelling to 0, as a difference of error functions would.  hi may be
+    infinite.
+    """
     s = math.sqrt(a)
-    if hi == math.inf:
-        return math.sqrt(math.pi / (4.0 * a)) * math.erfc(s * lo)
-    return math.sqrt(math.pi / (4.0 * a)) * (math.erf(s * hi) - math.erf(s * lo))
+    tail = math.erfc(s * max(lo, 0.0)) - math.erfc(s * hi)
+    return max(0.0, -lo) + math.sqrt(math.pi / (4.0 * a)) * tail
 
 
 def aggregation_objective(ap: AggregationParams, t: float, relaxed: bool = False) -> float:
-    """Worst-case-dependence objective K * int_t^u exp(-a x^2) dx / (C - K t).
+    """Worst-case-dependence objective K * int_t^u min(1, exp(-a x^2)) dx / (C - K t).
 
-    The upper limit u is C - (K-1) t, or infinity under the relaxed flag.
+    The integrand is the marginal survival bound clipped at 1, since no
+    survival function exceeds 1; it equals exp(-a x^2) for x >= 0.  The
+    upper limit u is C - (K-1) t, or infinity under the relaxed flag.
     Defined for t < C/K.
     """
     if t >= ap.C / ap.K:
         raise ValueError(f"t must be below C/K = {ap.C / ap.K!r}, got {t!r}")
     hi = math.inf if relaxed else ap.C - (ap.K - 1) * t
-    return ap.K * _gauss_integral(ap.a, t, hi) / (ap.C - ap.K * t)
+    return ap.K * _survival_integral(ap.a, t, hi) / (ap.C - ap.K * t)
 
 
 def _golden_section(f, lo: float, hi: float, iterations: int = 60) -> tuple[float, float]:
@@ -195,18 +201,21 @@ def _golden_section(f, lo: float, hi: float, iterations: int = 60) -> tuple[floa
 
 
 def aggregation_bound(ap: AggregationParams, relaxed: bool = False) -> float:
-    """Numerical infimum of `aggregation_objective` over t in (-inf, C/K).
+    """Infimum of `aggregation_objective` over t in (-inf, C/K), clamped to [0, 1].
 
-    The search runs on [-C, C/K - delta] with delta = 1e-9 * C/K: a coarse
+    This is the dual bound of Embrechts & Puccetti (Finance Stoch. 2006) on
+    P(X_1 + ... + X_K >= C) over all dependence structures of K summands
+    with survival min(1, exp(-a x^2)); at K = 2 it is sharp (Makarov 1981).
+    The search runs on [-C, C/K - delta] with delta = 1e-5 * C/K: a coarse
     uniform grid plus a geometric ladder of points approaching C/K from
-    below (the infimum is often the endpoint limit, which is not attained),
-    always including the midpoint t = C/(2K).  The best grid point is then
-    refined by golden-section between its neighbours.  If the minimum sits
-    on the left edge of the search range, the best grid value is returned
-    as-is and a reduced-accuracy warning is issued.
+    below, always including the midpoint t = C/(2K).  The best grid point
+    is then refined by golden-section between its neighbours.  The exact
+    objective tends to K exp(-a (C/K)^2) as t -> C/K, a limit that is not
+    attained; it is taken in closed form, since closer to C/K than delta
+    the error-function difference loses most of its digits.
     """
     T = ap.C / ap.K
-    delta = 1e-9 * T
+    delta = 1e-5 * T
     left = -ap.C
     candidates = [left + (T - delta - left) * i / 48.0 for i in range(49)]
     gap = T - left
@@ -219,20 +228,13 @@ def aggregation_bound(ap: AggregationParams, relaxed: bool = False) -> float:
 
     values = [aggregation_objective(ap, t, relaxed) for t in candidates]
     best = min(range(len(values)), key=values.__getitem__)
-
-    if best == 0:
-        warnings.warn(
-            "aggregation_bound minimum at the left search boundary; "
-            "result has reduced accuracy",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return values[0]
-
-    lo = candidates[best - 1]
+    lo = candidates[max(best - 1, 0)]
     hi = candidates[min(best + 1, len(candidates) - 1)]
     _, refined = _golden_section(lambda t: aggregation_objective(ap, t, relaxed), lo, hi)
-    return min(values[best], refined)
+    value = min(values[best], refined)
+    if not relaxed:
+        value = min(value, ap.K * math.exp(-ap.a * T * T))
+    return min(1.0, max(0.0, value))
 
 
 def midpoint_bound(C: float, K: int, N: int) -> float:

@@ -10,6 +10,7 @@ configuration on a leading comment line.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import bounds, constructions
@@ -81,6 +82,7 @@ def cmd_invert(args) -> int:
         "threshold": res.threshold,
         "valid": res.valid,
         "violations": ";".join(res.violations),
+        "upper_threshold": bounds.deviation_threshold(p),
     }
     if 4.3 * p.epsilon < 1.0:
         row["kr_threshold"] = bounds.kr_threshold(p)
@@ -135,11 +137,13 @@ def cmd_scan(args) -> int:
     if args.what == "imbalance":
         if args.m_max < 1:
             raise CliError(f"m_max must be at least 1, got {args.m_max}")
-        rows = [
-            {"m": m, "probability": constructions.imbalance_prob(m)}
-            for m in range(1, args.m_max + 1)
-        ]
-        _emit(rows, ["m", "probability"], {"command": "scan", "what": "imbalance", "m_max": args.m_max}, args)
+        limit = bounds.gaussian_survival(1.0)
+        rows = []
+        for m in range(1, args.m_max + 1):
+            prob = constructions.imbalance_prob(m)
+            rows.append({"m": m, "count_threshold": constructions.imbalance_threshold(m),
+                         "probability": prob, "gap_to_limit": prob - limit})
+        _emit(rows, list(rows[0]), {"command": "scan", "what": "imbalance", "m_max": args.m_max}, args)
         return EXIT_OK
     rows = dominance_rows((1, 2, 3, 4, 5), (2, 4, 8, 16, 32), (0.5, 1.0, 2.0, 4.0, 8.0))
     _emit(rows, ["N", "K", "C", "a", "exact", "relaxed", "midpoint", "chain_ok"],
@@ -226,11 +230,7 @@ def cmd_verify_all(args) -> int:
     for res in results:
         print(res.line())
         if res.artifact and args.artifact_dir:
-            from pathlib import Path
-
-            target = Path(args.artifact_dir)
-            target.mkdir(parents=True, exist_ok=True)
-            (target / f"criterion_{res.number}.csv").write_text(res.artifact)
+            write_output(res.artifact, os.path.join(args.artifact_dir, f"criterion_{res.number}.csv"))
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
     return EXIT_VERIFY if failed else EXIT_OK
@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     tier.add_argument("--full", action="store_true", help="publication scale (default)")
     p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_ver.add_argument("--workers", type=int, default=1)
-    p_ver.add_argument("--artifact-dir", help="directory for criterion CSV artifacts")
+    p_ver.add_argument("--artifact-dir", help="criterion CSV directory (see KSTEP_LLN_OUTPUT_DIR)")
     p_ver.set_defaults(fn=cmd_verify_all)
 
     return parser

@@ -226,12 +226,13 @@ def deviation_count_threshold(m: int, C: float, K: int) -> int:
     """Smallest k0 with (2 k0 - m) K >= C, snapping near-integer boundaries.
 
     The deviation of a block process lives on the lattice {(2j - m) K}; the
-    event {S >= C} is the event {Z >= k0} for this k0.  A 1e-9 snap keeps
+    event {S >= C} is the event {Z >= k0} for this k0.  A C at most 1e-9
+    above a lattice point counts that point, whatever K is, which keeps
     exactly-constructed thresholds (which arrive with float dust) on their
     intended lattice point.
     """
     x = (m + C / K) / 2.0
-    return max(0, math.ceil(x - _LATTICE_TOL))
+    return max(0, math.ceil(x - _LATTICE_TOL / (2 * K)))
 
 
 def block_deviation_tail(N: int, K: int, C: float, sided: str = "upper") -> float:

@@ -1,12 +1,16 @@
 """CSV/JSON emission helpers shared by the CLI and the verification runner.
 
 CSV documents start with a comment line carrying the fully resolved
-configuration, then a header row.  Floats are written with shortest
-round-trip repr so identical runs produce byte-identical artifacts.
+configuration, then a header row.  A cell holding a comma, a quote or a
+line feed is quoted, so each row parses to as many fields as the header.
+Floats are written with shortest round-trip repr so identical runs
+produce byte-identical artifacts.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import sys
@@ -27,11 +31,12 @@ def format_cell(value) -> str:
 
 
 def format_csv(rows: list[dict], columns: list[str], config: dict) -> str:
-    lines = ["# config: " + json.dumps(config, sort_keys=True)]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(format_cell(row[c]) for c in columns))
-    return "\n".join(lines) + "\n"
+    buf = io.StringIO()
+    buf.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([format_cell(row[c]) for c in columns] for row in rows)
+    return buf.getvalue()
 
 
 def format_json(payload, config: dict) -> str:

@@ -4,6 +4,7 @@ Runs the full (publication-scale) tier of the verification runner that
 also backs `kstep-lln verify-all --full`.
 """
 
+import csv
 import dataclasses
 
 import pytest
@@ -75,6 +76,13 @@ def test_criterion_7_deviation_bound_on_random_trees(criterion_7):
 def test_criterion_8_monte_carlo_oracle_equivalence(criterion_8):
     # >= 47 of 50 exact tails inside their 99% intervals at 10^5 trials
     report(criterion_8)
+
+
+def test_criterion_8_artifact_rows_parse_to_its_header(criterion_8):
+    # the kind cell, block(N=..,K=..), holds a comma and must come back as one field
+    header, *rows = csv.reader(criterion_8.artifact.splitlines()[1:])
+    assert len(rows) == 50 and all(len(row) == len(header) for row in rows)
+    assert {row[1].split("(")[0] for row in rows} == {"block", "tree"}
 
 
 def test_criterion_9_regret_bound_suite(criterion_9):

@@ -136,6 +136,53 @@ class TestAggregationBound:
         ap = AggregationParams(C=4.0, K=2, a=1.0)
         assert aggregation_bound(ap, relaxed=True) >= aggregation_bound(ap, relaxed=False)
 
+    @staticmethod
+    def grid():
+        # N = K m and C = r sqrt(K N), as on the criterion 4 grid, with F(x) = min(1, exp(-a x^2))
+        for K in (1, 2, 3, 4, 5, 8):
+            for m in (1, 2, 8, 32):
+                for r in (0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 8.0, 12.0):
+                    N = K * m
+                    C = r * math.sqrt(K * N)
+                    ap = AggregationParams.from_horizon(C, N, K)
+                    yield ap, min(1.0, math.exp(-ap.a * (C / K) ** 2))
+
+    def test_never_below_the_comonotone_value(self):
+        # K comonotone summands reach C exactly when each reaches C/K, so no bound is lower
+        for ap, tail in self.grid():
+            for relaxed in (False, True):
+                got = aggregation_bound(ap, relaxed)
+                assert tail * (1 - 1e-12) <= got <= 1.0, (ap, relaxed)
+
+    def test_exact_at_most_the_endpoint_limit(self):
+        for ap, tail in self.grid():
+            assert aggregation_bound(ap) <= min(1.0, ap.K * tail) * (1 + 1e-12), ap
+
+    def test_sharp_for_one_and_two_summands(self):
+        # K = 1 is the marginal tail itself; K = 2 is Makarov's sharp value min(1, 2 F(C/2))
+        for ap, tail in self.grid():
+            if ap.K <= 2:
+                want = min(1.0, ap.K * tail)
+                assert aggregation_bound(ap) == pytest.approx(want, rel=1e-12, abs=0), ap
+
+    def test_deep_tail_is_not_zero(self):
+        ap = AggregationParams.from_horizon(8.0 * math.sqrt(2.0), 2, 1)
+        assert aggregation_bound(ap) == pytest.approx(math.exp(-32.0), rel=1e-12, abs=0)
+
+    def test_chain_holds_on_the_grid(self):
+        for ap, _ in self.grid():
+            exact = aggregation_bound(ap, relaxed=False)
+            relaxed = aggregation_bound(ap, relaxed=True)
+            N = round(ap.K / (2 * ap.a))
+            assert exact <= relaxed + 1e-9 and relaxed <= midpoint_bound(ap.C, ap.K, N) + 1e-9, ap
+
+    def test_objective_clips_the_survival_at_one(self):
+        # below 0 the integrand is 1: [-2, 0] adds its length 2 to int_0^inf exp(-x^2) dx
+        ap = AggregationParams(C=1.0, K=1, a=1.0)
+        assert aggregation_objective(ap, -2.0, relaxed=True) == pytest.approx(
+            (2.0 + math.sqrt(math.pi) / 2.0) / 3.0, rel=1e-15
+        )
+
     def test_midpoint_evaluation_closed_form(self):
         # At t = C/(2K) the relaxed objective has the survival-function form
         # (2K/C) sqrt(2 pi / (2a)) * survival(sqrt(2a) C / (2K)).

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -10,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kstep_lln.bounds import gaussian_survival
 from kstep_lln.cli import EXIT_OK, EXIT_TREEFILE, EXIT_USAGE, EXIT_VERIFY, main
 from kstep_lln.constructions import binomial_upper_tail
+from kstep_lln.decision import DecisionSpace, LossSpec
 from kstep_lln.treefile import TreeBundle, bundle_to_dict, save_tree
 from kstep_lln.trees import random_tree
 from tests.test_treefile import full_bundle
@@ -21,6 +24,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def records(out):
+    """The config comment line and the CSV rows below it, parsed as a CSV reader would."""
+    config, body = out.split("\n", 1)
+    return config, list(csv.DictReader(io.StringIO(body)))
 
 
 class TestBound:
@@ -71,6 +80,17 @@ class TestInvert:
     def test_rejects_epsilon_out_of_domain(self, capsys):
         code, _, err = run(capsys, "invert", "--N", "64", "--K", "1", "--epsilon", "0.2")
         assert code == EXIT_USAGE
+
+    def test_upper_threshold_in_the_same_row(self, capsys):
+        code, out, _ = run(capsys, "invert", "--N", "64", "--K", "1", "--epsilon", "0.01")
+        assert code == EXIT_OK
+        (rec,) = records(out)[1]
+        assert rec["upper_threshold"] == "69.20532489214696"  # 4 sqrt(65 ln 100)
+        _, out, _ = run(capsys, "bound", "--N", "64", "--K", "1", "--epsilon", "0.01")
+        assert records(out)[1][0]["threshold"] == rec["upper_threshold"]
+        assert list(rec) == [
+            "N", "K", "epsilon", "threshold", "valid", "violations", "upper_threshold", "kr_threshold"
+        ]
 
     def test_direct_binomial_query(self, capsys):
         code, out, _ = run(capsys, "invert", "--m", "8", "--t", "1")
@@ -127,6 +147,18 @@ class TestScan:
         assert code == EXIT_OK
         assert "violations" in out
 
+    def test_imbalance_curve(self, capsys):
+        code, out, _ = run(capsys, "scan", "--what", "imbalance", "--m-max", "8")
+        assert code == EXIT_OK
+        rows = records(out)[1]
+        assert list(rows[0]) == ["m", "count_threshold", "probability", "gap_to_limit"]
+        assert [r["m"] for r in rows] == [str(m) for m in range(1, 9)]
+        assert [r["count_threshold"] for r in rows] == ["1", "2", "3", "3", "4", "5", "5", "6"]
+        assert rows[5]["probability"] == "0.109375"  # 7/64 at m = 6
+        for r in rows:
+            assert float(r["gap_to_limit"]) == float(r["probability"]) - 0.15865525393145707
+        assert gaussian_survival(1.0) == 0.15865525393145707
+
     def test_dominance(self, capsys):
         code, out, _ = run(capsys, "scan", "--what", "dominance")
         assert code == EXIT_OK
@@ -152,6 +184,26 @@ class TestSimulate:
         assert code == EXIT_OK
         rec = dict(zip(*[line.split(",") for line in out.strip().splitlines()[1:3]]))
         assert rec["ci_contains_exact"] == "true"
+
+    def test_block_exact_tail_and_seed_in_config(self, capsys):
+        # two fair blocks of length 2 reach sqrt(8) only when both are +1
+        code, out, _ = run(capsys, "simulate", "--N", "4", "--K", "2", "--C", "2.8284271247461903")
+        assert code == EXIT_OK
+        config, (rec,) = records(out)
+        assert rec["exact_tail"] == "0.25"
+        assert '"seed": 1729' in config
+
+    def test_one_rung_of_the_trial_ladder_is_pinned(self, capsys):
+        # N = 64, K = 2, C = sqrt(K N) at 2000 trials, default seed
+        code, out, _ = run(
+            capsys, "simulate", "--N", "64", "--K", "2", "--C", "11.313708498984761",
+            "--trials", "2000",
+        )
+        assert code == EXIT_OK
+        (rec,) = records(out)[1]
+        assert rec["exact_tail"] == "0.18854279373772442"
+        assert (rec["trials"], rec["p_hat"]) == ("2000", "0.2075")
+        assert (rec["ci_low"], rec["ci_high"]) == ("0.1846154744464951", "0.23179470671024954")
 
     def test_block_two_sided_without_enumeration(self, capsys):
         # 2^64 sign paths: the tail comes from the binomial count, not a tree.
@@ -200,6 +252,22 @@ class TestDecide:
         rec = dict(zip(header, row))
         assert rec["bound_holds"] == "true"
         assert rec["shift_check_passed"] == "true"
+
+    @pytest.mark.parametrize("label", ["move, now", 'say "go"\nnow'])
+    def test_label_with_separator_stays_in_its_cell(self, capsys, tmp_path, label):
+        bundle = full_bundle()
+        counts = bundle.tree.node_counts
+        cheap_second = tuple(
+            (np.ones(counts[n + 2]), np.zeros(counts[n + 2])) for n in (1, 2)
+        )
+        losses = LossSpec(space=DecisionSpace(("hold", label)), horizon=2, tables=cheap_second)
+        path = tmp_path / "labels.json"
+        save_tree(path, TreeBundle(tree=bundle.tree, sequence=bundle.sequence, losses=losses))
+        code, out, _ = run(capsys, "decide", "--tree-file", str(path))
+        assert code == EXIT_OK
+        (rec,) = records(out)[1]
+        assert len(rec) == 10 and None not in rec
+        assert rec["bayes_first_choice"] == label
 
     def test_missing_losses(self, capsys, tmp_path):
         tree, seq = random_tree(3, 2, seed=2)
@@ -320,6 +388,16 @@ class TestVerifyAllQuick:
         for n in (7, 8, 9):
             name = f"criterion_{n}.csv"
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "3" / name).read_bytes()
+
+    def test_relative_artifact_dir_resolves_against_output_dir(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("KSTEP_LLN_OUTPUT_DIR", str(tmp_path / "out"))
+        monkeypatch.chdir(tmp_path)
+        code, _, _ = run(capsys, "verify-all", "--quick", "--artifact-dir", "arts")
+        assert code == EXIT_OK
+        assert sorted(p.name for p in (tmp_path / "out" / "arts").iterdir()) == [
+            "criterion_7.csv", "criterion_8.csv", "criterion_9.csv"
+        ]
+        assert not (tmp_path / "arts").exists()
 
 
 json_values = st.recursive(

@@ -230,6 +230,13 @@ class TestBlockDeviationTail:
         # still count the lattice point at 4.
         assert block_deviation_tail(64, 1, 4.0 + 5e-16) == block_deviation_tail(64, 1, 4.0)
 
+    @pytest.mark.parametrize("K", [1, 3, 8])
+    def test_lattice_snap_is_1e9_in_units_of_the_deviation(self, K):
+        # two blocks: S = 0 with probability 1/2, S = 2K with probability 1/4
+        assert block_deviation_tail(2 * K, K, 0.9e-9) == 0.75
+        assert block_deviation_tail(2 * K, K, 1.1e-9) == 0.25
+        assert block_deviation_tail(2 * K, K, 5.134547871976749e-09) == 0.25
+
     def test_invariant_under_block_length_rescaling(self):
         # With m fixed, scaling C by K leaves the tail unchanged.
         base = block_deviation_tail(8, 1, 2.0)

@@ -1,8 +1,9 @@
 """CSV/JSON emission helpers shared by the CLI and the verification runner.
 
 CSV documents start with a comment line carrying the fully resolved
-configuration, then a header row.  A cell holding a comma, a quote or a
-line feed is quoted, so each row parses to as many fields as the header.
+configuration, then a header row.  A cell holding a comma, a quote, a
+line feed or a carriage return is quoted, so each row parses to as many
+fields as the header.  Rows end in a line feed.
 Floats are written with shortest round-trip repr so identical runs
 produce byte-identical artifacts.
 """
@@ -10,7 +11,6 @@ produce byte-identical artifacts.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 import sys
@@ -30,13 +30,21 @@ def format_cell(value) -> str:
     return str(value)
 
 
+class _Lines(list):
+    """Write target of a csv writer: one list item per row, its terminator cut."""
+
+    def write(self, row: str) -> None:
+        self.append(row[:-2])
+
+
 def format_csv(rows: list[dict], columns: list[str], config: dict) -> str:
-    buf = io.StringIO()
-    buf.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
+    # A writer ending rows with "\r\n" quotes cells holding either character;
+    # the rows are then joined with "\n".
+    lines = _Lines(["# config: " + json.dumps(config, sort_keys=True)])
+    writer = csv.writer(lines, lineterminator="\r\n")
     writer.writerow(columns)
     writer.writerows([format_cell(row[c]) for c in columns] for row in rows)
-    return buf.getvalue()
+    return "\n".join(lines) + "\n"
 
 
 def format_json(payload, config: dict) -> str:

@@ -6,9 +6,12 @@ function.  Trials therefore carry their own streams: partitioning them
 across threads, reordering chunks, or resuming mid-run cannot change any
 estimate.  The block sampler spends one bit per sign: a trial's m signs are
 the low m bits of its first ceil(m/64) 64-bit words, keyed by word index,
-and its +1 count is their popcount.  The tree sampler spends one uniform
-per depth.  Intervals are exact Clopper-Pearson, not normal-approximate,
-because small tail probabilities are precisely the quantity of interest.
+and its +1 count is their popcount, summed one word column at a time so
+memory grows with the trial count only.  The tree sampler spends one
+uniform per trial on an inverse-CDF draw of a leaf from the tree's stored
+leaf probabilities.  Intervals are exact Clopper-Pearson, not
+normal-approximate, because small tail probabilities are precisely the
+quantity of interest.
 """
 
 from __future__ import annotations
@@ -54,15 +57,15 @@ def counter_seeds(master_seed: int, counters: np.ndarray) -> np.ndarray:
     return _mix(base + (c + np.uint64(1)) * _GOLDEN)
 
 
-def _counter_words(keys: np.ndarray, n_draws: int) -> np.ndarray:
-    """Matrix of 64-bit words: row k, column j is mix(keys[k] + (j + 1) * golden)."""
-    j = (np.arange(n_draws, dtype=np.uint64) + np.uint64(1)) * _GOLDEN
-    return _mix(np.asarray(keys, dtype=np.uint64)[:, None] + j[None, :])
+def _word_offsets(n_draws: int) -> np.ndarray:
+    """Column j of a stream is word mix(key + (j + 1) * golden); these are the offsets."""
+    return (np.arange(n_draws, dtype=np.uint64) + np.uint64(1)) * _GOLDEN
 
 
 def counter_uniforms(keys: np.ndarray, n_draws: int) -> np.ndarray:
     """Matrix of uniforms in [0, 1): row k, column j depends only on (keys[k], j)."""
-    return (_counter_words(keys, n_draws) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    words = _mix(np.asarray(keys, dtype=np.uint64)[:, None] + _word_offsets(n_draws)[None, :])
+    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
 def derive_seed(master_seed: int, *path: int) -> int:
@@ -119,51 +122,35 @@ def block_deviation_sampler(N: int, K: int) -> Sampler:
     the last one masked to the low bits that remain.
     """
     m = _block_count(N, K)
-    n_words = -(-m // 64)
-    tail_mask = np.uint64((1 << (m - 64 * (n_words - 1))) - 1)
+    offsets = _word_offsets(-(-m // 64))
+    masks = np.full(len(offsets), np.uint64(0xFFFFFFFFFFFFFFFF))
+    masks[-1] = (1 << (m - 64 * (len(offsets) - 1))) - 1
 
     def sample(master_seed: int, trials: np.ndarray) -> np.ndarray:
-        words = _counter_words(counter_seeds(master_seed, trials), n_words)
-        words[:, -1] &= tail_mask
-        z = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+        keys = counter_seeds(master_seed, trials)
+        z = np.zeros(len(trials), dtype=np.int64)
+        for offset, mask in zip(offsets, masks):
+            z += np.bitwise_count(_mix(keys + offset) & mask)
         return (2.0 * z - m) * K
 
     return sample
 
 
 def tree_deviation_sampler(tree: ProbabilityTree, seq: AdaptedSequence, lag: int) -> Sampler:
-    """Sampler of the tree deviation statistic: walk a path, read off S.
+    """Sampler of the tree deviation statistic: draw a leaf, read off S.
 
-    Deviation values per terminal node are precomputed once; each trial
-    spends one uniform per depth to choose a child by inverse CDF.
+    The leaves are the depth-n nodes, n the sequence length.  Each trial
+    spends its stream's first uniform on an inverse-CDF draw over their
+    stored probabilities.  The uniform is scaled by the cumulative total and
+    searched among the first L - 1 partial sums, so every index is in range
+    however the sum rounds.
     """
     dev = deviation_per_leaf(tree, seq, lag)
-    depth = seq.n_steps
-    # Per depth: children regrouped by parent, with within-parent cumulative
-    # probabilities embedded into a single global monotone array so that one
-    # searchsorted resolves every trial's transition at once.
-    levels = []
-    for d in range(1, depth + 1):
-        par = tree.parents[d - 1]
-        pr = tree.branch_probs[d - 1]
-        n_par = tree.node_counts[d - 1]
-        order = np.argsort(par, kind="stable")
-        counts = np.bincount(par, minlength=n_par)
-        cum = np.cumsum(pr[order])
-        group_ends = np.cumsum(counts) - 1
-        prev = np.concatenate(([0.0], cum))[np.concatenate(([0], group_ends[:-1] + 1))]
-        within = cum - np.repeat(prev, counts)
-        within[group_ends] = 1.0
-        grid = within + np.repeat(np.arange(n_par, dtype=np.float64), counts)
-        levels.append((grid, order.astype(np.int64)))
+    cdf = np.cumsum(tree.node_probabilities(seq.n_steps))
 
     def sample(master_seed: int, trials: np.ndarray) -> np.ndarray:
-        u = counter_uniforms(counter_seeds(master_seed, trials), depth)
-        cur = np.zeros(len(trials), dtype=np.int64)
-        for d, (grid, order) in enumerate(levels):
-            pick = np.searchsorted(grid, cur + u[:, d], side="right")
-            cur = order[pick]
-        return dev[cur]
+        u = counter_uniforms(counter_seeds(master_seed, trials), 1)[:, 0]
+        return dev[np.searchsorted(cdf[:-1], u * cdf[-1], side="right")]
 
     return sample
 

@@ -29,7 +29,7 @@ def run(capsys, *argv):
 def records(out):
     """The config comment line and the CSV rows below it, parsed as a CSV reader would."""
     config, body = out.split("\n", 1)
-    return config, list(csv.DictReader(io.StringIO(body)))
+    return config, list(csv.DictReader(io.StringIO(body, newline="")))
 
 
 class TestBound:
@@ -253,7 +253,7 @@ class TestDecide:
         assert rec["bound_holds"] == "true"
         assert rec["shift_check_passed"] == "true"
 
-    @pytest.mark.parametrize("label", ["move, now", 'say "go"\nnow'])
+    @pytest.mark.parametrize("label", ["move, now", 'say "go"\nnow', "a\rb", "a\r\nb"])
     def test_label_with_separator_stays_in_its_cell(self, capsys, tmp_path, label):
         bundle = full_bundle()
         counts = bundle.tree.node_counts

@@ -1,6 +1,9 @@
+import bisect
+import itertools
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +23,8 @@ from kstep_lln.sampling import (
     mc_tail,
     tree_deviation_sampler,
 )
-from kstep_lln.trees import deviation_per_leaf, exact_tail, random_tree
+from kstep_lln.treefile import bundle_from_dict
+from kstep_lln.trees import AdaptedSequence, deviation_per_leaf, exact_tail, random_tree
 
 
 class TestCounterStreams:
@@ -222,11 +226,97 @@ class TestBlockSampler:
             bits = sum(_splitmix_word(key, j) << (64 * j) for j in range(-(-m // 64)))
             assert d == 2 * bin(bits & ((1 << m) - 1)).count("1") - m
 
-    @given(st.sampled_from(BLOCKS), st.integers(0, 2**63), st.data())
+    @given(st.sampled_from(BLOCKS + (None,)), st.integers(0, 2**63), st.data())
     @settings(max_examples=30, deadline=None)
     def test_each_trial_depends_only_on_its_index(self, m, seed, data):
+        # m = None stands for the tree sampler, which keys its one uniform the same way.
         idx = np.array(data.draw(st.lists(st.integers(0, 2**40), min_size=1, max_size=50)),
                        dtype=np.uint64)
         sel = np.array(data.draw(st.lists(st.booleans(), min_size=len(idx), max_size=len(idx))))
-        sampler = block_deviation_sampler(2 * m, 2)
+        if m is None:
+            sampler = tree_deviation_sampler(*random_tree(depth=4, max_branching=3, seed=5), 2)
+        else:
+            sampler = block_deviation_sampler(2 * m, 2)
         np.testing.assert_array_equal(sampler(seed, idx)[sel], sampler(seed, idx[sel]))
+
+    def test_memory_does_not_grow_with_the_block_length(self):
+        sampler = block_deviation_sampler(65536, 1)
+        trials = np.arange(4096, dtype=np.uint64)
+        tracemalloc.start()
+        try:
+            sampler(3, trials)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # a trials x m/64 word matrix would take 32 MiB
+
+
+def _shuffled_tree_file(seed):
+    """A random tree and sequence, nodes shuffled within each level, read back as a tree file."""
+    tree, seq = random_tree(depth=5, max_branching=3, seed=seed)
+    rng = np.random.default_rng(seed)
+    new_of_old = np.zeros(1, dtype=np.int64)
+    nodes, values = [], []
+    for par, pr, y in zip(tree.parents, tree.branch_probs, seq.values):
+        perm = rng.permutation(len(par))  # new node k is old node perm[k]
+        nodes.append([{"parent": int(new_of_old[par[k]]), "prob": float(pr[k])} for k in perm])
+        values.append(y[perm].tolist())
+        new_of_old = np.argsort(perm)
+    bundle = bundle_from_dict({"depth": tree.depth, "nodes": nodes, "Y": values})
+    assert any(np.any(np.diff(p) < 0) for p in bundle.tree.parents)
+    return bundle.tree, bundle.sequence
+
+
+class TestTreeSampler:
+    @given(st.integers(1, 6), st.integers(2, 4), st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_leaf_probabilities_are_exact_path_products(self, depth, branching, seed):
+        tree, _ = random_tree(depth=depth, max_branching=branching, seed=seed)
+        self._assert_path_products(tree)
+
+    def test_tree_file_leaf_probabilities_are_exact_path_products(self):
+        self._assert_path_products(_shuffled_tree_file(8)[0])
+
+    @staticmethod
+    def _assert_path_products(tree):
+        for leaf, stored in enumerate(tree.node_probabilities(tree.depth)):
+            chain, node = [], leaf
+            for d in range(tree.depth, 0, -1):
+                chain.append(tree.branch_probs[d - 1][node])
+                node = tree.parents[d - 1][node]
+            product = 1.0
+            for branch in reversed(chain):  # root first, as the leaf draw's law is built
+                product *= branch
+            assert product == stored
+
+    def test_each_trial_draws_the_leaf_its_first_stream_word_picks(self):
+        tree, seq = _shuffled_tree_file(3)
+        dev = deviation_per_leaf(tree, seq, 2)
+        cdf = list(itertools.accumulate(tree.node_probabilities(tree.depth).tolist()))
+        trials = np.array([0, 1, 2, 99, 2**40 + 3], dtype=np.uint64)
+        drawn = tree_deviation_sampler(tree, seq, 2)(77, trials)
+        for t, d in zip(trials, drawn):
+            key = int(counter_seeds(77, np.array([t], dtype=np.uint64))[0])
+            u = (_splitmix_word(key, 0) >> 11) * 2.0**-53
+            assert d == dev[bisect.bisect_right(cdf[:-1], u * cdf[-1])]
+
+    def test_draw_frequencies_match_the_leaf_law(self):
+        tree, seq = _shuffled_tree_file(11)
+        dev = deviation_per_leaf(tree, seq, 1)
+        probs = tree.node_probabilities(tree.depth)
+        n = 1 << 16
+        drawn = tree_deviation_sampler(tree, seq, 1)(4, np.arange(n, dtype=np.uint64))
+        for value in np.unique(dev):
+            p = math.fsum(probs[dev == value].tolist())
+            hits = int(np.count_nonzero(drawn == value))
+            assert abs(hits - n * p) <= 5.0 * math.sqrt(n * p * (1.0 - p))
+
+    def test_short_sequence_draws_from_its_last_step(self):
+        tree, seq = random_tree(depth=6, max_branching=3, seed=21)
+        short = AdaptedSequence(values=seq.values[:4])
+        dev = deviation_per_leaf(tree, short, 2)
+        C = float(np.quantile(np.abs(dev), 0.7))
+        est = mc_tail(
+            tree_deviation_sampler(tree, short, 2), C, sided="two_sided", trials=40_000, seed=6
+        )
+        assert est.contains(exact_tail(tree, short, 2, C))

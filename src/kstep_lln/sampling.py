@@ -161,9 +161,14 @@ def _check_workers(workers: int) -> None:
 
 
 def _map_ordered(fn: Callable, items, workers: int) -> list:
-    """`fn(x)` for each x of `items`, in order; threaded when workers > 1."""
+    """`fn(x)` for each x of `items`, in order; threaded when workers > 1 and items > 1.
+
+    A single item runs on the calling thread: a pool would only add the cost
+    and the scheduling delay of starting and joining a thread.
+    """
     _check_workers(workers)
-    if workers > 1:
+    items = list(items)
+    if workers > 1 and len(items) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
     return [fn(x) for x in items]

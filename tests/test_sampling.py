@@ -3,6 +3,7 @@ import itertools
 import math
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -128,6 +129,19 @@ class TestMcTail:
         one = mc_tail(sampler, 6.0, workers=1, **kwargs)
         four = mc_tail(sampler, 6.0, workers=4, **kwargs)
         assert one == four
+
+    def test_single_chunk_runs_on_calling_thread(self):
+        threads = []
+
+        def recording(master_seed, trials):
+            threads.append(threading.get_ident())
+            return np.zeros(len(trials))
+
+        mc_tail(recording, 0.5, sided="upper", trials=32_768, seed=0, workers=2)
+        assert threads == [threading.get_ident()]
+        threads.clear()
+        mc_tail(recording, 0.5, sided="upper", trials=32_769, seed=0, workers=2)
+        assert len(threads) == 2
 
     def test_tree_sampler_agrees_with_exact_enumeration(self):
         tree, seq = random_tree(depth=6, max_branching=3, seed=404)

@@ -6,8 +6,13 @@ K consecutive steps.  A forecaster looking K steps back never sees the
 current block's sign, so every lagged conditional mean vanishes and the
 cumulative deviation collapses to (2Z - m) K, where Z counts the +1 blocks.
 Everything about the construction therefore reduces to exact fair-binomial
-tail probabilities, which this module computes two ways: a float path good
-to ~1e-13 relative up to m = 10^6, and an exact rational path for small m.
+tail probabilities, which this module computes three ways: a float path for
+single tails, good to ~1e-13 relative up to m = 10^6; an exact rational path
+(the `*_exact` functions) for small m; and, for the scans over a whole family
+of m (`min_imbalance_prob`, `verify_mv_bound`), exact integer counts carried
+from one m or k to the next by Pascal's rule, each tail then one correctly
+rounded division count / 2^m.
+
 The float path starts from a pmf value (the correctly rounded integer ratio
 C(m, k)/2^m for moderate m, 30-digit log-gamma beyond), runs the ratio
 recurrence in blocks, drops each block's suffix once its terms fall below
@@ -207,18 +212,30 @@ def imbalance_prob_exact(m: int) -> Fraction:
 
 
 def min_imbalance_prob(m_max: int) -> tuple[int, float]:
-    """Exhaustive minimum of `imbalance_prob` over 1 <= m <= m_max.
+    """Exhaustive minimum of the sqrt(m)-imbalance probability over 1 <= m <= m_max.
 
-    The minimum is 7/64, attained at m = 6; the limit as m grows is the
-    Gaussian survival value at 1 (about 0.1587).
+    Each m's probability is the correctly rounded exact value: the tail count
+    is carried from m to m + 1 in integers by Pascal's rule.  Returns the
+    first minimiser.  The minimum is 7/64, attained at m = 6; the limit as m
+    grows is the Gaussian survival value at 1 (about 0.1587).
     """
     if m_max < 6:
         raise ValueError(f"m_max must be at least 6, got {m_max!r}")
-    best_m, best_p = 1, imbalance_prob(1)
-    for m in range(2, m_max + 1):
-        p = imbalance_prob(m)
+    # At m: k = imbalance_threshold(m), c = C(m, k), tail = sum_{j >= k} C(m, j).
+    k = c = tail = 1
+    best_m, best_p = 1, tail / 2
+    for m in range(1, m_max):
+        prev = c * k // (m - k + 1)  # C(m, k-1), an exact division
+        tail = 2 * tail + prev  # Pascal's rule, summed over j >= k
+        c += prev
+        # ceil(sqrt(m)) rises by at most 1 per step, so the threshold does too.
+        if imbalance_threshold(m + 1) > k:
+            tail -= c
+            c = c * (m + 1 - k) // (k + 1)
+            k += 1
+        p = tail / (1 << (m + 1))
         if p < best_p:
-            best_m, best_p = m, p
+            best_m, best_p = m + 1, p
     return best_m, best_p
 
 
@@ -270,9 +287,11 @@ class MvAuditReport:
 def verify_mv_bound(m_max: int) -> MvAuditReport:
     """Check P(Z >= m/2 + t) >= (1/15) exp(-16 t^2/m) on its whole domain.
 
-    Scans every even m <= m_max and every integer t in [0, m/8].  Any
-    violation would falsify the lower-bound constant pair (1/15, 16), so
-    violations are collected rather than raised; `ok` reports the verdict.
+    Scans every even m <= m_max and every integer t in [0, m/8], comparing
+    the correctly rounded exact tail (an integer count summed down from
+    k = m, over 2^m) with the bound.  Any violation would falsify the
+    lower-bound constant pair (1/15, 16), so violations are collected rather
+    than raised; `ok` reports the verdict.
     """
     from .bounds import LowerBoundParams, mv_lower_bound
 
@@ -283,8 +302,17 @@ def verify_mv_bound(m_max: int) -> MvAuditReport:
     min_at = (0, 0)
     checked = 0
     for m in range(2, m_max + 1, 2):
-        for t in range(0, m // 8 + 1):
-            tail = binomial_upper_tail(m, m // 2 + t)
+        half = m // 2
+        # Walking k down from m: c = C(m, k-1), count = sum_{j >= k-1} C(m, j).
+        c = count = 1
+        window = []
+        for k in range(m, half, -1):
+            c = c * k // (m - k + 1)
+            count += c
+            if k - 1 <= half + m // 8:
+                window.append(count)
+        for t, count in enumerate(reversed(window)):
+            tail = count / (1 << m)
             lower = mv_lower_bound(LowerBoundParams(m=m, t=t))
             slack = tail - lower
             checked += 1

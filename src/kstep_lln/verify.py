@@ -68,7 +68,8 @@ def criterion_1_min_imbalance(quick: bool = False, seed: int = DEFAULT_SEED, wor
     m_star, p_star = constructions.min_imbalance_prob(m_max)
     exact = constructions.imbalance_prob_exact(m_star)
     target = Fraction(7, 64)
-    rel = abs(p_star - float(target)) / float(target)
+    # p_star is the correctly rounded exact tail, so check the float path here.
+    rel = abs(constructions.imbalance_prob(m_star) - float(target)) / float(target)
     passed = m_star == 6 and exact == target and rel <= 1e-12
     detail = f"min over m<={m_max} is {p_star!r} at m={m_star}; rational path {exact}; log-path rel err {rel:.2e}"
     return _result(1, "min-imbalance", passed, detail, t0)

@@ -9,6 +9,8 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kstep_lln import constructions
+from kstep_lln.bounds import LowerBoundParams, mv_lower_bound
 from kstep_lln.constructions import (
     BlockProcess,
     binomial_upper_tail,
@@ -124,6 +126,12 @@ class TestImbalance:
     def test_min_scan(self):
         assert min_imbalance_prob(6) == (6, 7 / 64)
         assert min_imbalance_prob(100) == (6, 7 / 64)
+
+    @pytest.mark.parametrize("m_max", [6, 7, 50, 300])
+    def test_min_scan_is_first_exact_argmin(self, m_max):
+        probs = [float(imbalance_prob_exact(m)) for m in range(1, m_max + 1)]
+        best = min(probs)
+        assert min_imbalance_prob(m_max) == (probs.index(best) + 1, best)
 
     def test_min_scan_rejects_tiny_range(self):
         with pytest.raises(ValueError):
@@ -283,3 +291,23 @@ class TestMvAudit:
     def test_rejects_tiny_range(self):
         with pytest.raises(ValueError):
             verify_mv_bound(7)
+
+    def test_min_slack_is_exact_tail_minus_bound(self):
+        # At (400, 50) the float tail path is 1 ulp off the correctly rounded tail.
+        count = sum(math.comb(400, k) for k in range(250, 401))
+        lower = mv_lower_bound(LowerBoundParams(m=400, t=50))
+        report = verify_mv_bound(400)
+        assert report.min_slack_at == (400, 50)
+        assert report.min_slack == float(Fraction(count, 2**400)) - lower
+
+
+def test_scans_use_no_float_tail(monkeypatch):
+    def boom(*args):
+        raise AssertionError("float tail path called")
+
+    monkeypatch.setattr(constructions, "binomial_upper_tail", boom)
+    monkeypatch.setattr(constructions, "_pmf_float", boom)
+    assert min_imbalance_prob(2000) == (6, 7 / 64)
+    report = verify_mv_bound(200)
+    assert (report.pairs_checked, len(report.violations)) == (1325, 0)
+    assert report.min_slack_at == (200, 25)

@@ -62,6 +62,19 @@ class TestProbabilityTree:
         np.testing.assert_allclose(tree.leaf_probabilities(), [0.125, 0.125, 0.075, 0.675])
         assert math.fsum(tree.leaf_probabilities().tolist()) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("excess, ok", [(9e-13, False), (4e-13, True)])
+    def test_leaf_total_backstops_per_parent_sums(self, excess, ok):
+        # Every parent's sum is within 1e-12 of 1, but over 2000 levels the
+        # excess compounds to a leaf total of about 1 + 2000 * excess.
+        depth = 2000
+        parents = (np.zeros(1, dtype=np.int64),) * depth
+        probs = (np.array([1.0 + excess]),) * depth
+        if ok:
+            assert ProbabilityTree(parents=parents, branch_probs=probs).depth == depth
+        else:
+            with pytest.raises(ValueError, match="leaf probabilities sum to"):
+                ProbabilityTree(parents=parents, branch_probs=probs)
+
     def test_rejects_depth_out_of_range(self):
         with pytest.raises(ValueError):
             two_level_tree().node_probabilities(3)

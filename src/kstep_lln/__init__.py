@@ -36,10 +36,8 @@ from .decision import (
     LossSpec,
     Strategy,
     bayesian_strategy,
-    expected_loss,
     regret_tail,
     shifted_deviation_check,
-    total_loss,
 )
 from .sampling import TailEstimate, clopper_pearson, mc_tail
 from .trees import (

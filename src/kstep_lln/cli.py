@@ -138,11 +138,8 @@ def cmd_scan(args) -> int:
         if args.m_max < 1:
             raise CliError(f"m_max must be at least 1, got {args.m_max}")
         limit = bounds.gaussian_survival(1.0)
-        rows = []
-        for m in range(1, args.m_max + 1):
-            prob = constructions.imbalance_prob(m)
-            rows.append({"m": m, "count_threshold": constructions.imbalance_threshold(m),
-                         "probability": prob, "gap_to_limit": prob - limit})
+        rows = [{"m": m, "count_threshold": k, "probability": prob, "gap_to_limit": prob - limit}
+                for m, k, prob in constructions._imbalance_probs(args.m_max)]
         _emit(rows, list(rows[0]), {"command": "scan", "what": "imbalance", "m_max": args.m_max}, args)
         return EXIT_OK
     rows = dominance_rows((1, 2, 3, 4, 5), (2, 4, 8, 16, 32), (0.5, 1.0, 2.0, 4.0, 8.0))
@@ -226,6 +223,9 @@ def cmd_decide(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
+    if args.format == "json" or args.output is not None:
+        raise CliError("verify-all prints text and writes its criterion CSVs with --artifact-dir; "
+                       "it takes no --format json or --output")
     results = run_all(quick=args.quick, seed=args.seed, workers=args.workers)
     for res in results:
         print(res.line())

@@ -9,15 +9,14 @@ Everything about the construction therefore reduces to exact fair-binomial
 tail probabilities, which this module computes three ways: a float path for
 single tails, good to ~1e-13 relative up to m = 10^6; an exact rational path
 (the `*_exact` functions) for small m; and, for the scans over a whole family
-of m (`min_imbalance_prob`, `verify_mv_bound`), exact integer counts carried
+of m (`_imbalance_probs`, `verify_mv_bound`), exact integer counts carried
 from one m or k to the next by Pascal's rule, each tail then one correctly
 rounded division count / 2^m.
 
-The float path starts from a pmf value (the correctly rounded integer ratio
-C(m, k)/2^m for moderate m, 30-digit log-gamma beyond), runs the ratio
-recurrence in blocks, drops each block's suffix once its terms fall below
-2^-110 of the block's first (they cannot move the rounded sum), and totals
-the rest with compensated summation.
+The float path starts once, from a pmf value (the correctly rounded integer
+ratio C(m, k)/2^m for moderate m, 30-digit log-gamma beyond), runs the ratio
+recurrence over at most 6 isqrt(m) + 7 terms, past which no term can move
+the rounded sum, and totals them with compensated summation.
 """
 
 from __future__ import annotations
@@ -44,17 +43,9 @@ __all__ = [
     "verify_mv_bound",
 ]
 
-# Restart the pmf recurrence from a fresh high-precision value this often,
-# so rounding cannot accumulate across long tails.
-_RESTART = 4096
-
 # Up to this m an exact integer pmf start, comb(m, k) / 2^m, costs less than
 # the 30-digit log-gamma one (about equal near m = 1200 on CPython 3.11).
 _COMB_MAX = 1200
-
-# A recurrence block's terms below this fraction of its first term are cut:
-# fewer than _RESTART of them add under 2^-98 of the tail, far below an ulp.
-_NEGLIGIBLE = 2.0**-110
 
 # Lattice snap for thresholds that are mathematically integral but arrive
 # with floating-point dust (e.g. 0.5*sqrt(64*ln e) = 4 + 1 ulp).
@@ -103,10 +94,10 @@ def _pmf_float(m: int, k: int) -> float:
 def binomial_upper_tail(m: int, k0: int) -> float:
     """Exact P(Binomial(m, 1/2) >= k0) to ~1e-13 relative error for m <= 10^6.
 
-    The tail is summed in the decreasing direction starting from a
-    high-precision pmf value, advancing by the exact ratio recurrence
-    pmf(k+1) = pmf(k) (m-k)/(k+1) and totalled with compensated summation;
-    a block's suffix below 2^-110 of its first term is left out.
+    The tail is summed in the decreasing direction from one high-precision
+    pmf value, advancing by the exact ratio recurrence
+    pmf(k+1) = pmf(k) (m-k)/(k+1) over at most 6 isqrt(m) + 7 terms (the
+    rest lie below 2^-104 of the first) and totalled with `math.fsum`.
     k0 may lie outside [0, m]; the lower half is handled through the
     symmetry complement so the summed tail is always the short one.
     """
@@ -121,28 +112,14 @@ def binomial_upper_tail(m: int, k0: int) -> float:
         return 1.0 - binomial_upper_tail(m, m - k0 + 1)
 
     term = _pmf_float(m, k0)
-    if term == 0.0:
-        return 0.0
-    pieces = [term]
-    total = term
-    k = k0
-    while k < m:
-        hi = min(m, k + _RESTART)
-        ks = np.arange(k, hi, dtype=np.float64)
-        block = term * np.cumprod((m - ks) / (ks + 1.0))
-        total += float(block.sum())
-        term = float(block[-1])
-        cut = block[0] * _NEGLIGIBLE
-        # The terms decrease, so the kept ones are a prefix; a cut block's
-        # last term is below total * 1e-18, so the stop below ends the loop.
-        keep = block if term >= cut else block[: np.count_nonzero(block >= cut)]
-        pieces.extend(keep.tolist())
-        k = hi
-        if term < total * 1e-18:
-            break
-        term = _pmf_float(m, k)  # restart to cap rounding accumulation
-        pieces[-1] = term
-    return math.fsum(pieces)
+    # With k0 > m/2, step i leaves from k >= m/2 + i + 1/2, where the ratio
+    # (m-k)/(k+1) is below (1-y)/(1+y) <= e^{-2y} for y = 2(k - m/2)/m; so the
+    # term j steps on is below e^{-2j^2/m} of the first.  Past 6 sqrt(m) steps
+    # that is under e^{-72} ~ 2^-104, so every later term, and their sum, is
+    # far below an ulp of the tail.
+    ks = np.arange(k0, min(m, k0 + 6 * math.isqrt(m) + 6), dtype=np.float64)
+    terms = term * np.cumprod((m - ks) / (ks + 1.0))
+    return math.fsum([term, *terms.tolist()])
 
 
 def binomial_upper_tail_exact(m: int, k0: int) -> Fraction:
@@ -211,19 +188,15 @@ def imbalance_prob_exact(m: int) -> Fraction:
     return binomial_upper_tail_exact(m, imbalance_threshold(m))
 
 
-def min_imbalance_prob(m_max: int) -> tuple[int, float]:
-    """Exhaustive minimum of the sqrt(m)-imbalance probability over 1 <= m <= m_max.
+def _imbalance_probs(m_max: int):
+    """Yield (m, k0, P(Z >= k0)) for 1 <= m <= m_max, with k0 = imbalance_threshold(m).
 
-    Each m's probability is the correctly rounded exact value: the tail count
-    is carried from m to m + 1 in integers by Pascal's rule.  Returns the
-    first minimiser.  The minimum is 7/64, attained at m = 6; the limit as m
-    grows is the Gaussian survival value at 1 (about 0.1587).
+    Each probability is the correctly rounded exact value: the tail count is
+    carried from m to m + 1 in integers by Pascal's rule.
     """
-    if m_max < 6:
-        raise ValueError(f"m_max must be at least 6, got {m_max!r}")
     # At m: k = imbalance_threshold(m), c = C(m, k), tail = sum_{j >= k} C(m, j).
     k = c = tail = 1
-    best_m, best_p = 1, tail / 2
+    yield 1, k, tail / 2
     for m in range(1, m_max):
         prev = c * k // (m - k + 1)  # C(m, k-1), an exact division
         tail = 2 * tail + prev  # Pascal's rule, summed over j >= k
@@ -233,10 +206,21 @@ def min_imbalance_prob(m_max: int) -> tuple[int, float]:
             tail -= c
             c = c * (m + 1 - k) // (k + 1)
             k += 1
-        p = tail / (1 << (m + 1))
-        if p < best_p:
-            best_m, best_p = m + 1, p
-    return best_m, best_p
+        yield m + 1, k, tail / (1 << (m + 1))
+
+
+def min_imbalance_prob(m_max: int) -> tuple[int, float]:
+    """Exhaustive minimum of the sqrt(m)-imbalance probability over 1 <= m <= m_max.
+
+    Each m's probability is the correctly rounded exact value from
+    `_imbalance_probs`.  Returns the first minimiser.  The minimum is 7/64,
+    attained at m = 6; the limit as m grows is the Gaussian survival value
+    at 1 (about 0.1587).
+    """
+    if m_max < 6:
+        raise ValueError(f"m_max must be at least 6, got {m_max!r}")
+    m, _, p = min(_imbalance_probs(m_max), key=lambda row: row[2])
+    return m, p
 
 
 def deviation_count_threshold(m: int, C: float, K: int) -> int:

@@ -35,10 +35,8 @@ __all__ = [
     "Strategy",
     "ShiftedDeviationReport",
     "expected_losses",
-    "expected_loss",
     "bayesian_strategy",
     "total_losses",
-    "total_loss",
     "regret_tail",
     "shifted_sequence",
     "shifted_deviation_check",
@@ -210,14 +208,6 @@ def expected_losses(tree: ProbabilityTree, loss: LossSpec, n: int, d: int) -> np
     return stacks[n - 1][d]
 
 
-def expected_loss(tree: ProbabilityTree, loss: LossSpec, n: int, d: int, node: int) -> float:
-    """Conditional expected loss of decision d at one depth-n node."""
-    vals = expected_losses(tree, loss, n, d)
-    if not 0 <= node < len(vals):
-        raise ValueError(f"node index must lie in [0, {len(vals)}), got {node}")
-    return float(vals[node])
-
-
 def bayesian_strategy(tree: ProbabilityTree, loss: LossSpec) -> Strategy:
     """Per node, the first decision minimizing conditional expected loss.
 
@@ -232,14 +222,6 @@ def bayesian_strategy(tree: ProbabilityTree, loss: LossSpec) -> Strategy:
 def total_losses(tree: ProbabilityTree, loss: LossSpec, strategy: Strategy) -> np.ndarray:
     """Realized N-step total loss per depth-(N+K) node (read-only)."""
     return _problem(tree, loss).realized(loss, strategy)[2]
-
-
-def total_loss(tree: ProbabilityTree, loss: LossSpec, strategy: Strategy, leaf: int) -> float:
-    """Total loss along the path to one depth-(N+K) node."""
-    totals = total_losses(tree, loss, strategy)
-    if not 0 <= leaf < len(totals):
-        raise ValueError(f"leaf index must lie in [0, {len(totals)}), got {leaf}")
-    return float(totals[leaf])
 
 
 def _regret(tree: ProbabilityTree, loss: LossSpec, alt: Strategy) -> np.ndarray:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from kstep_lln.bounds import gaussian_survival
 from kstep_lln.cli import EXIT_OK, EXIT_TREEFILE, EXIT_USAGE, EXIT_VERIFY, main
-from kstep_lln.constructions import binomial_upper_tail
+from kstep_lln.constructions import binomial_upper_tail, imbalance_prob_exact
 from kstep_lln.decision import DecisionSpace, LossSpec
 from kstep_lln.treefile import TreeBundle, bundle_to_dict, save_tree
 from kstep_lln.trees import random_tree
@@ -158,6 +158,14 @@ class TestScan:
         for r in rows:
             assert float(r["gap_to_limit"]) == float(r["probability"]) - 0.15865525393145707
         assert gaussian_survival(1.0) == 0.15865525393145707
+
+    def test_imbalance_curve_is_correctly_rounded(self, capsys):
+        code, out, _ = run(capsys, "scan", "--what", "imbalance", "--m-max", "300")
+        assert code == EXIT_OK
+        rows = records(out)[1]
+        assert [float(r["probability"]) for r in rows] == [
+            float(imbalance_prob_exact(m)) for m in range(1, 301)
+        ]
 
     def test_dominance(self, capsys):
         code, out, _ = run(capsys, "scan", "--what", "dominance")
@@ -322,6 +330,12 @@ class TestErrorPath:
              "m_max must be at least 1, got 0"),
             (["scan", "--what", "imbalance", "--m-max=-5"],
              "m_max must be at least 1, got -5"),
+            (["--format", "json", "verify-all", "--quick"],
+             "verify-all prints text and writes its criterion CSVs with --artifact-dir; "
+             "it takes no --format json or --output"),
+            (["--output", "x.json", "verify-all", "--quick"],
+             "verify-all prints text and writes its criterion CSVs with --artifact-dir; "
+             "it takes no --format json or --output"),
         ],
     )
     def test_invalid_parameter_exits_with_usage_error(self, capsys, argv, message):

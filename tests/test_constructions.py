@@ -83,6 +83,30 @@ class TestBinomialUpperTail:
             0.15865513294604034842, rel=1e-12
         )
 
+    def test_long_windows_match_40_digit_references(self):
+        # For even m, P(Z >= m/2 + 1) = (1 - C(m, m/2) / 2^m) / 2, evaluated
+        # independently with mpmath to 40 digits.  Each window runs more than
+        # 5000 ratio steps from its single start.
+        refs = {
+            900_000: 0.4995794780298083146023569949967643356169,
+            10**6: 0.4996010578193341249554563772015435027011,
+            10**7: 0.4998738433770529076106888919996325742410,
+        }
+        for m, ref in refs.items():
+            assert binomial_upper_tail(m, m // 2 + 1) == pytest.approx(ref, rel=1e-13), m
+
+    @pytest.mark.parametrize("m, k0", [(40, 30), (1200, 601), (900_000, 450_001), (10**6, 500_001)])
+    def test_one_pmf_start_per_tail(self, monkeypatch, m, k0):
+        starts = []
+
+        def counted(*args):
+            starts.append(args)
+            return _pmf_float(*args)
+
+        monkeypatch.setattr(constructions, "_pmf_float", counted)
+        binomial_upper_tail(m, k0)
+        assert starts == [(m, k0)]
+
     @pytest.mark.parametrize("side", [0, 1])
     def test_both_sides_of_the_integer_start_match_40_digit_references(self, side):
         m = _COMB_MAX + side

@@ -18,13 +18,11 @@ from kstep_lln.decision import (
     Strategy,
     adversarial_strategy,
     bayesian_strategy,
-    expected_loss,
     expected_losses,
     random_strategy,
     regret_tail,
     shifted_deviation_check,
     shifted_sequence,
-    total_loss,
     total_losses,
 )
 from kstep_lln.trees import ProbabilityTree, exact_tail, random_tree
@@ -117,7 +115,7 @@ class TestExpectedLoss:
         loss = LossSpec(
             space=DecisionSpace(("a",)), horizon=1, tables=((np.array([1.0, 0.0, 0.4]),),)
         )
-        assert expected_loss(tree, loss, 1, 0, node=0) == pytest.approx(0.4, abs=1e-15)
+        assert expected_losses(tree, loss, 1, 0)[0] == pytest.approx(0.4, abs=1e-15)
 
     def test_index_validation(self):
         tree = uniform_binary_tree(2)
@@ -126,8 +124,6 @@ class TestExpectedLoss:
             expected_losses(tree, loss, 2, 0)
         with pytest.raises(ValueError):
             expected_losses(tree, loss, 1, 5)
-        with pytest.raises(ValueError):
-            expected_loss(tree, loss, 1, 0, node=99)
 
 
 class TestBayesianStrategy:
@@ -219,7 +215,7 @@ class TestTotalLoss:
             tables=((np.array([0.25, 0.5, 0.75, 1.0]),),),
         )
         strat = Strategy(choices=(np.zeros(2, int),))
-        assert total_loss(tree, loss, strat, leaf=0) == 0.25
+        assert total_losses(tree, loss, strat)[0] == 0.25
 
     def test_two_step_table_lookups_by_hand(self):
         tree = uniform_binary_tree(3)
@@ -234,14 +230,7 @@ class TestTotalLoss:
         # Step 1 decision at node 1 is 1, loss read at depth-2 node 2;
         # step 2 decision at node 2 is 0, loss read at depth-3 node 5.
         expected = t1[1][2] + t2[0][5]
-        assert total_loss(tree, loss, strat, leaf=5) == pytest.approx(expected, abs=1e-15)
-
-    def test_leaf_range_check(self):
-        tree = uniform_binary_tree(2)
-        loss = random_loss(tree, 1, 1, 2, seed=3)
-        strat = Strategy(choices=(np.zeros(2, int),))
-        with pytest.raises(ValueError):
-            total_loss(tree, loss, strat, leaf=4)
+        assert total_losses(tree, loss, strat)[5] == pytest.approx(expected, abs=1e-15)
 
     @given(st.integers(0, 5000))
     @settings(max_examples=50, deadline=None)

@@ -7,10 +7,11 @@ sequence bounded by 1, whose upper tail is controlled by
     P(|S| >= 4 sqrt(K (N+K) ln(1/eps))) < eps        for eps in (0, 0.7),
 
 and nearly matched from below by block-sign constructions (see the
-`constructions` module).  The proof route goes marginal Hoeffding tails ->
-worst-case-dependence aggregation of K interleaved sums -> a Gaussian
-survival bound, and each link in that chain is exposed as its own function
-so it can be checked numerically.
+`constructions` module).  The proof route goes worst-case-dependence
+aggregation of the marginal Hoeffding tails of K interleaved sums (rate
+K/(2N), set in `AggregationParams.from_horizon`) -> a Gaussian survival
+bound -> the epsilon-cutoff condition, and each link in that chain is
+exposed as its own function so it can be checked numerically.
 """
 
 from __future__ import annotations
@@ -25,14 +26,12 @@ __all__ = [
     "LowerBoundParams",
     "ThresholdCheck",
     "deviation_threshold",
-    "hoeffding_marginal_tail",
     "gaussian_survival",
     "feller_upper",
     "aggregation_objective",
     "aggregation_bound",
     "midpoint_bound",
     "suitable_x_check",
-    "coefficient_feasible",
     "mv_threshold",
     "kr_threshold",
     "mv_lower_bound",
@@ -85,7 +84,11 @@ class AggregationParams:
 
     @classmethod
     def from_horizon(cls, C: float, N: int, K: int) -> "AggregationParams":
-        """Aggregation parameters for an N-step problem: a = K/(2N) exactly."""
+        """Aggregation parameters for an N-step problem: a = K/(2N) exactly.
+
+        Each of the K interleaved sums has N/K increments bounded by 2 in
+        magnitude, so Hoeffding gives its tail exp(-C^2 K / (2N)).
+        """
         if N < 1 or K < 1:
             raise ValueError("N and K must be positive integers")
         return cls(C=C, K=K, a=K / (2.0 * N))
@@ -120,24 +123,6 @@ def deviation_threshold(p: HorizonParams) -> float:
             f"got {p.epsilon!r}"
         )
     return 4.0 * math.sqrt(p.K * (p.N + p.K) * math.log(1.0 / p.epsilon))
-
-
-def hoeffding_marginal_tail(C: float, N: int, K: int) -> float:
-    """Hoeffding tail exp(-C^2 K / (2N)) of one interleaved sum of N/K terms.
-
-    Each of the K interleaved sums has N/K increments bounded by 2 in
-    magnitude, hence the sub-Gaussian rate K/(2N).  Requires K | N; callers
-    with ragged N round up to ceil(N/K)*K first (the (N+K) factor in
-    `deviation_threshold` absorbs that rounding once and for all).
-    Nonpositive C yields the vacuous bound 1.
-    """
-    if N < 1 or K < 1:
-        raise ValueError("N and K must be positive integers")
-    if N % K != 0:
-        raise ValueError(f"N must be divisible by K at this level, got N={N}, K={K}")
-    if C <= 0:
-        return 1.0
-    return min(1.0, math.exp(-C * C * K / (2.0 * N)))
 
 
 def gaussian_survival(z: float) -> float:
@@ -261,23 +246,6 @@ def suitable_x_check(epsilon: float, x: float) -> bool:
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     return epsilon ** (x - 1.0) < x * math.log(1.0 / epsilon)
-
-
-def coefficient_feasible(c: float, epsilon: float) -> bool:
-    """Dimension-free sufficient check that coefficient c works at budget eps.
-
-    True iff 8 eps^(c^2/8 - 1) < c^2 ln(1/eps), which is equivalent to
-    `midpoint_bound` evaluated at C = c sqrt(K N ln(1/eps)) being below
-    eps/2 for every K and N.  Note this sufficient condition alone does
-    not certify coefficients near sqrt(2) on any epsilon range; it is a
-    feasibility checker, not a sharpness result.
-    """
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c!r}")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    q = c * c / 8.0
-    return 8.0 * epsilon ** (q - 1.0) < c * c * math.log(1.0 / epsilon)
 
 
 #: Tolerance for deciding that a floating-point quantity is an exact integer

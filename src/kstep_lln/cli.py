@@ -15,7 +15,7 @@ import sys
 
 from . import bounds, constructions
 from .decision import adversarial_strategy, bayesian_strategy, random_strategy, regret_tail, shifted_deviation_check
-from .output import format_csv, format_json, write_output
+from .output import format_csv, format_json, make_output_dir, write_output
 from .sampling import _check_workers, block_deviation_sampler, mc_tail, tree_deviation_sampler
 from .treefile import TreeFileError, load_tree
 from .trees import exact_tail
@@ -226,6 +226,10 @@ def cmd_verify_all(args) -> int:
     if args.format == "json" or args.output is not None:
         raise CliError("verify-all prints text and writes its criterion CSVs with --artifact-dir; "
                        "it takes no --format json or --output")
+    _check_workers(args.workers)
+    # An unusable artifact directory fails here, not after the whole suite has run.
+    if args.artifact_dir:
+        make_output_dir(args.artifact_dir)
     results = run_all(quick=args.quick, seed=args.seed, workers=args.workers)
     for res in results:
         print(res.line())

@@ -16,7 +16,9 @@ import os
 import sys
 from pathlib import Path
 
-__all__ = ["format_cell", "format_csv", "format_json", "resolve_output_path", "write_output"]
+__all__ = [
+    "format_cell", "format_csv", "format_json", "make_output_dir", "resolve_output_path", "write_output",
+]
 
 #: Environment variable naming the default directory for emitted artifacts.
 OUTPUT_DIR_ENV = "KSTEP_LLN_OUTPUT_DIR"
@@ -62,10 +64,23 @@ def resolve_output_path(path: str | None) -> Path | None:
     return p
 
 
+def make_output_dir(path: str) -> None:
+    """Create directory `path`, resolved as `resolve_output_path` does; ValueError if it cannot be."""
+    target = resolve_output_path(path)
+    try:
+        target.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot write {target}: {exc}") from exc
+
+
 def write_output(text: str, path: str | None) -> None:
+    """Write `text` to `path` (stdout if None); an unwritable path is a ValueError."""
     target = resolve_output_path(path)
     if target is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {target}: {exc}") from exc

@@ -160,20 +160,6 @@ def _check_workers(workers: int) -> None:
         raise ValueError(f"workers must be at least 1, got {workers}")
 
 
-def _map_ordered(fn: Callable, items, workers: int) -> list:
-    """`fn(x)` for each x of `items`, in order; threaded when workers > 1 and items > 1.
-
-    A single item runs on the calling thread: a pool would only add the cost
-    and the scheduling delay of starting and joining a thread.
-    """
-    _check_workers(workers)
-    items = list(items)
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def mc_tail(
     sampler: Sampler,
     C: float,
@@ -188,6 +174,7 @@ def mc_tail(
     Results are identical for any `workers` value: each trial's draws are
     keyed by its own index, and only integer hit counts are merged.
     """
+    _check_workers(workers)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     event = _tail_event(C, sided)
@@ -203,7 +190,12 @@ def mc_tail(
             raise RuntimeError(f"sampler returned {len(dev)} values for {len(idx)} trials")
         return int(event(dev).sum())
 
-    hits = sum(_map_ordered(run_chunk, starts, workers))
+    if workers > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            hits = sum(pool.map(run_chunk, starts))
+    else:
+        # For a single chunk a pool would only add the cost of starting and joining a thread.
+        hits = sum(map(run_chunk, starts))
 
     lo, hi = clopper_pearson(hits, trials)
     return TailEstimate(

@@ -113,9 +113,6 @@ class ProbabilityTree:
             probs = probs[self.parents[d - 1]] * self.branch_probs[d - 1]
         return probs
 
-    def leaf_probabilities(self) -> np.ndarray:
-        return self.node_probabilities(self.depth)
-
 
 @dataclass(frozen=True)
 class AdaptedSequence:

@@ -9,7 +9,10 @@ Criteria 7-9 also emit CSV artifacts.  Their computations key every random
 choice off (master seed, criterion, instance), so rerunning with a
 different worker count reproduces the artifacts byte for byte.  Criterion
 10 checks exactly that: the artifacts this run wrote are reproduced at
-another worker count.
+another worker count.  The worker count sizes only the Monte Carlo chunk
+threads of criterion 8; criteria 7 and 9 build their rows in instance
+order on the calling thread, where threads over their many small numpy
+calls only contend for the GIL.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .decision import (
     shifted_deviation_check,
 )
 from .output import format_csv
-from .sampling import _check_workers, _map_ordered, block_deviation_sampler, derive_seed
+from .sampling import _check_workers, block_deviation_sampler, derive_seed
 from .sampling import mc_tail, tree_deviation_sampler
 from .trees import deviation_per_leaf, exact_tail, random_tree, verify_deviation_bound
 
@@ -177,38 +180,35 @@ def criterion_6_inverse_bound_instance(quick: bool = False, seed: int = DEFAULT_
     return _result(6, "inverse-bound-instance", passed, detail, t0)
 
 
-def _deviation_rows(n_trees: int, seed: int, workers: int) -> list[dict]:
+def _deviation_row(seed: int, i: int) -> dict:
+    """Criterion 7, instance i: a seeded random tree checked at its threshold."""
     eps_grid = (0.05, 0.3, 0.69)
-
-    def one(i: int) -> dict:
-        pick = np.random.default_rng(derive_seed(seed, 7, i))
-        depth = int(pick.integers(4, 11))
-        branching = int(pick.integers(2, 4))
-        lag = int(pick.integers(1, 4))
-        eps = float(eps_grid[int(pick.integers(0, len(eps_grid)))])
-        tree, seq = random_tree(depth, branching, derive_seed(seed, 7, i, 1))
-        check = verify_deviation_bound(tree, seq, lag, eps)
-        one_sided = exact_tail(tree, seq, lag, check.threshold, sided="upper")
-        return {
-            "instance": i,
-            "depth": depth,
-            "leaves": tree.node_counts[-1],
-            "K": lag,
-            "epsilon": eps,
-            "threshold": check.threshold,
-            "two_sided_tail": check.tail,
-            "one_sided_tail": one_sided,
-            "ok": bool(check.holds and one_sided < eps / 2.0),
-        }
-
-    return _map_ordered(one, range(n_trees), workers)
+    pick = np.random.default_rng(derive_seed(seed, 7, i))
+    depth = int(pick.integers(4, 11))
+    branching = int(pick.integers(2, 4))
+    lag = int(pick.integers(1, 4))
+    eps = float(eps_grid[int(pick.integers(0, len(eps_grid)))])
+    tree, seq = random_tree(depth, branching, derive_seed(seed, 7, i, 1))
+    check = verify_deviation_bound(tree, seq, lag, eps)
+    one_sided = exact_tail(tree, seq, lag, check.threshold, sided="upper")
+    return {
+        "instance": i,
+        "depth": depth,
+        "leaves": tree.node_counts[-1],
+        "K": lag,
+        "epsilon": eps,
+        "threshold": check.threshold,
+        "two_sided_tail": check.tail,
+        "one_sided_tail": one_sided,
+        "ok": bool(check.holds and one_sided < eps / 2.0),
+    }
 
 
 def criterion_7_deviation_suite(quick: bool = False, seed: int = DEFAULT_SEED, workers: int = 1):
     """Random trees never breach the two-sided bound, nor eps/2 one-sided."""
     t0 = time.perf_counter()
     n_trees = 100 if quick else 1000
-    rows = _deviation_rows(n_trees, seed, workers)
+    rows = [_deviation_row(seed, i) for i in range(n_trees)]
     bad = [r for r in rows if not r["ok"]]
     csv = format_csv(
         rows,
@@ -275,70 +275,67 @@ def criterion_8_mc_coverage(quick: bool = False, seed: int = DEFAULT_SEED, worke
     return _result(8, "mc-coverage", contained >= need, detail, t0, artifact=csv)
 
 
-def _corollary_rows(n_trees: int, seed: int, workers: int) -> list[dict]:
+def _corollary_row(seed: int, i: int) -> dict:
+    """Criterion 9, instance i: a seeded decision tree with random losses."""
     eps_grid = (0.1, 0.3, 0.69)
+    pick = np.random.default_rng(derive_seed(seed, 9, i))
+    n_steps = int(pick.integers(2, 5))
+    horizon = int(pick.integers(1, 3))
+    depth = n_steps + horizon
+    tree, _ = random_tree(depth, int(pick.integers(2, 4)), derive_seed(seed, 9, i, 1))
+    n_dec = int(pick.integers(2, 4))
+    space = DecisionSpace(labels=tuple(f"d{j}" for j in range(n_dec)))
+    counts = tree.node_counts
+    loss_rng = np.random.default_rng(derive_seed(seed, 9, i, 2))
+    tables = tuple(
+        tuple(loss_rng.uniform(0.0, 1.0, size=counts[n + horizon]) for _ in range(n_dec))
+        for n in range(1, n_steps + 1)
+    )
+    loss = LossSpec(space=space, horizon=horizon, tables=tables)
+    if i % 2 == 0:
+        alt = random_strategy(tree, loss, derive_seed(seed, 9, i, 3))
+        alt_kind = "random"
+    else:
+        alt = adversarial_strategy(tree, loss)
+        alt_kind = "adversarial"
 
-    def one(i: int) -> dict:
-        pick = np.random.default_rng(derive_seed(seed, 9, i))
-        n_steps = int(pick.integers(2, 5))
-        horizon = int(pick.integers(1, 3))
-        depth = n_steps + horizon
-        tree, _ = random_tree(depth, int(pick.integers(2, 4)), derive_seed(seed, 9, i, 1))
-        n_dec = int(pick.integers(2, 4))
-        space = DecisionSpace(labels=tuple(f"d{j}" for j in range(n_dec)))
-        counts = tree.node_counts
-        loss_rng = np.random.default_rng(derive_seed(seed, 9, i, 2))
-        tables = tuple(
-            tuple(loss_rng.uniform(0.0, 1.0, size=counts[n + horizon]) for _ in range(n_dec))
-            for n in range(1, n_steps + 1)
+    bayes = bayesian_strategy(tree, loss)
+    dominance_ok = True
+    for n in range(1, n_steps + 1):
+        per_d = np.stack([expected_losses(tree, loss, n, d) for d in range(n_dec)])
+        chosen = per_d[bayes.choices[n - 1], np.arange(counts[n])]
+        if np.any(chosen > per_d.min(axis=0) + 1e-12):
+            dominance_ok = False
+    shift = shifted_deviation_check(tree, loss, alt)
+    regret_ok = True
+    worst_margin = math.inf
+    for eps in eps_grid:
+        thr = bounds.deviation_threshold(
+            bounds.HorizonParams(N=n_steps, K=horizon, epsilon=eps)
         )
-        loss = LossSpec(space=space, horizon=horizon, tables=tables)
-        if i % 2 == 0:
-            alt = random_strategy(tree, loss, derive_seed(seed, 9, i, 3))
-            alt_kind = "random"
-        else:
-            alt = adversarial_strategy(tree, loss)
-            alt_kind = "adversarial"
-
-        bayes = bayesian_strategy(tree, loss)
-        dominance_ok = True
-        for n in range(1, n_steps + 1):
-            per_d = np.stack([expected_losses(tree, loss, n, d) for d in range(n_dec)])
-            chosen = per_d[bayes.choices[n - 1], np.arange(counts[n])]
-            if np.any(chosen > per_d.min(axis=0) + 1e-12):
-                dominance_ok = False
-        shift = shifted_deviation_check(tree, loss, alt)
-        regret_ok = True
-        worst_margin = math.inf
-        for eps in eps_grid:
-            thr = bounds.deviation_threshold(
-                bounds.HorizonParams(N=n_steps, K=horizon, epsilon=eps)
-            )
-            tail = regret_tail(tree, loss, alt, thr)
-            worst_margin = min(worst_margin, eps / 2.0 - tail)
-            if not tail < eps / 2.0:
-                regret_ok = False
-        return {
-            "instance": i,
-            "steps": n_steps,
-            "K": horizon,
-            "decisions": n_dec,
-            "alt": alt_kind,
-            "dominance_ok": dominance_ok,
-            "shift_ok": shift.passed,
-            "regret_ok": regret_ok,
-            "worst_margin": worst_margin,
-            "ok": bool(dominance_ok and shift.passed and regret_ok),
-        }
-
-    return _map_ordered(one, range(n_trees), workers)
+        tail = regret_tail(tree, loss, alt, thr)
+        worst_margin = min(worst_margin, eps / 2.0 - tail)
+        if not tail < eps / 2.0:
+            regret_ok = False
+    return {
+        "instance": i,
+        "steps": n_steps,
+        "K": horizon,
+        "decisions": n_dec,
+        "alt": alt_kind,
+        "dominance_ok": dominance_ok,
+        "shift_ok": shift.passed,
+        "regret_ok": regret_ok,
+        "worst_margin": worst_margin,
+        "ok": bool(dominance_ok and shift.passed and regret_ok),
+    }
 
 
 def criterion_9_corollary_suite(quick: bool = False, seed: int = DEFAULT_SEED, workers: int = 1):
     """Bayesian dominance, the shifted-sequence checks, and the regret tail bound."""
     t0 = time.perf_counter()
     n_trees = 60 if quick else 500
-    rows = _corollary_rows(n_trees, seed, workers)
+    rows = [_corollary_row(seed, i) for i in range(n_trees)]
     bad = [r for r in rows if not r["ok"]]
     csv = format_csv(
         rows,

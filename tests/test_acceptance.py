@@ -6,6 +6,7 @@ also backs `kstep-lln verify-all --full`.
 
 import csv
 import dataclasses
+import threading
 
 import pytest
 
@@ -97,6 +98,22 @@ def test_criterion_10_thread_count_determinism(seed, criterion_7, criterion_8, c
         verify.criterion_10_determinism([criterion_7, criterion_8, criterion_9], quick=False, seed=seed)
     )
     assert result.detail == "criteria 7-9 rerun with 1 vs 3 workers: byte-identical = [True, True, True]"
+
+
+def test_criteria_7_and_9_build_rows_on_the_calling_thread(seed, monkeypatch):
+    # the worker count sizes only the Monte Carlo chunk pool of criterion 8
+    threads = []
+    random_tree = verify.random_tree
+
+    def recording(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return random_tree(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "random_tree", recording)
+    verify.criterion_7_deviation_suite(quick=True, seed=seed, workers=3)
+    verify.criterion_9_corollary_suite(quick=True, seed=seed, workers=3)
+    assert len(threads) == 100 + 60
+    assert set(threads) == {threading.get_ident()}
 
 
 def test_criterion_10_fails_on_one_changed_artifact_byte(seed):

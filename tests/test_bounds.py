@@ -12,10 +12,8 @@ from kstep_lln.bounds import (
     LowerBoundParams,
     aggregation_bound,
     aggregation_objective,
-    coefficient_feasible,
     feller_upper,
     gaussian_survival,
-    hoeffding_marginal_tail,
     kr_threshold,
     midpoint_bound,
     mv_lower_bound,
@@ -62,27 +60,6 @@ class TestDeviationThreshold:
             assert all(a < b for a, b in zip(ks, ks[1:]))
             es = [deviation_threshold(HorizonParams(N, 2, e)) for e in (0.05, 0.2, 0.5, 0.69)]
             assert all(a > b for a, b in zip(es, es[1:]))
-
-
-class TestHoeffdingMarginalTail:
-    def test_vacuous_at_zero_deviation(self):
-        assert hoeffding_marginal_tail(0.0, 10, 2) == 1.0
-        assert hoeffding_marginal_tail(-3.0, 10, 2) == 1.0
-
-    def test_unit_exponent(self):
-        for N, K in ((10, 2), (12, 3), (7, 1)):
-            C = math.sqrt(2 * N / K)
-            assert hoeffding_marginal_tail(C, N, K) == pytest.approx(math.exp(-1), rel=1e-14)
-
-    def test_by_hand(self):
-        assert hoeffding_marginal_tail(4.0, 8, 2) == pytest.approx(math.exp(-2), rel=1e-14)
-
-    def test_requires_divisibility(self):
-        with pytest.raises(ValueError, match="divisible"):
-            hoeffding_marginal_tail(1.0, 10, 3)
-
-    def test_clamped_to_unit_interval(self):
-        assert 0.0 <= hoeffding_marginal_tail(0.1, 1000, 1) <= 1.0
 
 
 class TestGaussianSurvival:
@@ -264,25 +241,6 @@ class TestSuitableXCheck:
     @settings(max_examples=200)
     def test_holds_below_cutoff_with_x_two(self, eps):
         assert suitable_x_check(eps, 2.0)
-
-
-class TestCoefficientFeasible:
-    def test_coefficient_four_matches_x_two_reduction(self):
-        assert coefficient_feasible(4.0, 0.5)
-        assert not coefficient_feasible(4.0, 0.71)
-
-    def test_sqrt_two_not_certified_by_this_check(self):
-        # 8 * 0.01^(-3/4) ~ 253 is far above 2 ln 100 ~ 9.2; the simple
-        # sufficient condition cannot certify coefficients near sqrt(2).
-        assert not coefficient_feasible(math.sqrt(2), 0.01)
-
-    def test_agrees_with_midpoint_discharge(self):
-        for c in (3.0, 4.0, 5.0):
-            for eps in (0.05, 0.3, 0.6):
-                feasible = coefficient_feasible(c, eps)
-                for K, N in ((1, 10), (3, 30), (5, 200)):
-                    C = c * math.sqrt(K * N * math.log(1 / eps))
-                    assert (midpoint_bound(C, K, N) < eps / 2) == feasible
 
 
 class TestThresholdCheck:

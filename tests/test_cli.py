@@ -336,9 +336,19 @@ class TestErrorPath:
             (["--output", "x.json", "verify-all", "--quick"],
              "verify-all prints text and writes its criterion CSVs with --artifact-dir; "
              "it takes no --format json or --output"),
+            (["bound", "--N", "10", "--K", "1", "--epsilon", "0.1", "--output", "TMP"],
+             "cannot write TMP: [Errno 21] Is a directory: 'TMP'"),
+            (["bound", "--N", "10", "--K", "1", "--epsilon", "0.1", "--output", "TMP/file/x.csv"],
+             "cannot write TMP/file/x.csv: [Errno 17] File exists: 'TMP/file'"),
+            (["verify-all", "--quick", "--artifact-dir", "TMP/file"],
+             "cannot write TMP/file: [Errno 17] File exists: 'TMP/file'"),
         ],
     )
-    def test_invalid_parameter_exits_with_usage_error(self, capsys, argv, message):
+    def test_invalid_parameter_exits_with_usage_error(self, capsys, tmp_path, argv, message):
+        # TMP is an existing directory holding one regular file, TMP/file.
+        (tmp_path / "file").write_text("")
+        argv = [a.replace("TMP", str(tmp_path)) for a in argv]
+        message = message.replace("TMP", str(tmp_path))
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE
         assert out == ""

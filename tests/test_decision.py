@@ -158,7 +158,7 @@ class TestBayesianStrategy:
         cond = {
             n: np.stack([expected_losses(tree, loss, n, d) for d in (0, 1)]) for n in (1, 2)
         }
-        probs = tree.leaf_probabilities()
+        probs = tree.node_probabilities(tree.depth)
         bayes_expected_total = float(np.dot(probs, total_losses(tree, loss, bayes)))
         counts = tree.node_counts
         for bits1 in itertools.product((0, 1), repeat=counts[1]):

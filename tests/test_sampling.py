@@ -93,6 +93,18 @@ class TestClopperPearson:
         )
         assert out.stdout.strip() == "False"
 
+    def test_submodule_imports_load_only_their_dependencies(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = (
+            "import sys, kstep_lln.bounds; print(*(m in sys.modules for m in ('numpy', 'scipy', 'mpmath')));"
+            "import kstep_lln.trees; print('scipy' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={"PYTHONPATH": src}, timeout=60,
+        )
+        assert out.stdout.splitlines() == ["False False False", "False"]
+
 
 class TestTailEstimate:
     def test_interval_must_contain_point(self):

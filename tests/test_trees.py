@@ -59,8 +59,8 @@ class TestProbabilityTree:
         assert tree.depth == 2
         assert tree.node_counts == (1, 2, 4)
         np.testing.assert_allclose(tree.node_probabilities(1), [0.25, 0.75])
-        np.testing.assert_allclose(tree.leaf_probabilities(), [0.125, 0.125, 0.075, 0.675])
-        assert math.fsum(tree.leaf_probabilities().tolist()) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(tree.node_probabilities(tree.depth), [0.125, 0.125, 0.075, 0.675])
+        assert math.fsum(tree.node_probabilities(tree.depth).tolist()) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("excess, ok", [(9e-13, False), (4e-13, True)])
     def test_leaf_total_backstops_per_parent_sums(self, excess, ok):
@@ -81,11 +81,11 @@ class TestProbabilityTree:
 
     def test_leaf_probabilities_are_cached_read_only(self):
         tree = two_level_tree()
-        assert tree.node_probabilities(2) is tree.leaf_probabilities()
-        for probs in (tree.node_probabilities(2), tree.leaf_probabilities()):
-            with pytest.raises(ValueError, match="read-only"):
-                probs[0] = 0.5
-        np.testing.assert_allclose(tree.leaf_probabilities(), [0.125, 0.125, 0.075, 0.675])
+        probs = tree.node_probabilities(2)
+        assert tree.node_probabilities(tree.depth) is probs
+        with pytest.raises(ValueError, match="read-only"):
+            probs[0] = 0.5
+        np.testing.assert_allclose(tree.node_probabilities(2), [0.125, 0.125, 0.075, 0.675])
 
 
 class TestAdaptedSequence:
@@ -187,7 +187,7 @@ class TestDeviationPerLeaf:
         tree, seq = block_process_tree(4, 2)
         dev = deviation_per_leaf(tree, seq, 2)
         assert sorted(dev.tolist()) == [-4.0, 0.0, 0.0, 4.0]
-        np.testing.assert_allclose(tree.leaf_probabilities(), np.full(4, 0.25))
+        np.testing.assert_allclose(tree.node_probabilities(tree.depth), np.full(4, 0.25))
 
     def test_computed_once_per_tree_and_lag_and_read_only(self, monkeypatch):
         import kstep_lln.trees as trees_mod
@@ -279,7 +279,7 @@ class TestExactTail:
         for n in range(1, seq.n_steps + 1):
             assert np.max(np.abs(conditional_expectation(tree, seq, n, lag))) < 1e-12
         sums = path_sums(tree, seq)
-        probs = tree.leaf_probabilities()
+        probs = tree.node_probabilities(tree.depth)
         for C in (0.1, 0.4, 0.9):
             expected = math.fsum(probs[np.abs(sums) >= C].tolist())
             assert exact_tail(tree, seq, lag, C) == pytest.approx(expected, abs=1e-12)
@@ -318,7 +318,7 @@ class TestGenerators:
     def test_random_tree_invariants(self, seed):
         # Construction runs the full validator; touch the leaf mass too.
         tree, seq = random_tree(depth=4, max_branching=3, seed=seed)
-        assert abs(math.fsum(tree.leaf_probabilities().tolist()) - 1.0) < 1e-9
+        assert abs(math.fsum(tree.node_probabilities(tree.depth).tolist()) - 1.0) < 1e-9
         assert seq.n_steps == tree.depth
 
     def test_random_tree_deterministic(self):

@@ -6,3 +6,6 @@ CLI (`kstep-lln`) and an acceptance suite (`kstep-lln verify-all`).
 """
 
 __version__ = "0.1.0"
+
+#: Master seed used by the CLI and the verification suite when none is given.
+DEFAULT_SEED = 1729

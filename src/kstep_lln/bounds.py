@@ -23,7 +23,6 @@ __all__ = [
     "EPSILON_CUTOFF",
     "HorizonParams",
     "AggregationParams",
-    "LowerBoundParams",
     "ThresholdCheck",
     "deviation_threshold",
     "gaussian_survival",
@@ -35,6 +34,7 @@ __all__ = [
     "mv_threshold",
     "kr_threshold",
     "mv_lower_bound",
+    "dominance_rows",
 ]
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -75,12 +75,12 @@ class AggregationParams:
     a: float
 
     def __post_init__(self) -> None:
-        if not self.C > 0:
-            raise ValueError(f"deviation level C must be positive, got {self.C!r}")
+        if not 0 < self.C < math.inf:
+            raise ValueError(f"deviation level C must be positive and finite, got {self.C!r}")
         if not isinstance(self.K, int) or self.K < 1:
             raise ValueError(f"K must be a positive integer, got {self.K!r}")
-        if not self.a > 0:
-            raise ValueError(f"rate a must be positive, got {self.a!r}")
+        if not 0 < self.a < math.inf:
+            raise ValueError(f"rate a must be positive and finite, got {self.a!r}")
 
     @classmethod
     def from_horizon(cls, C: float, N: int, K: int) -> "AggregationParams":
@@ -92,14 +92,6 @@ class AggregationParams:
         if N < 1 or K < 1:
             raise ValueError("N and K must be positive integers")
         return cls(C=C, K=K, a=K / (2.0 * N))
-
-
-@dataclass(frozen=True)
-class LowerBoundParams:
-    """Binomial large-deviation lower bound inputs: m fair signs, deviation t."""
-
-    m: int
-    t: int
 
 
 @dataclass(frozen=True)
@@ -132,8 +124,8 @@ def gaussian_survival(z: float) -> float:
 
 def feller_upper(z: float) -> float:
     """Classic upper bound phi(z)/z for the Gaussian survival function, z > 0."""
-    if z <= 0:
-        raise ValueError(f"z must be positive, got {z!r}")
+    if not 0 < z < math.inf:
+        raise ValueError(f"z must be positive and finite, got {z!r}")
     return math.exp(-0.5 * z * z) / (z * SQRT_2PI)
 
 
@@ -229,8 +221,8 @@ def midpoint_bound(C: float, K: int, N: int) -> float:
     with rate a = K/(2N), further relaxed through `feller_upper`; it
     dominates `aggregation_bound(relaxed=True)` for those parameters.
     """
-    if C <= 0:
-        raise ValueError(f"C must be positive, got {C!r}")
+    if not 0 < C < math.inf:
+        raise ValueError(f"C must be positive and finite, got {C!r}")
     if N < 1 or K < 1:
         raise ValueError("N and K must be positive integers")
     q = C * C / (K * N)
@@ -290,18 +282,40 @@ def kr_threshold(p: HorizonParams) -> float:
     return 0.6 * math.sqrt(p.K * p.N * math.log(1.0 / (4.3 * p.epsilon)))
 
 
-def mv_lower_bound(lb: LowerBoundParams) -> float:
+def mv_lower_bound(m: int, t: int) -> float:
     """Binomial large-deviation lower bound (1/15) exp(-16 t^2 / m).
 
     Valid for even m and integer t in [0, m/8]; P(Z >= m/2 + t) is at
     least this value for Z ~ Binomial(m, 1/2).
     """
-    if not isinstance(lb.m, int) or lb.m < 1:
-        raise ValueError(f"m must be a positive integer, got {lb.m!r}")
-    if lb.m % 2 != 0:
-        raise ValueError(f"m must be even, got {lb.m}")
-    if not isinstance(lb.t, int):
-        raise ValueError(f"t must be an integer, got {lb.t!r}")
-    if lb.t < 0 or 8 * lb.t > lb.m:
-        raise ValueError(f"t must lie in [0, m/8] = [0, {lb.m / 8}], got {lb.t}")
-    return math.exp(-16.0 * lb.t * lb.t / lb.m) / 15.0
+    if not isinstance(m, int) or m < 1:
+        raise ValueError(f"m must be a positive integer, got {m!r}")
+    if m % 2 != 0:
+        raise ValueError(f"m must be even, got {m}")
+    if not isinstance(t, int):
+        raise ValueError(f"t must be an integer, got {t!r}")
+    if t < 0 or 8 * t > m:
+        raise ValueError(f"t must lie in [0, m/8] = [0, {m / 8}], got {t}")
+    return math.exp(-16.0 * t * t / m) / 15.0
+
+
+def dominance_rows(ks, ms, ratios) -> list[dict]:
+    """One row per grid point: the exact <= relaxed <= midpoint chain at N = K m, C = r sqrt(K N)."""
+    rows = []
+    for K in ks:
+        for m in ms:
+            N = K * m
+            for r in ratios:
+                C = r * math.sqrt(K * N)
+                ap = AggregationParams.from_horizon(C, N, K)
+                exact = aggregation_bound(ap, relaxed=False)
+                relaxed = aggregation_bound(ap, relaxed=True)
+                mid = midpoint_bound(C, K, N)
+                rows.append(
+                    {
+                        "N": N, "K": K, "C": C, "a": ap.a,
+                        "exact": exact, "relaxed": relaxed, "midpoint": mid,
+                        "chain_ok": exact <= relaxed + 1e-9 and relaxed <= mid + 1e-9,
+                    }
+                )
+    return rows

@@ -4,7 +4,9 @@ Exit codes: 0 success, 2 invalid command or parameter, 3 unreadable or
 inconsistent tree file, 4 falsified invariant or failed verification,
 1 unexpected internal error.  All commands are deterministic; the master
 seed defaults to 1729 and every emitted CSV records its resolved
-configuration on a leading comment line.
+configuration on a leading comment line.  Each command imports the layers
+it calls when it runs, so the pure-Python commands (`bound`, `invert` with
+--N/--K/--epsilon, `scan --what dominance`) load no numpy, scipy or mpmath.
 """
 
 from __future__ import annotations
@@ -13,13 +15,8 @@ import argparse
 import os
 import sys
 
-from . import bounds, constructions
-from .decision import adversarial_strategy, bayesian_strategy, random_strategy, regret_tail, shifted_deviation_check
+from . import DEFAULT_SEED, bounds
 from .output import format_csv, format_json, make_output_dir, write_output
-from .sampling import _check_workers, block_deviation_sampler, mc_tail, tree_deviation_sampler
-from .treefile import TreeFileError, load_tree
-from .trees import exact_tail
-from .verify import DEFAULT_SEED, dominance_rows, run_all
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -33,11 +30,11 @@ class CliError(Exception):
         self.code = code
 
 
-def _emit(rows, columns, config, args) -> None:
+def _emit(rows, config, args) -> None:
     if args.format == "json":
         write_output(format_json(rows, config), args.output)
     else:
-        write_output(format_csv(rows, columns, config), args.output)
+        write_output(format_csv(rows, config), args.output)
 
 
 def cmd_bound(args) -> int:
@@ -52,7 +49,7 @@ def cmd_bound(args) -> int:
         "midpoint_bound_at_threshold": bounds.midpoint_bound(threshold, p.K, p.N + p.K),
     }
     config = {"command": "bound", "N": p.N, "K": p.K, "epsilon": p.epsilon}
-    _emit([row], list(row), config, args)
+    _emit([row], config, args)
     return EXIT_OK
 
 
@@ -60,8 +57,10 @@ def cmd_invert(args) -> int:
     if args.m is not None or args.t is not None:
         if args.m is None or args.t is None:
             raise CliError("the binomial lower-bound query needs both --m and --t")
-        lower = bounds.mv_lower_bound(bounds.LowerBoundParams(m=args.m, t=args.t))
-        tail = constructions.binomial_upper_tail(args.m, args.m // 2 + args.t)
+        from .constructions import binomial_upper_tail
+
+        lower = bounds.mv_lower_bound(args.m, args.t)
+        tail = binomial_upper_tail(args.m, args.m // 2 + args.t)
         row = {
             "m": args.m,
             "t": args.t,
@@ -69,7 +68,7 @@ def cmd_invert(args) -> int:
             "exact_tail": tail,
             "slack": tail - lower,
         }
-        _emit([row], list(row), {"command": "invert", "m": args.m, "t": args.t}, args)
+        _emit([row], {"command": "invert", "m": args.m, "t": args.t}, args)
         return EXIT_OK
     if args.N is None or args.K is None or args.epsilon is None:
         raise CliError("invert needs --N, --K and --epsilon (or --m and --t)")
@@ -87,11 +86,13 @@ def cmd_invert(args) -> int:
     if 4.3 * p.epsilon < 1.0:
         row["kr_threshold"] = bounds.kr_threshold(p)
     config = {"command": "invert", "N": p.N, "K": p.K, "epsilon": p.epsilon}
-    _emit([row], list(row), config, args)
+    _emit([row], config, args)
     return EXIT_OK
 
 
 def cmd_construct(args) -> int:
+    from . import constructions
+
     config = {"command": "construct", "seed": args.seed}
     if args.min_imbalance:
         config["m_max"] = args.m_max
@@ -99,7 +100,7 @@ def cmd_construct(args) -> int:
         row = {"m_star": m_star, "p_star": p_star}
         if m_star <= 64:
             row["p_star_exact"] = str(constructions.imbalance_prob_exact(m_star))
-        _emit([row], list(row), config, args)
+        _emit([row], config, args)
         return EXIT_OK
     if args.imbalance is not None:
         config["m"] = args.imbalance
@@ -108,18 +109,24 @@ def cmd_construct(args) -> int:
             "count_threshold": constructions.imbalance_threshold(args.imbalance),
             "probability": constructions.imbalance_prob(args.imbalance),
         }
-        _emit([row], list(row), config, args)
+        _emit([row], config, args)
         return EXIT_OK
     if args.N is None or args.K is None:
         raise CliError("construct requires --min-imbalance, --imbalance M, or --N and --K")
     config.update({"N": args.N, "K": args.K})
     proc = constructions.sample_block_process(args.N, args.K, args.seed)
     rows = [{"step": n + 1, "value": v} for n, v in enumerate(proc.values)]
-    _emit(rows, ["step", "value"], config, args)
+    _emit(rows, config, args)
     return EXIT_OK
 
 
 def cmd_scan(args) -> int:
+    if args.what == "dominance":
+        rows = bounds.dominance_rows((1, 2, 3, 4, 5), (2, 4, 8, 16, 32), (0.5, 1.0, 2.0, 4.0, 8.0))
+        _emit(rows, {"command": "scan", "what": "dominance"}, args)
+        return EXIT_OK if all(r["chain_ok"] for r in rows) else EXIT_VERIFY
+    from . import constructions
+
     if args.what == "mv-audit":
         report = constructions.verify_mv_bound(args.m_max)
         rows = [
@@ -132,23 +139,20 @@ def cmd_scan(args) -> int:
                 "min_slack_t": report.min_slack_at[1],
             }
         ]
-        _emit(rows, list(rows[0]), {"command": "scan", "what": "mv-audit", "m_max": args.m_max}, args)
+        _emit(rows, {"command": "scan", "what": "mv-audit", "m_max": args.m_max}, args)
         return EXIT_OK if report.ok else EXIT_VERIFY
-    if args.what == "imbalance":
-        if args.m_max < 1:
-            raise CliError(f"m_max must be at least 1, got {args.m_max}")
-        limit = bounds.gaussian_survival(1.0)
-        rows = [{"m": m, "count_threshold": k, "probability": prob, "gap_to_limit": prob - limit}
-                for m, k, prob in constructions._imbalance_probs(args.m_max)]
-        _emit(rows, list(rows[0]), {"command": "scan", "what": "imbalance", "m_max": args.m_max}, args)
-        return EXIT_OK
-    rows = dominance_rows((1, 2, 3, 4, 5), (2, 4, 8, 16, 32), (0.5, 1.0, 2.0, 4.0, 8.0))
-    _emit(rows, ["N", "K", "C", "a", "exact", "relaxed", "midpoint", "chain_ok"],
-          {"command": "scan", "what": "dominance"}, args)
-    return EXIT_OK if all(r["chain_ok"] for r in rows) else EXIT_VERIFY
+    if args.m_max < 1:
+        raise CliError(f"m_max must be at least 1, got {args.m_max}")
+    limit = bounds.gaussian_survival(1.0)
+    rows = [{"m": m, "count_threshold": k, "probability": prob, "gap_to_limit": prob - limit}
+            for m, k, prob in constructions._imbalance_probs(args.m_max)]
+    _emit(rows, {"command": "scan", "what": "imbalance", "m_max": args.m_max}, args)
+    return EXIT_OK
 
 
 def _load_bundle(path: str):
+    from .treefile import TreeFileError, load_tree
+
     try:
         return load_tree(path)
     except TreeFileError as exc:
@@ -156,6 +160,10 @@ def _load_bundle(path: str):
 
 
 def cmd_simulate(args) -> int:
+    from .constructions import block_deviation_tail
+    from .sampling import _check_workers, block_deviation_sampler, mc_tail, tree_deviation_sampler
+    from .trees import exact_tail
+
     _check_workers(args.workers)
     config = {
         "command": "simulate", "K": args.K, "C": args.C, "sided": args.sided,
@@ -170,7 +178,7 @@ def cmd_simulate(args) -> int:
         sampler = tree_deviation_sampler(bundle.tree, bundle.sequence, args.K) if args.trials else None
     elif args.N is not None:
         config["N"] = args.N
-        exact = constructions.block_deviation_tail(args.N, args.K, args.C, sided=args.sided)
+        exact = block_deviation_tail(args.N, args.K, args.C, sided=args.sided)
         sampler = block_deviation_sampler(args.N, args.K) if args.trials else None
     else:
         raise CliError("simulate requires --tree-file or --N")
@@ -182,11 +190,14 @@ def cmd_simulate(args) -> int:
             trials=est.trials, p_hat=est.p_hat, ci_low=est.ci_low, ci_high=est.ci_high,
             ci_contains_exact=est.contains(exact),
         )
-    _emit([row], list(row), config, args)
+    _emit([row], config, args)
     return EXIT_OK
 
 
 def cmd_decide(args) -> int:
+    from .decision import adversarial_strategy, bayesian_strategy, random_strategy, regret_tail
+    from .decision import shifted_deviation_check
+
     bundle = _load_bundle(args.tree_file)
     if bundle.losses is None:
         raise CliError(f"tree file {args.tree_file} has no losses block", code=EXIT_TREEFILE)
@@ -216,7 +227,7 @@ def cmd_decide(args) -> int:
         "command": "decide", "tree_file": args.tree_file, "alt": args.alt,
         "epsilon": args.epsilon, "seed": args.seed,
     }
-    _emit([row], list(row), config, args)
+    _emit([row], config, args)
     if not shift.passed or not row["bound_holds"]:
         return EXIT_VERIFY
     return EXIT_OK
@@ -226,6 +237,9 @@ def cmd_verify_all(args) -> int:
     if args.format == "json" or args.output is not None:
         raise CliError("verify-all prints text and writes its criterion CSVs with --artifact-dir; "
                        "it takes no --format json or --output")
+    from .sampling import _check_workers
+    from .verify import run_all
+
     _check_workers(args.workers)
     # An unusable artifact directory fails here, not after the whole suite has run.
     if args.artifact_dir:

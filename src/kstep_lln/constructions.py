@@ -28,6 +28,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
+from .bounds import mv_lower_bound
+
 __all__ = [
     "BlockProcess",
     "MvAuditReport",
@@ -277,8 +279,6 @@ def verify_mv_bound(m_max: int) -> MvAuditReport:
     lower-bound constant pair (1/15, 16), so violations are collected rather
     than raised; `ok` reports the verdict.
     """
-    from .bounds import LowerBoundParams, mv_lower_bound
-
     if m_max < 8:
         raise ValueError(f"m_max must be at least 8, got {m_max!r}")
     violations = []
@@ -297,7 +297,7 @@ def verify_mv_bound(m_max: int) -> MvAuditReport:
                 window.append(count)
         for t, count in enumerate(reversed(window)):
             tail = count / (1 << m)
-            lower = mv_lower_bound(LowerBoundParams(m=m, t=t))
+            lower = mv_lower_bound(m, t)
             slack = tail - lower
             checked += 1
             if slack < min_slack:

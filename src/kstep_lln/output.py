@@ -1,11 +1,11 @@
 """CSV/JSON emission helpers shared by the CLI and the verification runner.
 
 CSV documents start with a comment line carrying the fully resolved
-configuration, then a header row.  A cell holding a comma, a quote, a
-line feed or a carriage return is quoted, so each row parses to as many
-fields as the header.  Rows end in a line feed.
-Floats are written with shortest round-trip repr so identical runs
-produce byte-identical artifacts.
+configuration, then a header row: the keys of the first row, which every
+row shares.  A cell holding a comma, a quote, a line feed or a carriage
+return is quoted, so each row parses to as many fields as the header.
+Rows end in a line feed.  Floats are written with shortest round-trip repr
+so identical runs produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -39,13 +39,14 @@ class _Lines(list):
         self.append(row[:-2])
 
 
-def format_csv(rows: list[dict], columns: list[str], config: dict) -> str:
+def format_csv(rows: list[dict], config: dict) -> str:
     # A writer ending rows with "\r\n" quotes cells holding either character;
     # the rows are then joined with "\n".
     lines = _Lines(["# config: " + json.dumps(config, sort_keys=True)])
     writer = csv.writer(lines, lineterminator="\r\n")
-    writer.writerow(columns)
-    writer.writerows([format_cell(row[c]) for c in columns] for row in rows)
+    header = list(rows[0])
+    writer.writerow(header)
+    writer.writerows([format_cell(row[c]) for c in header] for row in rows)
     return "\n".join(lines) + "\n"
 
 

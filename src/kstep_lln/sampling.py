@@ -9,7 +9,7 @@ the low m bits of its first ceil(m/64) 64-bit words, keyed by word index,
 and its +1 count is their popcount, summed one word column at a time so
 memory grows with the trial count only.  The tree sampler spends one
 uniform per trial on an inverse-CDF draw of a leaf from the tree's stored
-leaf probabilities.  Intervals are exact Clopper-Pearson, not
+leaf probabilities.  Intervals are exact 99% Clopper-Pearson, not
 normal-approximate, because small tail probabilities are precisely the
 quantity of interest.
 """
@@ -42,6 +42,8 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _CHUNK = 1 << 15
+#: Confidence level of every Monte Carlo interval.
+_CONFIDENCE = 0.99
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -76,13 +78,11 @@ def derive_seed(master_seed: int, *path: int) -> int:
     return key
 
 
-def clopper_pearson(hits: int, trials: int, confidence: float = 0.99) -> tuple[float, float]:
-    """Exact two-sided binomial confidence interval for hits out of trials."""
+def clopper_pearson(hits: int, trials: int) -> tuple[float, float]:
+    """Exact two-sided 99% binomial confidence interval for hits out of trials."""
     if trials < 1 or not 0 <= hits <= trials:
         raise ValueError(f"need 0 <= hits <= trials with trials >= 1, got {hits}/{trials}")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must lie in (0, 1), got {confidence!r}")
-    alpha = 1.0 - confidence
+    alpha = 1.0 - _CONFIDENCE
     # Beta quantiles, the same values as scipy.stats.beta.ppf without loading scipy.stats.
     lo = 0.0 if hits == 0 else float(betaincinv(hits, trials - hits + 1, alpha / 2.0))
     hi = 1.0 if hits == trials else float(betaincinv(hits + 1, trials - hits, 1.0 - alpha / 2.0))
@@ -99,8 +99,6 @@ class TailEstimate:
     ci_low: float
     ci_high: float
     hits: int
-    confidence: float = 0.99
-    method: str = "clopper_pearson"
 
     def __post_init__(self) -> None:
         if not self.ci_low <= self.p_hat <= self.ci_high:

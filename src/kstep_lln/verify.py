@@ -3,7 +3,10 @@
 Each criterion is a standalone function returning a `CriterionResult`; the
 CLI `verify-all` command and the test suite both run them.  The full tier
 runs at publication scale; the quick tier shrinks grids and trial counts
-(and, where a tolerance is tied to scale, relaxes it accordingly).
+(and, where a tolerance is tied to scale, relaxes it accordingly).  Each
+criterion takes only what it reads: criteria 3 and 6 take nothing, 1, 2, 4
+and 5 the tier (`quick`), 7 and 9 the tier and the master `seed`, and 8 and
+10 the worker count as well.
 
 Criteria 7-9 also emit CSV artifacts.  Their computations key every random
 choice off (master seed, criterion, instance), so rerunning with a
@@ -24,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import bounds, constructions
+from . import DEFAULT_SEED, bounds, constructions
 from .decision import (
     DecisionSpace,
     LossSpec,
@@ -40,10 +43,7 @@ from .sampling import _check_workers, block_deviation_sampler, derive_seed
 from .sampling import mc_tail, tree_deviation_sampler
 from .trees import deviation_per_leaf, exact_tail, random_tree, verify_deviation_bound
 
-__all__ = ["CriterionResult", "DEFAULT_SEED", "CRITERIA", "dominance_rows", "run_all"]
-
-#: Master seed used by the CLI when none is given.
-DEFAULT_SEED = 1729
+__all__ = ["CriterionResult", "DEFAULT_SEED", "run_all"]
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ def _result(number, name, passed, detail, t0, artifact=None) -> CriterionResult:
     return CriterionResult(number, name, passed, detail, time.perf_counter() - t0, artifact)
 
 
-def criterion_1_min_imbalance(quick: bool = False, seed: int = DEFAULT_SEED, workers: int = 1):
+def criterion_1_min_imbalance(quick: bool = False):
     """Smallest sqrt(m)-imbalance probability is 7/64, at m = 6."""
     t0 = time.perf_counter()
     m_max = 200 if quick else 10_000
@@ -74,11 +74,11 @@ def criterion_1_min_imbalance(quick: bool = False, seed: int = DEFAULT_SEED, wor
     # p_star is the correctly rounded exact tail, so check the float path here.
     rel = abs(constructions.imbalance_prob(m_star) - float(target)) / float(target)
     passed = m_star == 6 and exact == target and rel <= 1e-12
-    detail = f"min over m<={m_max} is {p_star!r} at m={m_star}; rational path {exact}; log-path rel err {rel:.2e}"
+    detail = f"min over m<={m_max} is {p_star!r} at m={m_star}; rational path {exact}; float-path rel err {rel:.2e}"
     return _result(1, "min-imbalance", passed, detail, t0)
 
 
-def criterion_2_imbalance_limit(quick: bool = False, seed: int = DEFAULT_SEED, workers: int = 1):
+def criterion_2_imbalance_limit(quick: bool = False):
     """Large-m imbalance probability approaches the Gaussian survival value at 1."""
     t0 = time.perf_counter()
     m, tol = (10_000, 0.005) if quick else (1_000_000, 0.002)
@@ -90,7 +90,7 @@ def criterion_2_imbalance_limit(quick: bool = False, seed: int = DEFAULT_SEED, w
     return _result(2, "imbalance-limit", passed, detail, t0)
 
 
-def criterion_3_epsilon_cutoff(quick: bool = False, seed: int = DEFAULT_SEED, workers: int = 1):
+def criterion_3_epsilon_cutoff():
     """The x = 2 closing condition holds on (0, 0.70] and fails at 0.71."""
     t0 = time.perf_counter()
     grid_ok = all(bounds.suitable_x_check(i / 100.0, 2.0) for i in range(1, 71))
@@ -100,29 +100,7 @@ def criterion_3_epsilon_cutoff(quick: bool = False, seed: int = DEFAULT_SEED, wo
     return _result(3, "epsilon-cutoff", passed, detail, t0)
 
 
-def dominance_rows(ks, ms, ratios) -> list[dict]:
-    """One row per grid point: the exact <= relaxed <= midpoint chain at N = K m, C = r sqrt(K N)."""
-    rows = []
-    for K in ks:
-        for m in ms:
-            N = K * m
-            for r in ratios:
-                C = r * math.sqrt(K * N)
-                ap = bounds.AggregationParams.from_horizon(C, N, K)
-                exact = bounds.aggregation_bound(ap, relaxed=False)
-                relaxed = bounds.aggregation_bound(ap, relaxed=True)
-                mid = bounds.midpoint_bound(C, K, N)
-                rows.append(
-                    {
-                        "N": N, "K": K, "C": C, "a": ap.a,
-                        "exact": exact, "relaxed": relaxed, "midpoint": mid,
-                        "chain_ok": exact <= relaxed + 1e-9 and relaxed <= mid + 1e-9,
-                    }
-                )
-    return rows
-
-
-def criterion_4_dominance_chain(quick: bool = False, seed: int = DEFAULT_SEED, workers: int = 1):
+def criterion_4_dominance_chain(quick: bool = False):
     """Exact <= relaxed <= midpoint on a parameter grid; midpoint discharge < eps/2."""
     t0 = time.perf_counter()
     ks = [1, 2, 3, 4, 5]
@@ -130,7 +108,7 @@ def criterion_4_dominance_chain(quick: bool = False, seed: int = DEFAULT_SEED, w
     ratios = [0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0]
     if quick:
         ks, ms, ratios = [1, 2, 4], [2, 8, 32], [0.5, 1.0, 3.0, 8.0]
-    rows = dominance_rows(ks, ms, ratios)
+    rows = bounds.dominance_rows(ks, ms, ratios)
     chain_bad = [r for r in rows if not r["chain_ok"]]
     discharge_bad = []
     for eps in (0.05, 0.2, 0.5, 0.69):
@@ -148,7 +126,7 @@ def criterion_4_dominance_chain(quick: bool = False, seed: int = DEFAULT_SEED, w
     return _result(4, "dominance-chain", passed, detail, t0)
 
 
-def criterion_5_mv_audit(quick: bool = False, seed: int = DEFAULT_SEED, workers: int = 1):
+def criterion_5_mv_audit(quick: bool = False):
     """Exact binomial tails dominate the (1/15, 16) lower bound everywhere."""
     t0 = time.perf_counter()
     m_max = 64 if quick else 200
@@ -160,7 +138,7 @@ def criterion_5_mv_audit(quick: bool = False, seed: int = DEFAULT_SEED, workers:
     return _result(5, "mv-audit", report.ok, detail, t0)
 
 
-def criterion_6_inverse_bound_instance(quick: bool = False, seed: int = DEFAULT_SEED, workers: int = 1):
+def criterion_6_inverse_bound_instance():
     """The worked inverse-bound instance: N=64, K=1, eps = e^-1/15."""
     t0 = time.perf_counter()
     eps = math.exp(-1.0) / 15.0
@@ -204,17 +182,13 @@ def _deviation_row(seed: int, i: int) -> dict:
     }
 
 
-def criterion_7_deviation_suite(quick: bool = False, seed: int = DEFAULT_SEED, workers: int = 1):
+def criterion_7_deviation_suite(quick: bool = False, seed: int = DEFAULT_SEED):
     """Random trees never breach the two-sided bound, nor eps/2 one-sided."""
     t0 = time.perf_counter()
     n_trees = 100 if quick else 1000
     rows = [_deviation_row(seed, i) for i in range(n_trees)]
     bad = [r for r in rows if not r["ok"]]
-    csv = format_csv(
-        rows,
-        ["instance", "depth", "leaves", "K", "epsilon", "threshold", "two_sided_tail", "one_sided_tail", "ok"],
-        {"criterion": 7, "trees": n_trees, "seed": seed},
-    )
+    csv = format_csv(rows, {"criterion": 7, "trees": n_trees, "seed": seed})
     detail = f"{n_trees} random trees, violations: {len(bad)}"
     return _result(7, "deviation-bound-suite", not bad, detail, t0, artifact=csv)
 
@@ -266,11 +240,7 @@ def criterion_8_mc_coverage(quick: bool = False, seed: int = DEFAULT_SEED, worke
     n_instances, trials, need = (12, 20_000, 11) if quick else (50, 100_000, 47)
     rows = _mc_rows(n_instances, trials, seed, workers)
     contained = sum(1 for r in rows if r["contained"])
-    csv = format_csv(
-        rows,
-        ["instance", "kind", "C", "exact", "p_hat", "ci_low", "ci_high", "contained"],
-        {"criterion": 8, "instances": n_instances, "trials": trials, "seed": seed},
-    )
+    csv = format_csv(rows, {"criterion": 8, "instances": n_instances, "trials": trials, "seed": seed})
     detail = f"{contained}/{n_instances} intervals contain the exact tail (need >= {need})"
     return _result(8, "mc-coverage", contained >= need, detail, t0, artifact=csv)
 
@@ -331,17 +301,13 @@ def _corollary_row(seed: int, i: int) -> dict:
     }
 
 
-def criterion_9_corollary_suite(quick: bool = False, seed: int = DEFAULT_SEED, workers: int = 1):
+def criterion_9_corollary_suite(quick: bool = False, seed: int = DEFAULT_SEED):
     """Bayesian dominance, the shifted-sequence checks, and the regret tail bound."""
     t0 = time.perf_counter()
     n_trees = 60 if quick else 500
     rows = [_corollary_row(seed, i) for i in range(n_trees)]
     bad = [r for r in rows if not r["ok"]]
-    csv = format_csv(
-        rows,
-        ["instance", "steps", "K", "decisions", "alt", "dominance_ok", "shift_ok", "regret_ok", "worst_margin", "ok"],
-        {"criterion": 9, "trees": n_trees, "seed": seed},
-    )
+    csv = format_csv(rows, {"criterion": 9, "trees": n_trees, "seed": seed})
     detail = f"{n_trees} decision trees, violations: {len(bad)}"
     return _result(9, "regret-bound-suite", not bad, detail, t0, artifact=csv)
 
@@ -354,30 +320,31 @@ def criterion_10_determinism(
     given = {r.number: r.artifact for r in prior}
     other = 1 if workers > 1 else 3
     # Resolved at call time, so wrappers installed on this module see the reruns.
-    reruns = {7: criterion_7_deviation_suite, 8: criterion_8_mc_coverage, 9: criterion_9_corollary_suite}
-    same = [fn(quick=quick, seed=seed, workers=other).artifact == given[n] for n, fn in reruns.items()]
+    reruns = [
+        criterion_7_deviation_suite(quick, seed),
+        criterion_8_mc_coverage(quick, seed, other),
+        criterion_9_corollary_suite(quick, seed),
+    ]
+    same = [r.artifact == given[r.number] for r in reruns]
     passed = all(same)
     detail = f"criteria 7-9 rerun with {workers} vs {other} workers: byte-identical = {same}"
     return _result(10, "determinism", passed, detail, t0)
 
 
-CRITERIA = {
-    1: criterion_1_min_imbalance,
-    2: criterion_2_imbalance_limit,
-    3: criterion_3_epsilon_cutoff,
-    4: criterion_4_dominance_chain,
-    5: criterion_5_mv_audit,
-    6: criterion_6_inverse_bound_instance,
-    7: criterion_7_deviation_suite,
-    8: criterion_8_mc_coverage,
-    9: criterion_9_corollary_suite,
-    10: criterion_10_determinism,
-}
-
-
 def run_all(quick: bool = False, seed: int = DEFAULT_SEED, workers: int = 1):
     """Criteria 1-9 in order, then criterion 10 on this run's criterion 7-9 results."""
     _check_workers(workers)
-    results = [CRITERIA[n](quick=quick, seed=seed, workers=workers) for n in range(1, 10)]
-    results.append(CRITERIA[10](results[6:9], quick=quick, seed=seed, workers=workers))
+    # Resolved at call time, so wrappers installed on this module see every criterion.
+    results = [
+        criterion_1_min_imbalance(quick),
+        criterion_2_imbalance_limit(quick),
+        criterion_3_epsilon_cutoff(),
+        criterion_4_dominance_chain(quick),
+        criterion_5_mv_audit(quick),
+        criterion_6_inverse_bound_instance(),
+        criterion_7_deviation_suite(quick, seed),
+        criterion_8_mc_coverage(quick, seed, workers),
+        criterion_9_corollary_suite(quick, seed),
+    ]
+    results.append(criterion_10_determinism(results[6:9], quick, seed, workers))
     return results

@@ -24,39 +24,39 @@ def report(result):
     return result
 
 
-def test_criterion_1_min_imbalance_constant(seed):
+def test_criterion_1_min_imbalance_constant():
     # minimum over m <= 10^4 is exactly 7/64, attained at m = 6
-    report(verify.criterion_1_min_imbalance(quick=False, seed=seed))
+    report(verify.criterion_1_min_imbalance(quick=False))
 
 
-def test_criterion_2_imbalance_gaussian_limit(seed):
+def test_criterion_2_imbalance_gaussian_limit():
     # imbalance probability at m = 10^6 within 0.002 of the survival value at 1
-    report(verify.criterion_2_imbalance_limit(quick=False, seed=seed))
+    report(verify.criterion_2_imbalance_limit(quick=False))
 
 
-def test_criterion_3_epsilon_cutoff_location(seed):
+def test_criterion_3_epsilon_cutoff_location():
     # closing condition true on 0.01..0.70 grid, false at 0.71
-    report(verify.criterion_3_epsilon_cutoff(quick=False, seed=seed))
+    report(verify.criterion_3_epsilon_cutoff())
 
 
-def test_criterion_4_bound_chain_dominance(seed):
+def test_criterion_4_bound_chain_dominance():
     # exact <= relaxed <= midpoint on 200 triples; midpoint discharge < eps/2
-    report(verify.criterion_4_dominance_chain(quick=False, seed=seed))
+    report(verify.criterion_4_dominance_chain(quick=False))
 
 
-def test_criterion_5_lower_bound_audit(seed):
+def test_criterion_5_lower_bound_audit():
     # zero violations of the (1/15, 16) lower bound up to m = 200
-    report(verify.criterion_5_mv_audit(quick=False, seed=seed))
+    report(verify.criterion_5_mv_audit(quick=False))
 
 
-def test_criterion_6_inverse_bound_instance(seed):
+def test_criterion_6_inverse_bound_instance():
     # (N=64, K=1, eps=e^-1/15): threshold 4, valid, tail >= eps, exact arithmetic
-    report(verify.criterion_6_inverse_bound_instance(quick=False, seed=seed))
+    report(verify.criterion_6_inverse_bound_instance())
 
 
 @pytest.fixture(scope="module")
 def criterion_7(seed):
-    return verify.criterion_7_deviation_suite(quick=False, seed=seed, workers=1)
+    return verify.criterion_7_deviation_suite(quick=False, seed=seed)
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +66,7 @@ def criterion_8(seed):
 
 @pytest.fixture(scope="module")
 def criterion_9(seed):
-    return verify.criterion_9_corollary_suite(quick=False, seed=seed, workers=1)
+    return verify.criterion_9_corollary_suite(quick=False, seed=seed)
 
 
 def test_criterion_7_deviation_bound_on_random_trees(criterion_7):
@@ -100,8 +100,9 @@ def test_criterion_10_thread_count_determinism(seed, criterion_7, criterion_8, c
     assert result.detail == "criteria 7-9 rerun with 1 vs 3 workers: byte-identical = [True, True, True]"
 
 
-def test_criteria_7_and_9_build_rows_on_the_calling_thread(seed, monkeypatch):
-    # the worker count sizes only the Monte Carlo chunk pool of criterion 8
+def test_criteria_7_and_9_build_rows_on_the_calling_thread(monkeypatch):
+    # the worker count sizes only the Monte Carlo chunk pool of criterion 8:
+    # every tree of criteria 7-9, and of criterion 10's reruns, is built here
     threads = []
     random_tree = verify.random_tree
 
@@ -110,9 +111,8 @@ def test_criteria_7_and_9_build_rows_on_the_calling_thread(seed, monkeypatch):
         return random_tree(*args, **kwargs)
 
     monkeypatch.setattr(verify, "random_tree", recording)
-    verify.criterion_7_deviation_suite(quick=True, seed=seed, workers=3)
-    verify.criterion_9_corollary_suite(quick=True, seed=seed, workers=3)
-    assert len(threads) == 100 + 60
+    verify.run_all(quick=True, workers=3)
+    assert len(threads) == 2 * (100 + 6 + 60)
     assert set(threads) == {threading.get_ident()}
 
 

@@ -9,7 +9,6 @@ from scipy.integrate import quad
 from kstep_lln.bounds import (
     AggregationParams,
     HorizonParams,
-    LowerBoundParams,
     aggregation_bound,
     aggregation_objective,
     feller_upper,
@@ -225,6 +224,27 @@ class TestMidpointBound:
                     assert relaxed <= midpoint_bound(C, K, N) + 1e-9
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: midpoint_bound(math.nan, 1, 1),
+        lambda: midpoint_bound(math.inf, 1, 1),
+        lambda: AggregationParams.from_horizon(math.inf, 8, 2),
+        lambda: AggregationParams(C=math.nan, K=2, a=1.0),
+        lambda: AggregationParams(C=1.0, K=2, a=math.inf),
+        lambda: AggregationParams(C=1.0, K=2, a=math.nan),
+        lambda: feller_upper(math.nan),
+        lambda: feller_upper(math.inf),
+    ],
+    ids=["midpoint-C-nan", "midpoint-C-inf", "from-horizon-C-inf", "aggregation-C-nan",
+         "aggregation-a-inf", "aggregation-a-nan", "feller-nan", "feller-inf"],
+)
+def test_non_finite_inputs_fail_validation(call):
+    # NaN slips past a bare "> 0" check, and infinity makes the bounds 0 or NaN
+    with pytest.raises(ValueError, match="finite"):
+        call()
+
+
 class TestSuitableXCheck:
     def test_half(self):
         assert suitable_x_check(0.5, 2.0)  # 0.5 < 2 ln 2
@@ -303,18 +323,18 @@ class TestKrThreshold:
 
 class TestMvLowerBound:
     def test_zero_deviation(self):
-        assert mv_lower_bound(LowerBoundParams(m=8, t=0)) == pytest.approx(1 / 15, rel=1e-14)
+        assert mv_lower_bound(8, 0) == pytest.approx(1 / 15, rel=1e-14)
 
     def test_by_hand(self):
-        got = mv_lower_bound(LowerBoundParams(m=8, t=1))
+        got = mv_lower_bound(8, 1)
         assert got == pytest.approx(0.009022352215774179, rel=1e-12)
 
     def test_rejects_t_outside_range(self):
         with pytest.raises(ValueError, match=r"\[0, m/8\]"):
-            mv_lower_bound(LowerBoundParams(m=8, t=2))
+            mv_lower_bound(8, 2)
         with pytest.raises(ValueError, match=r"\[0, m/8\]"):
-            mv_lower_bound(LowerBoundParams(m=8, t=-1))
+            mv_lower_bound(8, -1)
 
     def test_rejects_odd_m(self):
         with pytest.raises(ValueError, match="even"):
-            mv_lower_bound(LowerBoundParams(m=9, t=1))
+            mv_lower_bound(9, 1)

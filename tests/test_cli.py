@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import math
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -467,3 +469,21 @@ class TestTreeFileFuzz:
                 with redirect_stdout(io.StringIO()), redirect_stderr(err):
                     code = main(argv)
                 assert code in (EXIT_OK, EXIT_TREEFILE), (argv[0], code, err.getvalue())
+
+
+def test_pure_commands_load_no_numeric_library():
+    # bound, invert from (N, K, epsilon) and the dominance scan are pure Python
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys, io, contextlib; from kstep_lln.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['bound', '--N', '100', '--K', '5', '--epsilon', '0.05']),\n"
+        "             main(['invert', '--N', '64', '--K', '1', '--epsilon', '0.02']),\n"
+        "             main(['scan', '--what', 'dominance'])]\n"
+        "print(codes, *(m in sys.modules for m in ('numpy', 'scipy', 'mpmath')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": src}, timeout=60,
+    )
+    assert out.stdout.strip() == "[0, 0, 0] False False False"

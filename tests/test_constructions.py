@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kstep_lln import constructions
-from kstep_lln.bounds import LowerBoundParams, mv_lower_bound
+from kstep_lln.bounds import mv_lower_bound
 from kstep_lln.constructions import (
     BlockProcess,
     binomial_upper_tail,
@@ -319,7 +319,7 @@ class TestMvAudit:
     def test_min_slack_is_exact_tail_minus_bound(self):
         # At (400, 50) the float tail path is 1 ulp off the correctly rounded tail.
         count = sum(math.comb(400, k) for k in range(250, 401))
-        lower = mv_lower_bound(LowerBoundParams(m=400, t=50))
+        lower = mv_lower_bound(400, 50)
         report = verify_mv_bound(400)
         assert report.min_slack_at == (400, 50)
         assert report.min_slack == float(Fraction(count, 2**400)) - lower

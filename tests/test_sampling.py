@@ -72,8 +72,6 @@ class TestClopperPearson:
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
             clopper_pearson(5, 4)
-        with pytest.raises(ValueError):
-            clopper_pearson(0, 10, confidence=1.0)
 
     @given(st.integers(1, 200_000), st.data())
     @settings(max_examples=300, deadline=None)

@@ -81,7 +81,8 @@ class LossSpec:
             if len(per_decision) != len(self.space):
                 raise ValueError(f"step {n}: expected {len(self.space)} decision tables")
             for d, tab in enumerate(per_decision):
-                if not np.all((tab >= -_LOSS_TOL) & (tab <= 1.0 + _LOSS_TOL)):  # rejects NaN
+                # NaN fails both comparisons.
+                if tab.size and not (-_LOSS_TOL <= tab.min() and tab.max() <= 1.0 + _LOSS_TOL):
                     raise ValueError(f"step {n}, decision {d}: losses must lie in [0, 1]")
         # The decision problem of the last tree used with this spec; see `_problem`.
         object.__setattr__(self, "_last", None)
@@ -194,7 +195,7 @@ def _check_strategy(tree: ProbabilityTree, loss: LossSpec, strategy: Strategy) -
     for n, ch in enumerate(strategy.choices, start=1):
         if len(ch) != counts[n]:
             raise ValueError(f"step {n}: {len(ch)} choices for {counts[n]} depth-{n} nodes")
-        if np.any(ch < 0) or np.any(ch >= len(loss.space)):
+        if ch.size and (ch.min() < 0 or ch.max() >= len(loss.space)):
             raise ValueError(f"step {n}: decision index out of range")
 
 

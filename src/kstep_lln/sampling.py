@@ -38,9 +38,9 @@ __all__ = [
 ]
 
 # splitmix64 constants (Steele, Lea & Flood; Stafford's mix 13 finalizer).
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+_SPLITMIX = (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+_GOLDEN, _MIX1, _MIX2 = map(np.uint64, _SPLITMIX)
+_MASK64 = (1 << 64) - 1
 _CHUNK = 1 << 15
 #: Confidence level of every Monte Carlo interval.
 _CONFIDENCE = 0.99
@@ -71,10 +71,20 @@ def counter_uniforms(keys: np.ndarray, n_draws: int) -> np.ndarray:
 
 
 def derive_seed(master_seed: int, *path: int) -> int:
-    """Independent sub-seed for a labelled branch of a master seed."""
+    """Independent sub-seed for a labelled branch of a master seed.
+
+    Each label p takes one splitmix64 step, the value of
+    `counter_seeds(key, [p])`, in Python integers masked to 64 bits.
+    """
+    golden, mix1, mix2 = _SPLITMIX
     key = master_seed
     for p in path:
-        key = int(counter_seeds(key, np.array([p], dtype=np.uint64))[0])
+        if not 0 <= p <= _MASK64:
+            raise OverflowError(f"path label {p} is out of range for uint64")
+        z = (key + (p + 1) * golden) & _MASK64
+        z = ((z ^ (z >> 30)) * mix1) & _MASK64
+        z = ((z ^ (z >> 27)) * mix2) & _MASK64
+        key = z ^ (z >> 31)
     return key
 
 

@@ -75,10 +75,10 @@ class ProbabilityTree:
                 raise ValueError(f"depth {d}: empty level")
             if par.min() < 0 or par.max() >= counts[d - 1]:
                 raise ValueError(f"depth {d}: parent index out of range")
-            if not np.all(pr > 0):
+            if not pr.min() > 0:  # NaN fails every comparison
                 raise ValueError(f"depth {d}: branch probabilities must be positive")
             sums = np.bincount(par, weights=pr, minlength=counts[d - 1])
-            if np.any(np.abs(sums - 1.0) > _PROB_SUM_TOL):
+            if sums.max() - 1.0 > _PROB_SUM_TOL or 1.0 - sums.min() > _PROB_SUM_TOL:
                 bad = int(np.argmax(np.abs(sums - 1.0)))
                 raise ValueError(
                     f"depth {d}: branch probabilities at parent {bad} sum to {sums[bad]!r}"
@@ -128,8 +128,9 @@ class AdaptedSequence:
     def __post_init__(self) -> None:
         if not self.values:
             raise ValueError("sequence must cover at least one step")
+        c = 1.0 + _VALUE_TOL
         for n, v in enumerate(self.values, start=1):
-            if not np.all(np.abs(v) <= 1.0 + _VALUE_TOL):  # NaN fails every comparison
+            if v.size and not (-c <= v.min() and v.max() <= c):  # NaN fails every comparison
                 raise ValueError(
                     f"step {n}: values must be finite and bounded by 1 in absolute value"
                 )

@@ -24,7 +24,7 @@ from kstep_lln.constructions import (
     sample_block_process,
     verify_mv_bound,
 )
-from kstep_lln.constructions import _COMB_MAX, _pmf_float
+from kstep_lln.constructions import _COMB_MAX, _F, _LN2, _TWO_PI, _pmf_float
 from kstep_lln.trees import block_process_tree, exact_tail
 
 
@@ -110,7 +110,7 @@ class TestBinomialUpperTail:
     @pytest.mark.parametrize("side", [0, 1])
     def test_both_sides_of_the_integer_start_match_40_digit_references(self, side):
         m = _COMB_MAX + side
-        # The deepest k0 keeps the tail a normal float (it is about 1e-290).
+        # The deepest k0 keeps the tail a normal float.
         for k0 in (m // 2 + 1, m // 2 + 20, m // 2 + 60, m // 2 + 300, m - 40):
             with mpmath.workdps(40):
                 ref = mpmath.fsum(mpmath.binomial(m, k) for k in range(k0, m + 1)) / mpmath.mpf(2) ** m
@@ -122,6 +122,22 @@ class TestBinomialUpperTail:
         for m in (1, 64, 1074, _COMB_MAX + 1, 5000):
             assert _pmf_float(m, m) == math.ldexp(1.0, -m)  # 2^-m, or 0.0 below the subnormals
         assert binomial_upper_tail(1074, 1074) == 2.0**-1074
+
+    def test_start_is_the_correctly_rounded_integer_ratio(self):
+        # Both sides of _COMB_MAX and of the short side j = 64/65, central and
+        # random k up to m = 5000, and subnormal starts at m = 2000.
+        rng = np.random.default_rng(13)
+        grid = [(2000, k) for k in range(1786, 1803)] + [(10**7, 10**7 - 65)]  # the last is 0.0
+        for m in (_COMB_MAX, _COMB_MAX + 1, 1200, 1201, 2001, 3000, 4999, 5000):
+            grid += [(m, m // 2), (m, m // 2 + 1), (m, m - 64), (m, m - 65), (m, 64), (m, 65)]
+            grid += [(m, int(k)) for k in rng.integers(0, m + 1, size=40)]
+        for m, k in grid:
+            assert _pmf_float(m, k) == math.comb(m, k) / (1 << m), (m, k)
+
+    def test_fixed_point_constants_match_50_digits(self):
+        with mpmath.workdps(50):
+            assert _LN2 == int(mpmath.floor(mpmath.log(2) * mpmath.mpf(2) ** _F))
+            assert _TWO_PI == int(mpmath.floor(2 * mpmath.pi * mpmath.mpf(2) ** _F))
 
     def test_rejects_nonpositive_m(self):
         with pytest.raises(ValueError):

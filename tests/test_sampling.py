@@ -50,6 +50,27 @@ class TestCounterStreams:
         assert derive_seed(1, 2, 3) != derive_seed(1, 3, 2)
         assert derive_seed(1, 2) != derive_seed(2, 2)
 
+    def test_derive_seed_is_the_counter_seeds_chain(self):
+        # The integer splitmix64 step against the numpy one it replaces.
+        def chain(master, path):
+            key = master
+            for p in path:
+                key = int(counter_seeds(key, np.array([p], dtype=np.uint64))[0])
+            return key
+
+        rng = np.random.default_rng(2024)
+        for _ in range(10_000):
+            # Masters of either sign; labels small, as the criteria use them, or any uint64.
+            master = int(rng.integers(0, 2**64, dtype=np.uint64)) - 2**63
+            high = 12 if rng.random() < 0.5 else 2**64
+            path = [int(p) for p in rng.integers(0, high, size=int(rng.integers(0, 5)), dtype=np.uint64)]
+            assert derive_seed(master, *path) == chain(master, path), (master, path)
+        assert derive_seed(5, 2**64 - 1) == chain(5, [2**64 - 1])
+
+    def test_derive_seed_rejects_negative_label(self):
+        with pytest.raises(OverflowError):
+            derive_seed(1, 2, -1)
+
 
 class TestClopperPearson:
     def test_degenerate_ends(self):
@@ -95,13 +116,14 @@ class TestClopperPearson:
         src = str(Path(__file__).resolve().parents[1] / "src")
         code = (
             "import sys, kstep_lln.bounds; print(*(m in sys.modules for m in ('numpy', 'scipy', 'mpmath')));"
-            "import kstep_lln.trees; print('scipy' in sys.modules)"
+            "import kstep_lln.constructions; print('mpmath' in sys.modules);"
+            "import kstep_lln.trees; print('scipy' in sys.modules, 'mpmath' in sys.modules)"
         )
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True,
             env={"PYTHONPATH": src}, timeout=60,
         )
-        assert out.stdout.splitlines() == ["False False False", "False"]
+        assert out.stdout.splitlines() == ["False False False", "False", "False False"]
 
 
 class TestTailEstimate:

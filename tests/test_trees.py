@@ -43,6 +43,11 @@ class TestProbabilityTree:
         with pytest.raises(ValueError, match="positive"):
             ProbabilityTree(parents=(np.array([0, 0]),), branch_probs=(np.array([1.0, 0.0]),))
 
+    @pytest.mark.parametrize("bad, message", [(math.nan, "positive"), (math.inf, "sum to")])
+    def test_rejects_non_finite_probabilities(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            ProbabilityTree(parents=(np.array([0, 0]),), branch_probs=(np.array([0.5, bad]),))
+
     def test_rejects_dangling_parent(self):
         with pytest.raises(ValueError, match="parent"):
             ProbabilityTree(
@@ -101,6 +106,9 @@ class TestAdaptedSequence:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             AdaptedSequence(values=())
+
+    def test_empty_step_passes_the_bound(self):
+        assert AdaptedSequence(values=(np.array([0.5]), np.array([]))).n_steps == 2
 
 
 class TestConditionalExpectation:

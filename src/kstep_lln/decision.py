@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constructions import _tail_event
-from .trees import AdaptedSequence, ProbabilityTree, _pull_back
+from .trees import AdaptedSequence, ProbabilityTree, _first_outside, _pull_back
 
 __all__ = [
     "DecisionSpace",
@@ -73,17 +73,22 @@ class LossSpec:
     tables: tuple[tuple[np.ndarray, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.horizon < 1:
+        if type(self.horizon) is not int or self.horizon < 1:
             raise ValueError(f"impact horizon must be a positive integer, got {self.horizon}")
         if not self.tables:
             raise ValueError("loss spec must cover at least one step")
+        k = len(self.space)
         for n, per_decision in enumerate(self.tables, start=1):
-            if len(per_decision) != len(self.space):
-                raise ValueError(f"step {n}: expected {len(self.space)} decision tables")
+            if len(per_decision) != k:
+                raise ValueError(f"step {n}: expected {k} decision tables")
             for d, tab in enumerate(per_decision):
-                # NaN fails both comparisons.
-                if tab.size and not (-_LOSS_TOL <= tab.min() and tab.max() <= 1.0 + _LOSS_TOL):
-                    raise ValueError(f"step {n}, decision {d}: losses must lie in [0, 1]")
+                if not (isinstance(tab, np.ndarray) and tab.ndim == 1):
+                    raise ValueError(f"step {n}, decision {d}: losses must be a 1-D array")
+        flat = [tab for per_decision in self.tables for tab in per_decision]
+        bad = _first_outside(flat, -_LOSS_TOL, 1.0 + _LOSS_TOL)
+        if bad is not None:
+            n, d = divmod(bad, k)
+            raise ValueError(f"step {n + 1}, decision {d}: losses must lie in [0, 1]")
         # The decision problem of the last tree used with this spec; see `_problem`.
         object.__setattr__(self, "_last", None)
 
@@ -193,10 +198,13 @@ def _check_strategy(tree: ProbabilityTree, loss: LossSpec, strategy: Strategy) -
         raise ValueError(f"strategy covers {strategy.n_steps} steps, losses {loss.n_steps}")
     counts = tree.node_counts
     for n, ch in enumerate(strategy.choices, start=1):
+        if not (isinstance(ch, np.ndarray) and ch.ndim == 1 and ch.dtype.kind in "iu"):
+            raise ValueError(f"step {n}: choices must be a 1-D integer array")
         if len(ch) != counts[n]:
             raise ValueError(f"step {n}: {len(ch)} choices for {counts[n]} depth-{n} nodes")
-        if ch.size and (ch.min() < 0 or ch.max() >= len(loss.space)):
-            raise ValueError(f"step {n}: decision index out of range")
+    bad = _first_outside(strategy.choices, 0, len(loss.space) - 1)
+    if bad is not None:
+        raise ValueError(f"step {bad + 1}: decision index out of range")
 
 
 def expected_losses(tree: ProbabilityTree, loss: LossSpec, n: int, d: int) -> np.ndarray:

@@ -25,6 +25,7 @@ from kstep_lln.decision import (
     shifted_sequence,
     total_losses,
 )
+from kstep_lln.treefile import TreeBundle, TreeFileError, bundle_from_dict, bundle_to_dict
 from kstep_lln.trees import ProbabilityTree, exact_tail, random_tree
 
 
@@ -81,6 +82,75 @@ class TestValidation:
         loss = random_loss(uniform_binary_tree(3), 2, 1, 2, seed=0)
         with pytest.raises(ValueError, match="too shallow"):
             total_losses(tree, loss, Strategy(choices=(np.zeros(2, int), np.zeros(4, int))))
+
+
+def two_decision_tables(n_steps):
+    """Horizon-1 loss tables of 0.5 on a binary tree: step n has 2^(n+1) entries."""
+    return [[np.full(2 ** (n + 1), 0.5) for _ in range(2)] for n in range(1, n_steps + 1)]
+
+
+class TestValidationMessages:
+    """One fault per input, at the first step, the last, and in an array of 8192 entries."""
+
+    @pytest.mark.parametrize("n_steps, at, d", [(4, 1, 0), (4, 4, 1), (12, 1, 1), (12, 12, 1)])
+    @pytest.mark.parametrize("bad", [1.5, -0.25, math.nan])
+    def test_loss_out_of_range(self, n_steps, at, d, bad):
+        tables = two_decision_tables(n_steps)
+        tables[at - 1][d][-1] = bad
+        message = f"step {at}, decision {d}: losses must lie in [0, 1]"
+        with pytest.raises(ValueError) as direct:
+            LossSpec(space=DecisionSpace(("a", "b")), horizon=1, tables=tuple(map(tuple, tables)))
+        assert str(direct.value) == message
+        if math.isnan(bad):  # JSON has no NaN
+            return
+        doc = bundle_to_dict(TreeBundle(tree=uniform_binary_tree(n_steps + 1)))
+        doc["losses"] = {
+            "decisions": ["a", "b"],
+            "impact_horizon": 1,
+            "tables": [[tab.tolist() for tab in per_decision] for per_decision in tables],
+        }
+        with pytest.raises(TreeFileError) as via_file:
+            bundle_from_dict(doc)
+        assert str(via_file.value) == f"invalid losses block: {message}"
+
+    @pytest.mark.parametrize("n_steps, at", [(4, 1), (4, 4), (13, 1), (13, 13)])
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_decision_index_out_of_range(self, n_steps, at, bad):
+        tree = uniform_binary_tree(n_steps + 1)
+        loss = LossSpec(
+            space=DecisionSpace(("a", "b")),
+            horizon=1,
+            tables=tuple(map(tuple, two_decision_tables(n_steps))),
+        )
+        choices = [np.zeros(2**n, dtype=np.int64) for n in range(1, n_steps + 1)]
+        choices[at - 1][-1] = bad
+        with pytest.raises(ValueError) as err:
+            total_losses(tree, loss, Strategy(choices=tuple(choices)))
+        assert str(err.value) == f"step {at}: decision index out of range"
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("horizon", [1.5, True, 0])
+    def test_horizon_must_be_a_positive_int(self, horizon):
+        with pytest.raises(ValueError) as err:
+            LossSpec(space=DecisionSpace(("a",)), horizon=horizon, tables=((np.full(4, 0.5),),))
+        assert str(err.value) == f"impact horizon must be a positive integer, got {horizon}"
+
+    @pytest.mark.parametrize("bad", [np.full((1, 4), 0.5), [0.5] * 4])
+    def test_tables_must_be_1d_arrays(self, bad):
+        with pytest.raises(ValueError) as err:
+            LossSpec(space=DecisionSpace(("a", "b")), horizon=1, tables=((np.full(4, 0.5), bad),))
+        assert str(err.value) == "step 1, decision 1: losses must be a 1-D array"
+
+    @pytest.mark.parametrize(
+        "bad", [np.zeros(4), np.zeros((1, 4), dtype=int), np.zeros(4, dtype=bool), [0, 0, 0, 0]]
+    )
+    def test_choices_must_be_1d_integer_arrays(self, bad):
+        tree = uniform_binary_tree(3)
+        loss = random_loss(tree, 2, 1, 2, seed=0)
+        with pytest.raises(ValueError) as err:
+            total_losses(tree, loss, Strategy(choices=(np.zeros(2, dtype=int), bad)))
+        assert str(err.value) == "step 2: choices must be a 1-D integer array"
 
 
 class TestExpectedLoss:

@@ -117,13 +117,17 @@ class TestClopperPearson:
         code = (
             "import sys, kstep_lln.bounds; print(*(m in sys.modules for m in ('numpy', 'scipy', 'mpmath')));"
             "import kstep_lln.constructions; print('mpmath' in sys.modules);"
-            "import kstep_lln.trees; print('scipy' in sys.modules, 'mpmath' in sys.modules)"
+            "import kstep_lln.trees; print('scipy' in sys.modules, 'mpmath' in sys.modules);"
+            "import kstep_lln.decision, kstep_lln.treefile;"
+            "print('scipy' in sys.modules, 'mpmath' in sys.modules)"
         )
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True,
             env={"PYTHONPATH": src}, timeout=60,
         )
-        assert out.stdout.splitlines() == ["False False False", "False", "False False"]
+        assert out.stdout.splitlines() == [
+            "False False False", "False", "False False", "False False"
+        ]
 
 
 class TestTailEstimate:

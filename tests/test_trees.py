@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kstep_lln.constructions import block_deviation_tail
+from kstep_lln.treefile import TreeFileError, bundle_from_dict
 from kstep_lln.trees import (
     AdaptedSequence,
     ProbabilityTree,
@@ -91,6 +92,131 @@ class TestProbabilityTree:
         with pytest.raises(ValueError, match="read-only"):
             probs[0] = 0.5
         np.testing.assert_allclose(tree.node_probabilities(2), [0.125, 0.125, 0.075, 0.675])
+
+
+def binary_levels(depth):
+    """Mutable (parents, probs) lists of a uniform binary tree; depth 13 has 8192 leaves."""
+    parents = [np.repeat(np.arange(2 ** (d - 1)), 2) for d in range(1, depth + 1)]
+    probs = [np.full(2**d, 0.5) for d in range(1, depth + 1)]
+    return parents, probs
+
+
+def tree_doc(parents, probs, values=None):
+    doc = {
+        "depth": len(parents),
+        "nodes": [
+            [{"parent": int(p), "prob": float(q)} for p, q in zip(par, pr)]
+            for par, pr in zip(parents, probs)
+        ],
+    }
+    if values is not None:
+        doc["Y"] = [v.tolist() for v in values]
+    return doc
+
+
+# (tree depth, faulty depth): depth 1, the deepest level of a small tree, and
+# a level of 8192 entries, above the size that validation reduces in groups.
+FAULT_PLACES = [(5, 1), (5, 5), (13, 1), (13, 13)]
+SUM_11 = repr(np.float64(0.5) + 0.6)  # the message shows the numpy scalar's repr
+
+
+class TestConstructionMessages:
+    """One fault per input; the message names where it is, directly and via a tree file."""
+
+    @staticmethod
+    def assert_rejected(parents, probs, message):
+        with pytest.raises(ValueError) as direct:
+            ProbabilityTree(parents=tuple(parents), branch_probs=tuple(probs))
+        assert str(direct.value) == message
+        with pytest.raises(TreeFileError) as via_file:
+            bundle_from_dict(tree_doc(parents, probs))
+        assert str(via_file.value) == f"invalid tree: {message}"
+
+    @pytest.mark.parametrize("depth, at", FAULT_PLACES)
+    @pytest.mark.parametrize("bad", [0.0, -0.5])
+    def test_non_positive_probability(self, depth, at, bad):
+        parents, probs = binary_levels(depth)
+        probs[at - 1][-1] = bad
+        self.assert_rejected(parents, probs, f"depth {at}: branch probabilities must be positive")
+
+    @pytest.mark.parametrize("depth, at", FAULT_PLACES)
+    def test_parent_sum_off_one(self, depth, at):
+        parents, probs = binary_levels(depth)
+        probs[at - 1][-1] = 0.6
+        last = 2 ** (at - 1) - 1
+        self.assert_rejected(
+            parents, probs, f"depth {at}: branch probabilities at parent {last} sum to {SUM_11}"
+        )
+
+    @pytest.mark.parametrize("depth, at", FAULT_PLACES)
+    @pytest.mark.parametrize("where", ["negative", "past the end"])
+    def test_parent_index_out_of_range(self, depth, at, where):
+        parents, probs = binary_levels(depth)
+        parents[at - 1][-1] = -1 if where == "negative" else 2 ** (at - 1)
+        self.assert_rejected(parents, probs, f"depth {at}: parent index out of range")
+
+    def test_shallower_value_fault_is_reported_before_a_deeper_structural_one(self):
+        parents, probs = binary_levels(13)
+        probs[2][0] = 0.0
+        parents[12][-1] = 5000
+        self.assert_rejected(parents, probs, "depth 3: branch probabilities must be positive")
+        parents, probs = binary_levels(13)
+        probs[2][-1] = 0.6
+        probs[12][0] = 0.0
+        self.assert_rejected(
+            parents, probs, f"depth 3: branch probabilities at parent 3 sum to {SUM_11}"
+        )
+
+    @pytest.mark.parametrize("step_count, at", FAULT_PLACES)
+    @pytest.mark.parametrize("bad", [1.5, -2.0, math.nan])
+    def test_value_out_of_bounds(self, step_count, at, bad):
+        parents, probs = binary_levels(step_count)
+        values = [np.zeros(2**n) for n in range(1, step_count + 1)]
+        values[at - 1][-1] = bad
+        message = f"step {at}: values must be finite and bounded by 1 in absolute value"
+        with pytest.raises(ValueError) as direct:
+            AdaptedSequence(values=tuple(values))
+        assert str(direct.value) == message
+        if not math.isnan(bad):  # JSON has no NaN
+            with pytest.raises(TreeFileError) as via_file:
+                bundle_from_dict(tree_doc(parents, probs, values))
+            assert str(via_file.value) == f"invalid Y values: {message}"
+
+    @pytest.mark.parametrize(
+        "s", [1.0 - 1e-12, math.nextafter(1.0 - 1e-12, 0.0), math.nextafter(1.0 + 1e-12, 0.0),
+              1.0 + 1e-12, math.nextafter(1.0 + 1e-12, 2.0)],
+    )
+    def test_sum_tolerance_boundary_is_abs_difference(self, s):
+        # A parent sum s passes exactly when abs(s - 1.0) <= 1e-12 in floats.
+        args = dict(parents=(np.array([0]),), branch_probs=(np.array([s]),))
+        if abs(s - 1.0) <= 1e-12:
+            assert ProbabilityTree(**args).node_counts == (1, 1)
+        else:
+            with pytest.raises(ValueError, match="sum to"):
+                ProbabilityTree(**args)
+
+
+class TestMalformedArrays:
+    @pytest.mark.parametrize(
+        "parents, probs, message",
+        [
+            ((np.array([0.0, 0.0]),), (np.array([0.5, 0.5]),), "parents must be a 1-D integer array"),
+            (([0, 0],), (np.array([0.5, 0.5]),), "parents must be a 1-D integer array"),
+            ((np.array([[0, 0]]),), (np.array([0.5, 0.5]),), "parents must be a 1-D integer array"),
+            ((np.array([0, 0]),), ([0.5, 0.5],), "branch probabilities must be a 1-D array"),
+            ((np.array([0, 0]),), (np.array([[0.5, 0.5]]),), "branch probabilities must be a 1-D array"),
+        ],
+    )
+    def test_tree_levels(self, parents, probs, message):
+        with pytest.raises(ValueError) as err:
+            ProbabilityTree(parents=(np.array([0]),) + parents, branch_probs=(np.array([1.0]),) + probs)
+        assert str(err.value) == f"depth 2: {message}"
+
+    @pytest.mark.parametrize("bad", [np.array([[0.1, 0.2]]), [0.1, 0.2]])
+    def test_sequence_steps(self, bad):
+        with pytest.raises(ValueError) as err:
+            AdaptedSequence(values=(np.array([0.5]), bad))
+        assert str(err.value) == "step 2: values must be a 1-D array"
 
 
 class TestAdaptedSequence:

@@ -17,6 +17,7 @@ exposed as its own function so it can be checked numerically.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -99,8 +100,16 @@ class ThresholdCheck:
     """Inverse-bound threshold with its applicability verdict."""
 
     threshold: float
-    valid: bool
     violations: tuple[str, ...]
+
+    @property
+    def valid(self) -> bool:
+        return not self.violations
+
+
+def _log_inverse(x: float) -> float:
+    """ln(1/x) for x in (0, 1), finite also for subnormal x, where 1/x overflows."""
+    return math.log(1.0 / x) if x >= sys.float_info.min else -math.log(x)
 
 
 def deviation_threshold(p: HorizonParams) -> float:
@@ -114,7 +123,7 @@ def deviation_threshold(p: HorizonParams) -> float:
             "epsilon must lie in (0, 0.7) for the upper-bound threshold, "
             f"got {p.epsilon!r}"
         )
-    return 4.0 * math.sqrt(p.K * (p.N + p.K) * math.log(1.0 / p.epsilon))
+    return 4.0 * math.sqrt(p.K * (p.N + p.K) * _log_inverse(p.epsilon))
 
 
 def gaussian_survival(z: float) -> float:
@@ -156,13 +165,13 @@ def aggregation_objective(ap: AggregationParams, t: float, relaxed: bool = False
     return ap.K * _survival_integral(ap.a, t, hi) / (ap.C - ap.K * t)
 
 
-def _golden_section(f, lo: float, hi: float, iterations: int = 60) -> tuple[float, float]:
+def _golden_section(f, lo: float, hi: float) -> tuple[float, float]:
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iterations):
+    for _ in range(60):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -237,7 +246,7 @@ def suitable_x_check(epsilon: float, x: float) -> bool:
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    return epsilon ** (x - 1.0) < x * math.log(1.0 / epsilon)
+    return epsilon ** (x - 1.0) < x * _log_inverse(epsilon)
 
 
 #: Tolerance for deciding that a floating-point quantity is an exact integer
@@ -258,7 +267,7 @@ def mv_threshold(p: HorizonParams) -> ThresholdCheck:
         raise ValueError(
             f"requires 15*epsilon < 1 (log argument positive), got epsilon={p.epsilon!r}"
         )
-    log_term = math.log(1.0 / (15.0 * p.epsilon))
+    log_term = _log_inverse(15.0 * p.epsilon)
     threshold = 0.5 * math.sqrt(p.K * p.N * log_term)
 
     violations = []
@@ -270,7 +279,7 @@ def mv_threshold(p: HorizonParams) -> ThresholdCheck:
     if threshold > p.N / 4.0 + _INTEGER_TOL:
         violations.append("threshold exceeds N/4")
 
-    return ThresholdCheck(threshold=threshold, valid=not violations, violations=tuple(violations))
+    return ThresholdCheck(threshold=threshold, violations=tuple(violations))
 
 
 def kr_threshold(p: HorizonParams) -> float:
@@ -279,7 +288,7 @@ def kr_threshold(p: HorizonParams) -> float:
         raise ValueError(
             f"requires 4.3*epsilon < 1 (log argument positive), got epsilon={p.epsilon!r}"
         )
-    return 0.6 * math.sqrt(p.K * p.N * math.log(1.0 / (4.3 * p.epsilon)))
+    return 0.6 * math.sqrt(p.K * p.N * _log_inverse(4.3 * p.epsilon))
 
 
 def mv_lower_bound(m: int, t: int) -> float:

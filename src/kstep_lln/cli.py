@@ -1,10 +1,11 @@
 """Command-line surface: thresholds, constructions, scans, simulation, decisions.
 
-Exit codes: 0 success, 2 invalid command or parameter, 3 unreadable or
-inconsistent tree file, 4 falsified invariant or failed verification,
-1 unexpected internal error.  All commands are deterministic; the master
-seed defaults to 1729 and every emitted CSV records its resolved
-configuration on a leading comment line.  Each command imports the layers
+Exit codes: 0 success, 2 invalid command or parameter (one too large to
+compute with included), 3 unreadable or inconsistent tree file,
+4 falsified invariant or failed verification, 1 unexpected internal
+error.  All commands are deterministic; the master seed defaults to 1729
+and every emitted CSV records its resolved configuration on a leading
+comment line.  Each command imports the layers
 it calls when it runs, so the pure-Python commands (`bound`, `invert` with
 --N/--K/--epsilon, `scan --what dominance`) load no numpy, scipy or mpmath.
 """
@@ -114,8 +115,8 @@ def cmd_construct(args) -> int:
     if args.N is None or args.K is None:
         raise CliError("construct requires --min-imbalance, --imbalance M, or --N and --K")
     config.update({"N": args.N, "K": args.K})
-    proc = constructions.sample_block_process(args.N, args.K, args.seed)
-    rows = [{"step": n + 1, "value": v} for n, v in enumerate(proc.values)]
+    values = constructions.sample_block_process(args.N, args.K, args.seed)
+    rows = [{"step": n + 1, "value": v} for n, v in enumerate(values)]
     _emit(rows, config, args)
     return EXIT_OK
 
@@ -131,7 +132,7 @@ def cmd_scan(args) -> int:
         report = constructions.verify_mv_bound(args.m_max)
         rows = [
             {
-                "m_max": report.m_max,
+                "m_max": args.m_max,
                 "pairs_checked": report.pairs_checked,
                 "violations": len(report.violations),
                 "min_slack": report.min_slack,
@@ -219,7 +220,8 @@ def cmd_decide(args) -> int:
         "epsilon": args.epsilon,
         "threshold": threshold,
         "regret_tail": tail,
-        "bound_holds": tail < args.epsilon / 2.0,
+        # tail < eps/2, exact also where eps/2 would round (a subnormal eps)
+        "bound_holds": 2.0 * tail < args.epsilon,
         "shift_check_passed": shift.passed,
         "bayes_first_choice": loss.space.labels[int(bayes.choices[0][0])],
     }
@@ -348,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except ValueError as exc:
+    except (ValueError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # pragma: no cover - last-resort diagnostics

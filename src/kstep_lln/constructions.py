@@ -32,7 +32,6 @@ import numpy as np
 from .bounds import mv_lower_bound
 
 __all__ = [
-    "BlockProcess",
     "MvAuditReport",
     "sample_block_process",
     "binomial_upper_tail",
@@ -203,39 +202,14 @@ def binomial_upper_tail_exact(m: int, k0: int) -> Fraction:
     return Fraction(sum(math.comb(m, k) for k in range(k0, m + 1)), 1 << m)
 
 
-@dataclass(frozen=True)
-class BlockProcess:
-    """One sampled block-sign path: N steps, K-step blocks, values in {-1, +1}."""
+def sample_block_process(N: int, K: int, seed: int) -> tuple[int, ...]:
+    """One block-sign path: m = N/K independent fair signs, each held over K steps.
 
-    N: int
-    K: int
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        _block_count(self.N, self.K)
-        if len(self.values) != self.N:
-            raise ValueError(f"expected {self.N} values, got {len(self.values)}")
-        if any(v not in (-1, 1) for v in self.values):
-            raise ValueError("values must be -1 or +1")
-        for n in range(self.N):
-            if self.values[n] != self.values[(n // self.K) * self.K]:
-                raise ValueError(f"value at step {n + 1} differs within its block")
-
-    @property
-    def m(self) -> int:
-        """Number of blocks."""
-        return self.N // self.K
-
-    def deviation(self) -> int:
-        """Cumulative deviation sum(values) = (2Z - m) K for Z = #(+1 blocks)."""
-        return sum(self.values)
-
-
-def sample_block_process(N: int, K: int, seed: int) -> BlockProcess:
-    """Draw m = N/K independent fair signs and expand them into K-step blocks."""
+    Returns the N values in {-1, +1}; their sum is the deviation (2Z - m) K.
+    """
     rng = np.random.default_rng(seed)
     signs = 2 * rng.integers(0, 2, size=_block_count(N, K)) - 1
-    return BlockProcess(N=N, K=K, values=tuple(int(s) for s in np.repeat(signs, K)))
+    return tuple(int(s) for s in np.repeat(signs, K))
 
 
 def imbalance_threshold(m: int) -> int:
@@ -327,7 +301,6 @@ def block_deviation_tail(N: int, K: int, C: float, sided: str = "upper") -> floa
 class MvAuditReport:
     """Result of auditing the binomial lower bound against exact tails."""
 
-    m_max: int
     pairs_checked: int
     violations: tuple[tuple[int, int], ...]
     min_slack: float
@@ -373,7 +346,6 @@ def verify_mv_bound(m_max: int) -> MvAuditReport:
             if slack < 0:
                 violations.append((m, t))
     return MvAuditReport(
-        m_max=m_max,
         pairs_checked=checked,
         violations=tuple(violations),
         min_slack=min_slack,

@@ -64,7 +64,7 @@ class DecisionSpace:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LossSpec:
     """Loss tables: `tables[n-1][d]` holds step-n losses of decision d on depth-(n+K) nodes."""
 
@@ -97,7 +97,7 @@ class LossSpec:
         return len(self.tables)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Strategy:
     """`choices[n-1][i]` is the decision index taken at depth-n node i."""
 
@@ -264,10 +264,13 @@ def shifted_sequence(tree: ProbabilityTree, loss: LossSpec, alt: Strategy) -> Ad
 class ShiftedDeviationReport:
     """Outcome of checking the difference sequence behind the regret bound."""
 
-    passed: bool
     max_conditional_mean: float
     max_sum_identity_error: float
     failures: tuple[str, ...]
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
 
 def shifted_deviation_check(
@@ -306,7 +309,6 @@ def shifted_deviation_check(
         failures.append(f"path sum differs from realized regret by {max_err!r} at leaf {leaf}")
 
     return ShiftedDeviationReport(
-        passed=not failures,
         max_conditional_mean=max_cond,
         max_sum_identity_error=max_err,
         failures=tuple(failures),

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .constructions import _block_count, _tail_event
 from .trees import AdaptedSequence, ProbabilityTree, deviation_per_leaf
@@ -92,6 +91,9 @@ def clopper_pearson(hits: int, trials: int) -> tuple[float, float]:
     """Exact two-sided 99% binomial confidence interval for hits out of trials."""
     if trials < 1 or not 0 <= hits <= trials:
         raise ValueError(f"need 0 <= hits <= trials with trials >= 1, got {hits}/{trials}")
+    # Imported here so that exact-only callers never load scipy.
+    from scipy.special import betaincinv
+
     alpha = 1.0 - _CONFIDENCE
     # Beta quantiles, the same values as scipy.stats.beta.ppf without loading scipy.stats.
     lo = 0.0 if hits == 0 else float(betaincinv(hits, trials - hits + 1, alpha / 2.0))
@@ -103,12 +105,14 @@ def clopper_pearson(hits: int, trials: int) -> tuple[float, float]:
 class TailEstimate:
     """Monte Carlo tail probability with its exact 99% Clopper-Pearson interval."""
 
-    p_hat: float
     trials: int
-    seed: int
+    hits: int
     ci_low: float
     ci_high: float
-    hits: int
+
+    @property
+    def p_hat(self) -> float:
+        return self.hits / self.trials
 
     def __post_init__(self) -> None:
         if not self.ci_low <= self.p_hat <= self.ci_high:
@@ -206,6 +210,4 @@ def mc_tail(
         hits = sum(map(run_chunk, starts))
 
     lo, hi = clopper_pearson(hits, trials)
-    return TailEstimate(
-        p_hat=hits / trials, trials=trials, seed=seed, ci_low=lo, ci_high=hi, hits=hits
-    )
+    return TailEstimate(trials=trials, hits=hits, ci_low=lo, ci_high=hi)

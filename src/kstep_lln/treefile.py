@@ -39,7 +39,7 @@ class TreeFileError(ValueError):
     """Raised when a tree document is missing, malformed, or inconsistent."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TreeBundle:
     tree: ProbabilityTree
     sequence: AdaptedSequence | None = None

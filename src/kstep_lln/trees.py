@@ -132,10 +132,10 @@ def _value_fault(levels) -> str | None:
         return None
     d, _, sums = levels[off]
     bad = int(np.argmax(np.abs(sums - 1.0)))
-    return f"depth {d}: branch probabilities at parent {bad} sum to {sums[bad]!r}"
+    return f"depth {d}: branch probabilities at parent {bad} sum to {float(sums[bad])!r}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbabilityTree:
     """Rooted tree with branch probabilities; depth-d arrays index depth-d nodes.
 
@@ -205,7 +205,7 @@ class ProbabilityTree:
         return probs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdaptedSequence:
     """One value per node, per step: `values[n-1]` lives on the depth-n nodes.
 
@@ -317,10 +317,13 @@ def exact_tail(
 
 @dataclass(frozen=True)
 class DeviationBoundCheck:
-    holds: bool
     tail: float
     threshold: float
     epsilon: float
+
+    @property
+    def holds(self) -> bool:
+        return self.tail < self.epsilon
 
 
 def verify_deviation_bound(
@@ -333,7 +336,7 @@ def verify_deviation_bound(
     """
     threshold = deviation_threshold(HorizonParams(N=seq.n_steps, K=lag, epsilon=epsilon))
     tail = exact_tail(tree, seq, lag, threshold, sided="two_sided")
-    return DeviationBoundCheck(holds=tail < epsilon, tail=tail, threshold=threshold, epsilon=epsilon)
+    return DeviationBoundCheck(tail=tail, threshold=threshold, epsilon=epsilon)
 
 
 def random_tree(

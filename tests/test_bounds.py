@@ -263,6 +263,22 @@ class TestSuitableXCheck:
         assert suitable_x_check(eps, 2.0)
 
 
+class TestSubnormalEpsilon:
+    @pytest.mark.parametrize("eps", [1e-310, 5e-324])
+    def test_thresholds_are_finite(self, eps):
+        p = HorizonParams(64, 1, eps)
+        assert deviation_threshold(p) == 4.0 * math.sqrt(65 * -math.log(eps))
+        assert math.isfinite(mv_threshold(p).threshold)
+        assert math.isfinite(kr_threshold(p))
+        assert suitable_x_check(eps, 2.0)
+
+    @given(st.floats(2.3e-308, 0.699))
+    @settings(max_examples=200)
+    def test_normal_epsilon_keeps_its_bits(self, eps):
+        p = HorizonParams(10, 2, eps)
+        assert deviation_threshold(p) == 4.0 * math.sqrt(2 * 12 * math.log(1.0 / eps))
+
+
 class TestThresholdCheck:
     def test_worked_instance(self):
         eps = math.exp(-1) / 15

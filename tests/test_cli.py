@@ -389,6 +389,39 @@ class TestErrorPath:
         assert err == f"error: {message}\n"
 
 
+class TestExtremeParameters:
+    @pytest.mark.parametrize("eps", ["1e-310", "5e-324"])
+    def test_subnormal_epsilon_gives_finite_thresholds(self, capsys, tmp_path, eps):
+        path = tmp_path / "d.json"
+        save_tree(path, full_bundle())
+        for argv, columns in [
+            (["bound", "--N", "10", "--K", "1"], ["threshold"]),
+            (["invert", "--N", "64", "--K", "1"], ["threshold", "upper_threshold", "kr_threshold"]),
+            (["decide", "--tree-file", str(path)], ["threshold"]),
+        ]:
+            code, out, err = run(capsys, *argv, "--epsilon", eps)
+            assert (code, err) == (EXIT_OK, ""), argv
+            (rec,) = records(out)[1]
+            assert all(math.isfinite(float(rec[c])) for c in columns), rec
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--N", "10", "--K", str(10**300), "--epsilon", "0.1"],
+            ["invert", "--N", "10", "--K", str(10**300), "--epsilon", "0.01"],
+            ["construct", "--N", str(10**300), "--K", str(10**300)],
+            # Each of these asks numpy for about 6e15 floats, which it refuses at once.
+            ["construct", "--imbalance", str(10**30)],
+            ["invert", "--m", str(10**30), "--t", "0"],
+        ],
+    )
+    def test_parameter_too_large_to_compute_with_exits_with_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestVerifyAllQuick:
     def test_quick_tier_passes_and_writes_artifacts(self, capsys, tmp_path):
         code, out, _ = run(
@@ -487,3 +520,19 @@ def test_pure_commands_load_no_numeric_library():
         env={"PYTHONPATH": src}, timeout=60,
     )
     assert out.stdout.strip() == "[0, 0, 0] False False False"
+
+
+def test_exact_only_simulate_loads_no_scipy():
+    # scipy serves only the Monte Carlo confidence interval
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys, io, contextlib; from kstep_lln.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['simulate', '--N', '64', '--K', '2', '--C', '3'])\n"
+        "print(code, 'scipy' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": src}, timeout=60,
+    )
+    assert out.stdout.strip() == "0 False"

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from kstep_lln import constructions
 from kstep_lln.bounds import mv_lower_bound
 from kstep_lln.constructions import (
-    BlockProcess,
     binomial_upper_tail,
     binomial_upper_tail_exact,
     block_deviation_tail,
@@ -184,34 +183,34 @@ class TestImbalance:
 
 class TestBlockProcess:
     def test_shape_and_block_constancy(self):
-        proc = sample_block_process(4, 2, seed=123)
-        assert proc.m == 2
-        assert len(proc.values) == 4
-        assert proc.values[0] == proc.values[1]
-        assert proc.values[2] == proc.values[3]
-        assert set(proc.values) <= {-1, 1}
+        values = sample_block_process(4, 2, seed=123)
+        assert isinstance(values, tuple) and len(values) == 4
+        assert values[0] == values[1]
+        assert values[2] == values[3]
+        assert set(values) <= {-1, 1}
 
     def test_deterministic_given_seed(self):
         a = sample_block_process(6, 3, seed=99)
         b = sample_block_process(6, 3, seed=99)
         assert a == b
 
+    @pytest.mark.parametrize("N, K", [(1, 1), (6, 3), (12, 4), (64, 8)])
+    def test_values_are_signs_held_over_each_block(self, N, K):
+        for seed in range(5):
+            values = sample_block_process(N, K, seed)
+            assert len(values) == N and set(values) <= {-1, 1}
+            assert all(values[n] == values[n - n % K] for n in range(N))
+
     def test_rejects_ragged_blocks(self):
         with pytest.raises(ValueError):
             sample_block_process(7, 2, seed=0)
-
-    def test_validation_catches_broken_blocks(self):
-        with pytest.raises(ValueError, match="within its block"):
-            BlockProcess(N=4, K=2, values=(1, -1, 1, 1))
-        with pytest.raises(ValueError, match="-1 or \\+1"):
-            BlockProcess(N=2, K=1, values=(1, 0))
 
     def test_mean_deviation_clt_sanity(self):
         # Mean of sum(values) over many seeds should be 0 within 3 sigma,
         # sigma = K sqrt(m / n_seeds).
         N, K, n_seeds = 6, 2, 20_000
         m = N // K
-        total = sum(sample_block_process(N, K, seed=s).deviation() for s in range(n_seeds))
+        total = sum(sum(sample_block_process(N, K, seed=s)) for s in range(n_seeds))
         assert abs(total / n_seeds) <= 3 * K * math.sqrt(m / n_seeds)
 
 

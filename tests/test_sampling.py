@@ -133,10 +133,11 @@ class TestClopperPearson:
 class TestTailEstimate:
     def test_interval_must_contain_point(self):
         with pytest.raises(ValueError):
-            TailEstimate(p_hat=0.5, trials=10, seed=0, ci_low=0.6, ci_high=0.9, hits=5)
+            TailEstimate(trials=10, hits=5, ci_low=0.6, ci_high=0.9)
 
     def test_contains(self):
-        est = TailEstimate(p_hat=0.5, trials=10, seed=0, ci_low=0.2, ci_high=0.8, hits=5)
+        est = TailEstimate(trials=10, hits=5, ci_low=0.2, ci_high=0.8)
+        assert est.p_hat == 0.5
         assert est.contains(0.3)
         assert not est.contains(0.9)
 

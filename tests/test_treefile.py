@@ -64,6 +64,18 @@ class TestRoundTrip:
         assert back.losses is None
 
 
+class TestIdentity:
+    def test_array_holding_types_compare_and_hash_by_identity(self):
+        bundle, twin = full_bundle(), full_bundle()
+        tree = bundle.tree
+        assert tree != twin.tree and tree not in [twin.tree]
+        assert tree == tree and tree in [twin.tree, tree]
+        assert bundle != twin and bundle.losses != twin.losses
+        assert bundle.sequence != twin.sequence
+        keys = {tree: 0, bundle.losses: 1, bundle: 2, twin.tree: 3}
+        assert [keys[k] for k in (tree, bundle.losses, bundle, twin.tree)] == [0, 1, 2, 3]
+
+
 class TestErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(TreeFileError, match="cannot read"):

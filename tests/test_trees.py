@@ -117,7 +117,7 @@ def tree_doc(parents, probs, values=None):
 # (tree depth, faulty depth): depth 1, the deepest level of a small tree, and
 # a level of 8192 entries, above the size that validation reduces in groups.
 FAULT_PLACES = [(5, 1), (5, 5), (13, 1), (13, 13)]
-SUM_11 = repr(np.float64(0.5) + 0.6)  # the message shows the numpy scalar's repr
+SUM_11 = repr(0.5 + 0.6)
 
 
 class TestConstructionMessages:

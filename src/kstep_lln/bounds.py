@@ -9,7 +9,8 @@ sequence bounded by 1, whose upper tail is controlled by
 and nearly matched from below by block-sign constructions (see the
 `constructions` module).  The proof route goes worst-case-dependence
 aggregation of the marginal Hoeffding tails of K interleaved sums (rate
-K/(2N), set in `AggregationParams.from_horizon`) -> a Gaussian survival
+1/(2 ceil(N/K)), which is K/(2N) when K divides N, set in
+`AggregationParams.from_horizon`) -> a Gaussian survival
 bound -> the epsilon-cutoff condition, and each link in that chain is
 exposed as its own function so it can be checked numerically.
 """
@@ -67,8 +68,8 @@ class HorizonParams:
 class AggregationParams:
     """Sub-Gaussian aggregation setup: K summands with P(X >= x) = exp(-a x^2).
 
-    When derived from a horizon problem the rate is a = K/(2N), the Hoeffding
-    rate of each of the K interleaved partial sums.
+    When derived from a horizon problem the rate is a = 1/(2 ceil(N/K)), the
+    Hoeffding rate of the longest of the K interleaved partial sums.
     """
 
     C: float
@@ -85,14 +86,17 @@ class AggregationParams:
 
     @classmethod
     def from_horizon(cls, C: float, N: int, K: int) -> "AggregationParams":
-        """Aggregation parameters for an N-step problem: a = K/(2N) exactly.
+        """Aggregation parameters for an N-step problem: a = 1/(2 ceil(N/K)).
 
-        Each of the K interleaved sums has N/K increments bounded by 2 in
-        magnitude, so Hoeffding gives its tail exp(-C^2 K / (2N)).
+        Each of the K interleaved sums has at most ceil(N/K) increments
+        bounded by 2 in magnitude, so Hoeffding gives its tail
+        exp(-x^2 / (2 ceil(N/K))).  When K divides N the rate is K/(2N), and
+        the double is the same as `K / (2.0 * N)`'s: both are one correctly
+        rounded quotient of the same rational.
         """
         if N < 1 or K < 1:
             raise ValueError("N and K must be positive integers")
-        return cls(C=C, K=K, a=K / (2.0 * N))
+        return cls(C=C, K=K, a=1 / (2 * -(-N // K)))
 
 
 @dataclass(frozen=True)
@@ -228,7 +232,8 @@ def midpoint_bound(C: float, K: int, N: int) -> float:
 
     This is the relaxed aggregation objective at the midpoint t = C/(2K)
     with rate a = K/(2N), further relaxed through `feller_upper`; it
-    dominates `aggregation_bound(relaxed=True)` for those parameters.
+    dominates `aggregation_bound(relaxed=True)` at that rate, which is the
+    rate `AggregationParams.from_horizon` gives when K divides N.
     """
     if not 0 < C < math.inf:
         raise ValueError(f"C must be positive and finite, got {C!r}")

@@ -7,7 +7,8 @@ current block's sign, so every lagged conditional mean vanishes and the
 cumulative deviation collapses to (2Z - m) K, where Z counts the +1 blocks.
 Everything about the construction therefore reduces to exact fair-binomial
 tail probabilities, which this module computes three ways: a float path for
-single tails, good to ~1e-13 relative up to m = 10^6; an exact rational path
+single tails, good to ~1e-13 relative up to m = 10^6 and refused above
+m = 10^9, where its sqrt(m) window would pass 12 MB; an exact rational path
 (the `*_exact` functions) for small m; and, for the scans over a whole family
 of m (`_imbalance_probs`, `verify_mv_bound`), exact integer counts carried
 from one m or k to the next by Pascal's rule, each tail then one correctly
@@ -49,6 +50,9 @@ __all__ = [
 # integer ratio comb(m, k) / 2^m; beyond, the fixed-point one.  The two cost
 # about the same, 15 us, for central k at m = 600 on CPython 3.11.
 _COMB_MAX = 600
+
+# Largest m `binomial_upper_tail` takes: its window grows as sqrt(m).
+_TAIL_M_MAX = 10**9
 
 # Fraction bits of the fixed-point pmf start, and floor(ln 2 * 2^_F) and
 # floor(2 pi * 2^_F) in them.
@@ -169,9 +173,15 @@ def binomial_upper_tail(m: int, k0: int) -> float:
     rest lie below 2^-104 of the first) and totalled with `math.fsum`.
     k0 may lie outside [0, m]; the lower half is handled through the
     symmetry complement so the summed tail is always the short one.
+
+    m above `_TAIL_M_MAX` = 10^9 is refused with ValueError before anything
+    is allocated: the summed window and its list grow as sqrt(m), to about
+    12 MB at 10^9 (144 MB at 10^11).
     """
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m!r}")
+    if m > _TAIL_M_MAX:
+        raise ValueError(f"m must be at most {_TAIL_M_MAX} for a binomial tail, got {m!r}")
     if k0 <= 0:
         return 1.0
     if k0 > m:

@@ -286,16 +286,20 @@ def deviation_per_leaf(tree: ProbabilityTree, seq: AdaptedSequence, lag: int) ->
     if lag < 1:
         raise ValueError(f"lag must be a positive integer, got {lag}")
     N = seq.n_steps
-    counts = tree.node_counts
     # Conditional means are subtracted where they become known, then pushed
-    # down to depth N along with the Y values in a single forward pass.
-    pending = [np.zeros(counts[d]) for d in range(N + 1)]
+    # down to depth N along with the Y values in a single forward pass.  Only
+    # depths 0 and 1..N-lag receive a mean; a bincount sum is never -0.0, so
+    # starting each from its first mean instead of zeros changes no bit.
+    pending: dict[int, np.ndarray] = {}
     for n in range(1, N + 1):
         d = max(n - lag, 0)
-        pending[d] = pending[d] + _pull_back(tree, seq.values[n - 1], n, d)
+        mean = _pull_back(tree, seq.values[n - 1], n, d)
+        pending[d] = pending[d] + mean if d in pending else mean
     acc = -pending[0]
     for d in range(1, N + 1):
-        acc = acc[tree.parents[d - 1]] + seq.values[d - 1] - pending[d]
+        acc = acc[tree.parents[d - 1]] + seq.values[d - 1]
+        if d in pending:
+            acc -= pending[d]
     acc.flags.writeable = False
     object.__setattr__(seq, "_deviation", (tree, lag, acc))
     return acc

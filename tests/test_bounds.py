@@ -180,6 +180,19 @@ class TestAggregationBound:
         ap = AggregationParams.from_horizon(10.0, 64, 4)
         assert ap.a == 4 / 128
 
+    def test_from_horizon_rate_follows_the_longest_chain(self):
+        # N = 10, K = 4: the chains have 3, 3, 2 and 2 terms, so the rate is 1/6, not 4/20.
+        assert AggregationParams.from_horizon(10.0, 10, 4).a == 1 / 6
+        assert AggregationParams.from_horizon(10.0, 3, 5).a == 1 / 2
+
+    def test_from_horizon_rate_keeps_its_bits_when_K_divides_N(self):
+        # Criterion 4's full grid, N = K m.
+        for K in (1, 2, 3, 4, 5):
+            for m in (2, 4, 8, 16, 32):
+                N = K * m
+                a = AggregationParams.from_horizon(1.0, N, K).a
+                assert a.hex() == (K / (2.0 * N)).hex(), (N, K)
+
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             AggregationParams(C=-1.0, K=2, a=1.0)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -23,7 +24,7 @@ from kstep_lln.constructions import (
     sample_block_process,
     verify_mv_bound,
 )
-from kstep_lln.constructions import _COMB_MAX, _F, _LN2, _TWO_PI, _pmf_float
+from kstep_lln.constructions import _COMB_MAX, _F, _LN2, _TAIL_M_MAX, _TWO_PI, _pmf_float
 from kstep_lln.trees import block_process_tree, exact_tail
 
 
@@ -141,6 +142,19 @@ class TestBinomialUpperTail:
     def test_rejects_nonpositive_m(self):
         with pytest.raises(ValueError):
             binomial_upper_tail(0, 0)
+
+    @pytest.mark.parametrize("m", [_TAIL_M_MAX + 1, 10**11, 10**30])
+    def test_refuses_m_above_the_limit_before_allocating(self, m):
+        assert _TAIL_M_MAX >= 10**7  # the 40-digit references go up to m = 10^7
+        tracemalloc.start()
+        try:
+            for k0 in (-1, 0, m // 4, m // 2 + 1, m, m + 1):
+                with pytest.raises(ValueError, match=f"at most {_TAIL_M_MAX} .* got {m}"):
+                    binomial_upper_tail(m, k0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
 
 
 class TestImbalance:

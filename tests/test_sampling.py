@@ -24,6 +24,7 @@ from kstep_lln.sampling import (
     mc_tail,
     tree_deviation_sampler,
 )
+from kstep_lln.sampling import _inverse_cdf_draw
 from kstep_lln.treefile import bundle_from_dict
 from kstep_lln.trees import AdaptedSequence, deviation_per_leaf, exact_tail, random_tree
 
@@ -160,12 +161,19 @@ class TestMcTail:
         )
         assert est.contains(7 / 64)
 
-    def test_identical_across_worker_counts(self):
-        sampler = block_deviation_sampler(12, 3)
-        kwargs = dict(sided="two_sided", trials=70_001, seed=5)
-        one = mc_tail(sampler, 6.0, workers=1, **kwargs)
-        four = mc_tail(sampler, 6.0, workers=4, **kwargs)
-        assert one == four
+    @pytest.mark.parametrize(
+        "sampler, C",
+        [
+            (block_deviation_sampler(12, 3), 6.0),
+            (tree_deviation_sampler(*random_tree(depth=6, max_branching=3, seed=404), 2), 1.75),
+        ],
+        ids=["block", "tree"],
+    )
+    def test_identical_across_worker_counts(self, sampler, C):
+        kwargs = dict(sided="two_sided", trials=70_001, seed=5)  # three chunks
+        one, *more = (mc_tail(sampler, C, workers=w, **kwargs) for w in (1, 2, 3, 4))
+        assert 0 < one.hits < one.trials
+        assert all(est == one for est in more)
 
     def test_single_chunk_runs_on_calling_thread(self):
         threads = []
@@ -281,7 +289,9 @@ class TestBlockSampler:
     @settings(max_examples=30, deadline=None)
     def test_each_trial_depends_only_on_its_index(self, m, seed, data):
         # m = None stands for the tree sampler, which keys its one uniform the same way.
-        idx = np.array(data.draw(st.lists(st.integers(0, 2**40), min_size=1, max_size=50)),
+        # Its tree has 43 leaves, so up to 100 trials reach both of its searches.
+        size = 50 if m is not None else 100
+        idx = np.array(data.draw(st.lists(st.integers(0, 2**40), min_size=1, max_size=size)),
                        dtype=np.uint64)
         sel = np.array(data.draw(st.lists(st.booleans(), min_size=len(idx), max_size=len(idx))))
         if m is None:
@@ -361,6 +371,22 @@ class TestTreeSampler:
             p = math.fsum(probs[dev == value].tolist())
             hits = int(np.count_nonzero(drawn == value))
             assert abs(hits - n * p) <= 5.0 * math.sqrt(n * p * (1.0 - p))
+
+    @pytest.mark.parametrize("n_leaves, n_keys", [(7, 200), (300, 40), (50, 50), (1, 1), (1, 9), (5, 0)])
+    def test_sorted_search_matches_bisect_right(self, n_leaves, n_keys):
+        # Fewer leaves than keys, more, as many; one leaf; no keys.  Zero-probability
+        # leaves repeat a partial sum, and half the keys sit exactly on a partial sum.
+        rng = np.random.default_rng(n_leaves * 1000 + n_keys)
+        probs = rng.random(n_leaves) * (rng.random(n_leaves) < 0.8)
+        probs[0] += 0.1
+        cdf = np.cumsum(probs)
+        x = rng.random(n_keys) * cdf[-1]
+        on_edge = rng.random(n_keys) < 0.5
+        x[on_edge] = rng.choice(cdf, size=int(on_edge.sum()))
+        values = np.arange(n_leaves) * 1.5 - 2.0
+        want = [values[bisect.bisect_right(cdf[:-1].tolist(), key)] for key in x.tolist()]
+        got = _inverse_cdf_draw(values, cdf, x)
+        assert got.dtype == values.dtype and got.tolist() == want
 
     def test_short_sequence_draws_from_its_last_step(self):
         tree, seq = random_tree(depth=6, max_branching=3, seed=21)

@@ -305,6 +305,21 @@ class TestDeviationPerLeaf:
             ref += term
         np.testing.assert_allclose(deviation_per_leaf(tree, seq, lag), ref, atol=1e-12)
 
+    @given(st.integers(0, 10_000), st.integers(1, 8), st.integers(1, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_bits_match_a_pass_with_zero_filled_depths(self, seed, depth, lag):
+        # The same forward pass with every depth's pending mean started from zeros.
+        tree, seq = random_tree(depth=depth, max_branching=3, seed=seed)
+        pending = [np.zeros(c) for c in tree.node_counts]
+        for n in range(1, depth + 1):
+            d = max(n - lag, 0)
+            mean = conditional_expectation(tree, seq, n, lag)
+            pending[d] = pending[d] + mean
+        ref = -pending[0]
+        for d in range(1, depth + 1):
+            ref = ref[tree.parents[d - 1]] + seq.values[d - 1] - pending[d]
+        assert deviation_per_leaf(tree, seq, lag).tobytes() == ref.tobytes()
+
     def test_zero_process(self):
         tree = two_level_tree()
         seq = AdaptedSequence(values=(np.zeros(2), np.zeros(4)))

@@ -174,18 +174,19 @@ def binomial_upper_tail(m: int, k0: int) -> float:
     k0 may lie outside [0, m]; the lower half is handled through the
     symmetry complement so the summed tail is always the short one.
 
-    m above `_TAIL_M_MAX` = 10^9 is refused with ValueError before anything
-    is allocated: the summed window and its list grow as sqrt(m), to about
-    12 MB at 10^9 (144 MB at 10^11).
+    Past the trivial tails (k0 <= 0 or k0 > m), m above `_TAIL_M_MAX` = 10^9
+    is refused with ValueError before anything is allocated: the summed
+    window and its list grow as sqrt(m), to about 12 MB at 10^9 (144 MB at
+    10^11).
     """
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m!r}")
-    if m > _TAIL_M_MAX:
-        raise ValueError(f"m must be at most {_TAIL_M_MAX} for a binomial tail, got {m!r}")
     if k0 <= 0:
         return 1.0
     if k0 > m:
         return 0.0
+    if m > _TAIL_M_MAX:
+        raise ValueError(f"m must be at most {_TAIL_M_MAX} for a binomial tail, got {m!r}")
     if 2 * k0 <= m:
         # P(>= k0) = 1 - P(<= k0-1) = 1 - P(>= m-k0+1) by coin symmetry.
         return 1.0 - binomial_upper_tail(m, m - k0 + 1)

@@ -160,9 +160,8 @@ def tree_deviation_sampler(tree: ProbabilityTree, seq: AdaptedSequence, lag: int
     spends its stream's first uniform on an inverse-CDF draw over their
     stored probabilities.  The uniform is scaled by the cumulative total and
     searched among the first L - 1 partial sums, so every index is in range
-    however the sum rounds.  The search runs over the chunk's sorted keys
-    (`_inverse_cdf_draw`), which cuts a 10^4-trial draw on a tree of a few
-    hundred to a few thousand leaves from about 0.8-0.9 ms to 0.3-0.4 ms.
+    however the sum rounds.  The search runs over the chunk's sorted keys;
+    see `_inverse_cdf_draw`.
     """
     dev = deviation_per_leaf(tree, seq, lag)
     cdf = np.cumsum(tree.node_probabilities(seq.n_steps))
@@ -178,11 +177,11 @@ def _inverse_cdf_draw(values: np.ndarray, cdf: np.ndarray, x: np.ndarray) -> np.
     """values[bisect_right(cdf[:-1], x_i)] for each key x_i, in the keys' order.
 
     `cdf` is non-decreasing.  The keys are sorted once.  With fewer leaves
-    than keys, each leaf's first key is found among the sorted keys and the
-    leaf's value repeated over its run; otherwise the sorted keys are
-    searched among the partial sums.  Either way a key gets the leaf the
-    unsorted search gives it, and the result is scattered back through the
-    sort's permutation.
+    than keys, each leaf's first key is found among the sorted keys (one
+    search a leaf, not one a key) and the leaf's value repeated over its
+    run; otherwise the sorted keys are searched among the partial sums.
+    Either way a key gets the leaf the unsorted search gives it, and the
+    result is scattered back through the sort's permutation.
     """
     order = np.argsort(x)
     out = np.empty(len(x), dtype=values.dtype)

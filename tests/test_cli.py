@@ -422,6 +422,13 @@ class TestExtremeParameters:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_trivial_tail_above_the_binomial_limit_is_exact(self, capsys):
+        # C above the largest |S| = N needs no window, so the m limit does not apply.
+        code, out, err = run(capsys, "simulate", "--N", str(2 * 10**9), "--K", "1", "--C", "3e9")
+        assert (code, err) == (EXIT_OK, "")
+        (row,) = records(out)[1]
+        assert float(row["exact_tail"]) == 0.0
+
 
 class TestVerifyAllQuick:
     def test_quick_tier_passes_and_writes_artifacts(self, capsys, tmp_path):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import deque
 
 from . import DEFAULT_SEED, bounds
 from .output import format_csv, format_json, make_output_dir, write_output
@@ -23,6 +24,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_TREEFILE = 3
 EXIT_VERIFY = 4
+
+#: `construct --imbalance M` scans up to M in exact integers (0.1 s at the limit).
+_SCANNED_IMBALANCE_M_MAX = 10_000
 
 
 class CliError(Exception):
@@ -104,12 +108,14 @@ def cmd_construct(args) -> int:
         _emit([row], config, args)
         return EXIT_OK
     if args.imbalance is not None:
-        config["m"] = args.imbalance
-        row = {
-            "m": args.imbalance,
-            "count_threshold": constructions.imbalance_threshold(args.imbalance),
-            "probability": constructions.imbalance_prob(args.imbalance),
-        }
+        m = config["m"] = args.imbalance
+        k0 = constructions.imbalance_threshold(m)
+        if m <= _SCANNED_IMBALANCE_M_MAX:
+            # The scan's last row: the same correctly rounded value `scan --what imbalance` prints.
+            prob = deque(constructions._imbalance_probs(m), maxlen=1)[0][2]
+        else:
+            prob = constructions.imbalance_prob(m)
+        row = {"m": m, "count_threshold": k0, "probability": prob}
         _emit([row], config, args)
         return EXIT_OK
     if args.N is None or args.K is None:

@@ -1,4 +1,5 @@
 import bisect
+import hashlib
 import itertools
 import math
 import subprocess
@@ -24,7 +25,7 @@ from kstep_lln.sampling import (
     mc_tail,
     tree_deviation_sampler,
 )
-from kstep_lln.sampling import _inverse_cdf_draw
+from kstep_lln.sampling import _CHUNK, _inverse_cdf_draw
 from kstep_lln.treefile import bundle_from_dict
 from kstep_lln.trees import AdaptedSequence, deviation_per_leaf, exact_tail, random_tree
 
@@ -71,6 +72,21 @@ class TestCounterStreams:
     def test_derive_seed_rejects_negative_label(self):
         with pytest.raises(OverflowError):
             derive_seed(1, 2, -1)
+
+    def test_callers_arrays_are_left_unchanged(self):
+        # splitmix64 runs in place on fresh arrays; np.asarray would hand back the caller's own.
+        a = np.arange(2**40, 2**40 + 300, dtype=np.uint64)
+        want = a.copy()
+        keys = counter_seeds(9, a)
+        assert not np.shares_memory(keys, a)
+        np.testing.assert_array_equal(a, want)
+        keys_before = keys.copy()
+        counter_uniforms(keys, 3)
+        np.testing.assert_array_equal(keys, keys_before)
+        tree, seq = random_tree(depth=4, max_branching=3, seed=5)
+        for sampler in (block_deviation_sampler(130, 2), tree_deviation_sampler(tree, seq, 2)):
+            sampler(9, a)
+            np.testing.assert_array_equal(a, want)
 
 
 class TestClopperPearson:
@@ -372,10 +388,13 @@ class TestTreeSampler:
             hits = int(np.count_nonzero(drawn == value))
             assert abs(hits - n * p) <= 5.0 * math.sqrt(n * p * (1.0 - p))
 
-    @pytest.mark.parametrize("n_leaves, n_keys", [(7, 200), (300, 40), (50, 50), (1, 1), (1, 9), (5, 0)])
+    @pytest.mark.parametrize("n_leaves, n_keys", [
+        (7, 200), (300, 40), (50, 50), (1, 1), (1, 9), (5, 0), (9, 1), (40, 2**15), (2**16, 2**15),
+    ])
     def test_sorted_search_matches_bisect_right(self, n_leaves, n_keys):
-        # Fewer leaves than keys, more, as many; one leaf; no keys.  Zero-probability
-        # leaves repeat a partial sum, and half the keys sit exactly on a partial sum.
+        # Fewer leaves than keys, more, as many; one leaf; one key, no keys; a whole
+        # chunk, whose positions fill 15 low bits.  Zero-probability leaves repeat a
+        # partial sum, and half the keys sit exactly on a partial sum.
         rng = np.random.default_rng(n_leaves * 1000 + n_keys)
         probs = rng.random(n_leaves) * (rng.random(n_leaves) < 0.8)
         probs[0] += 0.1
@@ -384,9 +403,40 @@ class TestTreeSampler:
         on_edge = rng.random(n_keys) < 0.5
         x[on_edge] = rng.choice(cdf, size=int(on_edge.sum()))
         values = np.arange(n_leaves) * 1.5 - 2.0
-        want = [values[bisect.bisect_right(cdf[:-1].tolist(), key)] for key in x.tolist()]
+        edges = cdf[:-1].tolist()
+        want = [values[bisect.bisect_right(edges, key)] for key in x.tolist()]
         got = _inverse_cdf_draw(values, cdf, x)
         assert got.dtype == values.dtype and got.tolist() == want
+
+    @pytest.mark.parametrize("n_leaves", [2, 100])
+    def test_sorted_search_falls_back_to_argsort_on_tied_high_bits(self, n_leaves, monkeypatch):
+        # 64 keys give up their low 6 bits to positions.  Keys a few ulps apart share
+        # their high bits, so the one-word sort leaves them in position order; placed
+        # in descending order around a partial sum, that order is wrong.
+        calls = []
+        argsort = np.argsort
+
+        def counting(a, *args, **kwargs):
+            calls.append(len(a))
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counting)
+        base = int(np.float64(0.6).view(np.uint64)) & ~63
+        x = np.arange(base + 63, base - 1, -1, dtype=np.uint64).view(np.float64)
+        cdf = np.linspace(0.01, 1.0, n_leaves)
+        cdf[n_leaves // 2] = np.uint64(base + 32).view(np.float64)
+        cdf.sort()
+        values = np.arange(n_leaves, dtype=np.float64)
+        edges = cdf[:-1].tolist()
+        want = [values[bisect.bisect_right(edges, key)] for key in x.tolist()]
+        assert _inverse_cdf_draw(values, cdf, x).tolist() == want
+        assert calls == [64]
+        # Keys spread over [0, 1) do not tie: the same call takes the one-word sort.
+        calls.clear()
+        x = np.random.default_rng(n_leaves).random(64)
+        want = [values[bisect.bisect_right(edges, key)] for key in x.tolist()]
+        assert _inverse_cdf_draw(values, cdf, x).tolist() == want
+        assert calls == []
 
     def test_short_sequence_draws_from_its_last_step(self):
         tree, seq = random_tree(depth=6, max_branching=3, seed=21)
@@ -397,3 +447,39 @@ class TestTreeSampler:
             tree_deviation_sampler(tree, short, 2), C, sided="two_sided", trials=40_000, seed=6
         )
         assert est.contains(exact_tail(tree, short, 2, C))
+
+
+class TestGoldenDraws:
+    """The samplers' raw output, pinned by sha256 across versions of the code.
+
+    Criterion 10 compares draws across worker counts only; these digests
+    compare them with the draws of the code that recorded them.
+    """
+
+    @pytest.mark.parametrize("depth, lag, n_leaves, digest", [
+        # A whole chunk takes the leaf-run search.
+        (8, 2, 2093, "f968b5cd1507b960e756365e83cf1e7ca07d0c9b072a5fe9f3c865bbfa9c8f9e"),
+        # More leaves than a chunk's trials: the key search into the partial sums.
+        (12, 3, 82269, "1be6e45431b46e20303631931419ed123fdde42ebc81c1e24a4abf28d25e2ac6"),
+    ], ids=["tree", "wide-tree"])
+    def test_tree_draws_match_their_recorded_digest(self, depth, lag, n_leaves, digest):
+        tree, seq = random_tree(depth=depth, max_branching=3, seed=17)
+        assert len(tree.parents[-1]) == n_leaves
+        self._assert_digest(tree_deviation_sampler(tree, seq, lag), digest)
+
+    def test_block_draws_match_their_recorded_digest(self):
+        # m = 65: two words a trial, the second masked to its lowest bit.
+        self._assert_digest(
+            block_deviation_sampler(130, 2),
+            "9af10061d848ea8d3992b268ff50a47f82464487135b72b4f8c4e06cf6fc6849",
+        )
+
+    @staticmethod
+    def _assert_digest(sampler, digest):
+        trials = _CHUNK + 1  # two chunks, split as `mc_tail` splits them
+        out = np.concatenate([
+            sampler(1729, np.arange(start, min(start + _CHUNK, trials), dtype=np.uint64))
+            for start in range(0, trials, _CHUNK)
+        ])
+        assert out.dtype == np.float64 and len(out) == trials
+        assert hashlib.sha256(out.tobytes()).hexdigest() == digest

@@ -11,17 +11,9 @@ memory grows with the trial count only.  The tree sampler spends one
 uniform per trial on an inverse-CDF draw of a leaf from the tree's stored
 leaf probabilities.  It sorts a chunk's keys once and searches them in
 order: a binary search over keys in random order mispredicts its branches
-(65-80 ns a trial on a 2-core x86 machine).  The keys are non-negative
-doubles, which order like their bit patterns, so the sort is of one 64-bit
-word a key with the key's position in its low bits (14 of them for 10^4
-keys), not an argsort.  On 10^4 keys (numpy 2.4, same machine) packing,
-sorting, reading back the positions, gathering the sorted keys and
-checking their order take 85-135 us, the sort itself 70-90 us, where
-np.argsort and its gather took 155-235 us.  Keys whose remaining high bits
-tie can come out of order; the check finds that and the chunk falls back
-to np.argsort.  A sorted search finds each key the same leaf, and the draws
-go back to trial order through the sort's permutation, so every estimate
-is what the unsorted search gives.  splitmix64 runs in place on a fresh
+(65-80 ns a trial on a 2-core x86 machine).  Its draws come back in the
+order of their keys, not of their trials; every caller only counts hits,
+and a count does not depend on order.  splitmix64 runs in place on a fresh
 array with one scratch buffer.  Intervals are exact 99%
 Clopper-Pearson, not normal-approximate, because small tail probabilities
 are precisely the quantity of interest.
@@ -149,7 +141,8 @@ class TailEstimate:
 
 
 # A sampler maps (master_seed, trial index array) to deviation values, one
-# per trial, each a pure function of (master_seed, trial index).
+# per trial, each a pure function of (master_seed, trial index).  The values
+# may come back in any order: only their multiset is part of the contract.
 Sampler = Callable[[int, np.ndarray], np.ndarray]
 
 
@@ -181,8 +174,8 @@ def tree_deviation_sampler(tree: ProbabilityTree, seq: AdaptedSequence, lag: int
     spends its stream's first uniform on an inverse-CDF draw over their
     stored probabilities.  The uniform is scaled by the cumulative total and
     searched among the first L - 1 partial sums, so every index is in range
-    however the sum rounds.  The search runs over the chunk's sorted keys;
-    see `_inverse_cdf_draw`.
+    however the sum rounds.  The search runs over the chunk's sorted keys,
+    and the draws come back in the keys' order; see `_inverse_cdf_draw`.
     """
     dev = deviation_per_leaf(tree, seq, lag)
     cdf = np.cumsum(tree.node_probabilities(seq.n_steps))
@@ -196,50 +189,19 @@ def tree_deviation_sampler(tree: ProbabilityTree, seq: AdaptedSequence, lag: int
 
 
 def _inverse_cdf_draw(values: np.ndarray, cdf: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """values[bisect_right(cdf[:-1], x_i)] for each key x_i, in the keys' order.
+    """values[bisect_right(cdf[:-1], x_i)] for each key x_i, in sorted-key order.
 
-    `cdf` is non-decreasing and the keys are non-negative.  The keys are
-    sorted once, as one packed word a key, with a check of the result and an
-    argsort fallback (`_sort_keys`).  With fewer leaves than keys, each
-    leaf's first key is found among the sorted keys (one search a leaf, not
-    one a key) and the leaf's value repeated over its run; otherwise the
-    sorted keys are searched among the partial sums.  Either way a key gets
-    the leaf the unsorted search gives it, and the result is scattered back
-    through the sort's permutation.
+    `cdf` is non-decreasing.  The keys are sorted once.  With fewer leaves
+    than keys, each leaf's first key is found among the sorted keys (one
+    search a leaf, not one a key) and the leaf's value repeated over its
+    run; otherwise the sorted keys are searched among the partial sums.
     """
-    order, xs = _sort_keys(x)
-    out = np.empty(len(x), dtype=values.dtype)
+    xs = np.sort(x)
     if len(cdf) < len(x):
         # Keys below cdf[j] are exactly those whose leaf is at most j.
         starts = np.searchsorted(xs, cdf[:-1], side="left")
-        out[order] = np.repeat(values, np.diff(starts, prepend=0, append=len(x)))
-    else:
-        out[order] = values[np.searchsorted(cdf[:-1], xs, side="right")]
-    return out
-
-
-def _sort_keys(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A permutation `order` that sorts the keys x, and the sorted keys x[order].
-
-    Each key's low bits are replaced by its position, and the words are
-    sorted as unsigned integers, which orders non-negative doubles.  Keys
-    whose remaining high bits tie come out in position order, which need
-    not be theirs; a pass over the gathered keys finds that, and then
-    `np.argsort` sorts the chunk.  Any sorting permutation gives every key
-    the same leaf, so the draws do not depend on which one ran.
-    """
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    low = np.uint64((1 << max(len(x) - 1, 0).bit_length()) - 1)  # holds every position
-    packed = x.view(np.uint64) & ~low
-    packed |= np.arange(len(x), dtype=np.uint64)
-    packed.sort()
-    packed &= low
-    order = packed.view(np.int64)
-    xs = x[order]
-    if not (xs[1:] >= xs[:-1]).all():
-        order = np.argsort(x)
-        xs = x[order]
-    return order, xs
+        return np.repeat(values, np.diff(starts, prepend=0, append=len(x)))
+    return values[np.searchsorted(cdf[:-1], xs, side="right")]
 
 
 def _check_workers(workers: int) -> None:

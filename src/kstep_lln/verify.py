@@ -15,7 +15,10 @@ different worker count reproduces the artifacts byte for byte.  Criterion
 another worker count.  The worker count sizes only the Monte Carlo chunk
 threads of criterion 8; criteria 7 and 9 build their rows in instance
 order on the calling thread, where threads over their many small numpy
-calls only contend for the GIL.
+calls only contend for the GIL.  A quick-tier estimate is 20,000 trials,
+one 32,768-trial chunk, so the quick tier starts no thread at any worker
+count and criterion 10's rerun there runs the same code; only the full
+tier (100,000 trials, four chunks) uses the threads.
 """
 
 from __future__ import annotations

@@ -8,18 +8,21 @@ cumulative deviation collapses to (2Z - m) K, where Z counts the +1 blocks.
 Everything about the construction therefore reduces to exact fair-binomial
 tail probabilities, which this module computes three ways: a float path for
 single tails, good to ~1e-13 relative up to m = 10^6 and refused above
-m = 10^9, where its sqrt(m) window would pass 12 MB; an exact rational path
-(the `*_exact` functions) for small m; and, for the scans over a whole family
-of m (`_imbalance_probs`, `verify_mv_bound`), exact integer counts carried
-from one m or k to the next by Pascal's rule, each tail then one correctly
-rounded division count / 2^m.
+m = 10^9 (its window grows as sqrt(m); a central tail at 10^9 peaks at
+4.6 MB); an exact rational path (the `*_exact` functions) for small m; and,
+for the scans over a whole family of m (`_imbalance_probs`,
+`verify_mv_bound`), exact integer counts carried from one m or k to the
+next by Pascal's rule, each tail then one correctly rounded division
+count / 2^m.
 
 The float path starts once, from a pmf value: the correctly rounded integer
 ratio C(m, k)/2^m for moderate m or a short side of at most 64, and beyond
 that Loader's saddle-point decomposition in 128-bit fixed-point integers,
 rounded once to the float the integer ratio gives.  It runs the ratio
 recurrence over at most 6 isqrt(m) + 7 terms, past which no term can move
-the rounded sum, and totals them with compensated summation.
+the rounded sum, and totals them to the correctly rounded sum by
+`_exact_sum`: an exact split of each term, two numpy sums and an error
+bound that certifies the rounding, with `math.fsum` where it cannot.
 """
 
 from __future__ import annotations
@@ -53,6 +56,10 @@ _COMB_MAX = 600
 
 # Largest m `binomial_upper_tail` takes: its window grows as sqrt(m).
 _TAIL_M_MAX = 10**9
+
+# Below this many entries `_exact_sum` is `math.fsum` itself: on CPython 3.11
+# with numpy 2.4 the extraction's fixed cost, about 6 us, is fsum's at 200.
+_EXACT_SUM_MIN = 200
 
 # Fraction bits of the fixed-point pmf start, and floor(ln 2 * 2^_F) and
 # floor(2 pi * 2^_F) in them.
@@ -127,7 +134,8 @@ def _pmf_float(m: int, k: int) -> float:
     """P(Binomial(m, 1/2) = k) as a float.
 
     The integer ratio comb(m, k) / 2^m, correctly rounded, up to
-    m = _COMB_MAX or while min(k, m - k) <= 64.  Beyond, Loader's
+    m = _COMB_MAX or while min(k, m - k) <= 64; 0.0 without dividing once
+    the ratio is below 2^-1075, half the least subnormal.  Beyond, Loader's
     decomposition with j = m - k,
 
         ln pmf = stirlerr(m) - stirlerr(k) - stirlerr(j)
@@ -141,7 +149,9 @@ def _pmf_float(m: int, k: int) -> float:
     """
     j = m - k
     if m <= _COMB_MAX or min(k, j) <= 64:
-        return math.comb(m, k) / (1 << m)
+        c = math.comb(m, k)
+        # Below 2^-1075 the ratio rounds to 0.0: return it without building 2^m.
+        return 0.0 if c.bit_length() - m <= -1075 else c / (1 << m)
     log = (
         _stirlerr_fixed(m) - _stirlerr_fixed(k) - _stirlerr_fixed(j)
         - k * _ln_fixed(2 * k, m) - j * _ln_fixed(2 * j, m)
@@ -170,14 +180,15 @@ def binomial_upper_tail(m: int, k0: int) -> float:
     The tail is summed in the decreasing direction from one correctly
     rounded pmf value (`_pmf_float`), advancing by the exact ratio recurrence
     pmf(k+1) = pmf(k) (m-k)/(k+1) over at most 6 isqrt(m) + 7 terms (the
-    rest lie below 2^-104 of the first) and totalled with `math.fsum`.
-    k0 may lie outside [0, m]; the lower half is handled through the
-    symmetry complement so the summed tail is always the short one.
+    rest lie below 2^-104 of the first), and their correctly rounded sum is
+    the float `math.fsum` would give (`_exact_sum`).  k0 may lie outside
+    [0, m]; the lower half is handled through the symmetry complement so
+    the summed tail is always the short one.
 
     Past the trivial tails (k0 <= 0 or k0 > m), m above `_TAIL_M_MAX` = 10^9
     is refused with ValueError before anything is allocated: the summed
-    window and its list grow as sqrt(m), to about 12 MB at 10^9 (144 MB at
-    10^11).
+    window grows as sqrt(m), and at 10^9 a central tail peaks at 4.6 MB
+    (tracemalloc), one with k0 = m - 10 at 1 KB.
     """
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m!r}")
@@ -196,10 +207,45 @@ def binomial_upper_tail(m: int, k0: int) -> float:
     # (m-k)/(k+1) is below (1-y)/(1+y) <= e^{-2y} for y = 2(k - m/2)/m; so the
     # term j steps on is below e^{-2j^2/m} of the first.  Past 6 sqrt(m) steps
     # that is under e^{-72} ~ 2^-104, so every later term, and their sum, is
-    # far below an ulp of the tail.
-    ks = np.arange(k0, min(m, k0 + 6 * math.isqrt(m) + 6), dtype=np.float64)
-    terms = term * np.cumprod((m - ks) / (ks + 1.0))
-    return math.fsum([term, *terms.tolist()])
+    # far below an ulp of the tail.  terms[i] is pmf(k0 + i): the ratio into
+    # k0 is set to 1, so the window starts at term itself.
+    ks = np.arange(k0 - 1, min(m, k0 + 6 * math.isqrt(m) + 6), dtype=np.float64)
+    terms = m - ks
+    terms /= ks + 1.0
+    terms[0] = 1.0
+    np.cumprod(terms, out=terms)
+    terms *= term
+    return _exact_sum(terms)
+
+
+def _exact_sum(x: np.ndarray) -> float:
+    """math.fsum(x.tolist()) for a 1-D array of non-negative finite floats.
+
+    The extraction step of Rump, Ogita & Oishi (SIAM J. Sci. Comput. 31,
+    2008) splits each entry at a power of two sigma >= (n + 2) max(x):
+    q = (x + sigma) - sigma and r = x - q are exact, every q is a multiple
+    of ulp(sigma), so sum(q) is exact in any order, and |r| <= ulp(sigma)/2,
+    so numpy's sum(r) is within n^2 sigma 2^-104 of the true sum (4 times
+    the worst case of any order).  Both ends of that interval, each widened
+    by one ulp, go through one correctly rounded addition; if they round to
+    the same float, so does the exact total, which is the float fsum gives.
+    Otherwise, and for fewer than _EXACT_SUM_MIN entries or a sigma near
+    the underflow or overflow range, it is fsum itself.
+    """
+    n = len(x)
+    top = (n + 2) * float(x.max()) if n >= _EXACT_SUM_MIN else 0.0
+    if not 2.0**-800 <= top <= 2.0**1000:
+        return math.fsum(x.tolist())
+    sigma = math.ldexp(1.0, math.frexp(top)[1])  # a power of two >= top
+    q = x + sigma
+    q -= sigma
+    hi = float(q.sum())
+    lo = float(np.subtract(x, q, out=q).sum())
+    err = n * n * sigma * 2.0**-104
+    total = hi + math.nextafter(lo - err, -math.inf)
+    if total == hi + math.nextafter(lo + err, math.inf):
+        return total
+    return math.fsum(x.tolist())
 
 
 def binomial_upper_tail_exact(m: int, k0: int) -> Fraction:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constructions import _tail_event
+from .constructions import _exact_sum, _tail_event
 from .trees import AdaptedSequence, ProbabilityTree, _first_outside, _pull_back
 
 __all__ = [
@@ -240,10 +240,14 @@ def _regret(tree: ProbabilityTree, loss: LossSpec, alt: Strategy) -> np.ndarray:
 
 
 def regret_tail(tree: ProbabilityTree, loss: LossSpec, alt: Strategy, C: float) -> float:
-    """Exact P(Loss(Bayesian) - Loss(alt) >= C) by leaf enumeration."""
+    """Exact P(Loss(Bayesian) - Loss(alt) >= C) by leaf enumeration.
+
+    The tail is the correctly rounded sum of the probabilities of the
+    depth-(N+K) nodes in the event (`constructions._exact_sum`).
+    """
     event = _tail_event(C, "upper")
     probs = tree.node_probabilities(loss.n_steps + loss.horizon)
-    return math.fsum(probs[event(_regret(tree, loss, alt))].tolist())
+    return _exact_sum(probs[event(_regret(tree, loss, alt))])
 
 
 def shifted_sequence(tree: ProbabilityTree, loss: LossSpec, alt: Strategy) -> AdaptedSequence:

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import HorizonParams, deviation_threshold
-from .constructions import _block_count, _tail_event
+from .constructions import _block_count, _exact_sum, _tail_event
 
 __all__ = [
     "ProbabilityTree",
@@ -312,11 +312,15 @@ def exact_tail(
     C: float,
     sided: str = "two_sided",
 ) -> float:
-    """Exact P(|S| >= C) (two_sided) or P(S >= C) (upper) by leaf enumeration."""
+    """Exact P(|S| >= C) (two_sided) or P(S >= C) (upper) by leaf enumeration.
+
+    The tail is the correctly rounded sum of the probabilities of the leaves
+    in the event, the float `math.fsum` gives (`constructions._exact_sum`).
+    """
     event = _tail_event(C, sided)
     dev = deviation_per_leaf(tree, seq, lag)
     probs = tree.node_probabilities(seq.n_steps)
-    return math.fsum(probs[event(dev)].tolist())
+    return _exact_sum(probs[event(dev)])
 
 
 @dataclass(frozen=True)

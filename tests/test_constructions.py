@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -24,7 +25,16 @@ from kstep_lln.constructions import (
     sample_block_process,
     verify_mv_bound,
 )
-from kstep_lln.constructions import _COMB_MAX, _F, _LN2, _TAIL_M_MAX, _TWO_PI, _pmf_float
+from kstep_lln.constructions import (
+    _COMB_MAX,
+    _EXACT_SUM_MIN,
+    _F,
+    _LN2,
+    _TAIL_M_MAX,
+    _TWO_PI,
+    _exact_sum,
+    _pmf_float,
+)
 from kstep_lln.trees import block_process_tree, exact_tail
 
 
@@ -134,6 +144,54 @@ class TestBinomialUpperTail:
         for m, k in grid:
             assert _pmf_float(m, k) == math.comb(m, k) / (1 << m), (m, k)
 
+    @pytest.mark.parametrize("short", [0, 1, 2, 3, 10, 64])
+    def test_integer_start_at_the_underflow_edge(self, short):
+        # The ratio is returned as 0.0 without dividing once comb(m, k) has at
+        # most m - 1075 bits; around that edge it must equal the division.
+        m = next(m for m in itertools.count(1000) if math.comb(m, short).bit_length() - m == -1075)
+        edge = []
+        for mm in range(m - 3, m + 4):
+            for k in (short, mm - short):
+                want = math.comb(mm, k) / (1 << mm)
+                assert _pmf_float(mm, k) == want, (mm, k)
+                edge.append(want)
+        assert 0.0 in edge and (short == 0 or 2.0**-1074 in edge)
+
+    def test_extreme_short_sides_do_not_build_two_to_the_m(self):
+        m = _TAIL_M_MAX
+        tracemalloc.start()
+        try:
+            assert binomial_upper_tail(m, m - 10) == 0.0
+            assert binomial_upper_tail(m, 11) == 1.0
+            assert _pmf_float(10**8, 64) == 0.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16  # 2^m alone would take 125 MB
+
+    def test_central_tail_memory_at_the_largest_m(self):
+        m = _TAIL_M_MAX
+        tracemalloc.start()
+        try:
+            binomial_upper_tail(m, m // 2 + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 << 20  # 4.6 MB measured: three arrays of the 189,739-term window
+
+    def test_tails_match_their_recorded_digest(self):
+        # 3096 tails over m = 2 .. 10^6: central and deep k0, windows on both
+        # sides of _EXACT_SUM_MIN, and short sides of 64 and 65.  The digest
+        # pins every bit of them across versions of the code.
+        pairs = []
+        for m in sorted({int(x) for x in np.geomspace(2, 10**6, 620)}):
+            r = math.isqrt(m)
+            for k0 in (m // 2 - r, m // 2 + 1, m // 2 + r, m // 2 + 3 * r, 65, m - 64):
+                pairs.append((m, k0))
+        text = " ".join(binomial_upper_tail(m, k0).hex() for m, k0 in pairs)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "167b6d2dc464d09400a04d209cf8f682824f4d61bb58e22725f9f8e8994eda43"
+
     def test_fixed_point_constants_match_50_digits(self):
         with mpmath.workdps(50):
             assert _LN2 == int(mpmath.floor(mpmath.log(2) * mpmath.mpf(2) ** _F))
@@ -157,6 +215,62 @@ class TestBinomialUpperTail:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 16
+
+
+def _fsum_lengths(monkeypatch):
+    """Record the length of every list `math.fsum` is given."""
+    lengths = []
+    real = math.fsum
+
+    def spy(xs):
+        lengths.append(len(xs))
+        return real(xs)
+
+    monkeypatch.setattr(math, "fsum", spy)
+    return lengths
+
+
+# Entries whose sums land on or near rounding midpoints of 1.0.
+_TIES = st.lists(st.sampled_from([2.0**-53, 2.0**-54, 2.0**-106, 0.0]), max_size=2 * _EXACT_SUM_MIN)
+
+
+class TestExactSum:
+    @given(st.one_of(
+        st.lists(st.floats(min_value=0.0, max_value=1e300), max_size=3 * _EXACT_SUM_MIN),
+        st.lists(st.floats(min_value=0.0, max_value=1e-300), min_size=_EXACT_SUM_MIN - 5,
+                 max_size=_EXACT_SUM_MIN + 5),
+        st.lists(st.floats(min_value=0.0, max_value=2.0**-1000), max_size=2 * _EXACT_SUM_MIN),
+        _TIES.map(lambda xs: [1.0, *xs]),
+    ))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_fsum_bit_for_bit(self, xs):
+        # Empty and single entries, zeros, subnormals, lengths on both sides of
+        # the gate and ties at 1 + 2^-53.
+        want = math.fsum(xs)
+        got = _exact_sum(np.array(xs, dtype=np.float64))
+        assert got.hex() == want.hex()
+
+    def test_equals_fsum_on_tail_shaped_arrays(self):
+        rng = np.random.default_rng(19)
+        for n in rng.integers(0, 3000, size=400).tolist():
+            x = np.exp(-rng.exponential(30.0, size=n)) * 10.0 ** rng.uniform(-300, 0)
+            assert _exact_sum(x) == math.fsum(x.tolist()), n
+
+    def test_a_sum_on_a_rounding_midpoint_falls_back_to_fsum(self, monkeypatch):
+        # 1 + 2^-53 lies halfway between 1 and its successor, so the certified
+        # interval straddles a rounding boundary and cannot decide it.
+        x = np.zeros(_EXACT_SUM_MIN + 100)
+        x[:2] = 1.0, 2.0**-53
+        lengths = _fsum_lengths(monkeypatch)
+        assert _exact_sum(x) == 1.0
+        assert lengths == [len(x)]
+
+    @pytest.mark.parametrize("k0", [1501, 1540, 1600, 1700])
+    def test_tail_windows_past_the_gate_take_the_extraction(self, monkeypatch, k0):
+        # m = 3000 is the median tail of the benchmark: a 331-term window.
+        lengths = _fsum_lengths(monkeypatch)
+        binomial_upper_tail(3000, k0)
+        assert lengths == []
 
 
 class TestImbalance:

@@ -25,7 +25,7 @@ from kstep_lln.sampling import (
     mc_tail,
     tree_deviation_sampler,
 )
-from kstep_lln.sampling import _CHUNK, _inverse_cdf_draw
+from kstep_lln.sampling import _CHUNK, _inverse_cdf_draw, _mix, _word_offsets
 from kstep_lln.treefile import bundle_from_dict
 from kstep_lln.trees import AdaptedSequence, deviation_per_leaf, exact_tail, random_tree
 
@@ -345,6 +345,33 @@ class TestBlockSampler:
             want = _tree_reference_draws(tree, seq, 2, seed, idx)
             for trials, ref in ((idx, want), (idx[sel], want[sel])):
                 np.testing.assert_array_equal(np.sort(sampler(seed, trials)), np.sort(ref))
+
+    @pytest.mark.parametrize("columns, trials", [
+        (1, 1), (63, 1), (64, 1), (65, 1),
+        (1, _CHUNK), (63, _CHUNK), (64, _CHUNK), (65, _CHUNK),
+        (65, 1000), (4096, 7),  # several columns a slab, the last slab short
+    ])
+    def test_slabs_match_one_word_column_at_a_time(self, columns, trials):
+        m = 64 * columns - 5  # the last word masked to 59 bits
+        idx = np.arange(trials, dtype=np.uint64) * np.uint64(3) + np.uint64(11)
+        keys = counter_seeds(5, idx)
+        masks = np.full(columns, np.uint64((1 << 64) - 1))
+        masks[-1] = (1 << 59) - 1
+        z = np.zeros(trials, dtype=np.int64)
+        for offset, mask in zip(_word_offsets(columns), masks):
+            z += np.bitwise_count(_mix(keys + offset) & mask)
+        dev = block_deviation_sampler(2 * m, 2)(5, idx)
+        np.testing.assert_array_equal(dev, (2.0 * z - m) * 2)
+
+    def test_a_long_block_on_one_trial_is_its_stream_popcount(self):
+        # 10^5 word columns, 2^14 of them a slab.
+        columns = 100_000
+        m = 64 * columns - 5
+        trial = np.array([11], dtype=np.uint64)
+        key = int(counter_seeds(5, trial)[0])
+        ones = sum(_splitmix_word(key, j).bit_count() for j in range(columns - 1))
+        ones += (_splitmix_word(key, columns - 1) & ((1 << 59) - 1)).bit_count()
+        assert block_deviation_sampler(m, 1)(5, trial).tolist() == [2 * ones - m]
 
     def test_memory_does_not_grow_with_the_block_length(self):
         sampler = block_deviation_sampler(65536, 1)

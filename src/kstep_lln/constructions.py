@@ -28,6 +28,7 @@ bound that certifies the rounding, with `math.fsum` where it cannot.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,7 +45,6 @@ __all__ = [
     "imbalance_prob",
     "imbalance_prob_exact",
     "min_imbalance_prob",
-    "deviation_count_threshold",
     "block_deviation_tail",
     "verify_mv_bound",
 ]
@@ -67,10 +67,6 @@ _F = 128
 _ONE = 1 << _F
 _LN2 = 0xB17217F7D1CF79ABC9E3B39803F2F6AF
 _TWO_PI = 0x6487ED5110B4611A62633145C06E0E689
-
-# Lattice snap for thresholds that are mathematically integral but arrive
-# with floating-point dust (e.g. 0.5*sqrt(64*ln e) = 4 + 1 ulp).
-_LATTICE_TOL = 1e-9
 
 
 def _block_count(N: int, K: int) -> int:
@@ -324,31 +320,22 @@ def min_imbalance_prob(m_max: int) -> tuple[int, float]:
     return m, p
 
 
-def deviation_count_threshold(m: int, C: float, K: int) -> int:
-    """Smallest k0 with (2 k0 - m) K >= C, snapping near-integer boundaries.
-
-    The deviation of a block process lives on the lattice {(2j - m) K}; the
-    event {S >= C} is the event {Z >= k0} for this k0.  A C at most 1e-9
-    above a lattice point counts that point, whatever K is, which keeps
-    exactly-constructed thresholds (which arrive with float dust) on their
-    intended lattice point.
-    """
-    x = (m + C / K) / 2.0
-    return max(0, math.ceil(x - _LATTICE_TOL / (2 * K)))
-
-
 def block_deviation_tail(N: int, K: int, C: float, sided: str = "upper") -> float:
     """Exact P(S >= C) (upper) or P(|S| >= C) (two_sided) for the block process.
 
     The lagged conditional means vanish (each block's sign is revealed
     strictly after every step that forecasts it from K steps back), so the
-    deviation S equals (2Z - m) K and the tail is a fair-binomial tail.  By
-    coin symmetry P(S <= -C) = P(Z >= k0), the upper tail's count, and the
-    two events are disjoint unless 2 k0 - m <= 0, where {|S| >= C} is sure.
+    deviation S equals (2Z - m) K and the tail is a fair-binomial tail:
+    {S >= C} is {Z >= k0} for the smallest count k0 whose lattice point
+    (2 k0 - m) K is at least C, the integer compared with the float C
+    exactly.  It is the event `exact_tail` and `mc_tail` count, with no
+    tolerance either way.  By coin symmetry P(S <= -C) = P(Z >= k0), the
+    upper tail's count, and the two events are disjoint unless
+    2 k0 - m <= 0, where {|S| >= C} is sure.
     """
     _tail_event(C, sided)  # rejects a non-finite C or an unknown side
     m = _block_count(N, K)
-    k0 = deviation_count_threshold(m, C, K)
+    k0 = bisect_left(range(m + 1), True, key=lambda k: (2 * k - m) * K >= C)
     if sided == "upper":
         return binomial_upper_tail(m, k0)
     return 1.0 if 2 * k0 - m <= 0 else 2.0 * binomial_upper_tail(m, k0)

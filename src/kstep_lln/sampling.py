@@ -33,7 +33,6 @@ from .trees import AdaptedSequence, ProbabilityTree, deviation_per_leaf
 __all__ = [
     "TailEstimate",
     "counter_seeds",
-    "counter_uniforms",
     "derive_seed",
     "clopper_pearson",
     "block_deviation_sampler",
@@ -80,15 +79,6 @@ def counter_seeds(master_seed: int, counters: np.ndarray) -> np.ndarray:
 def _word_offsets(n_draws: int) -> np.ndarray:
     """Column j of a stream is word mix(key + (j + 1) * golden); these are the offsets."""
     return (np.arange(n_draws, dtype=np.uint64) + np.uint64(1)) * _GOLDEN
-
-
-def counter_uniforms(keys: np.ndarray, n_draws: int) -> np.ndarray:
-    """Matrix of uniforms in [0, 1): row k, column j depends only on (keys[k], j)."""
-    words = _mix(np.asarray(keys, dtype=np.uint64)[:, None] + _word_offsets(n_draws)[None, :])
-    words >>= np.uint64(11)
-    u = words.astype(np.float64)
-    u *= 2.0**-53
-    return u
 
 
 def derive_seed(master_seed: int, *path: int) -> int:
@@ -158,8 +148,7 @@ def block_deviation_sampler(N: int, K: int) -> Sampler:
     """
     m = _block_count(N, K)
     offsets = _word_offsets(-(-m // 64))
-    masks = np.full(len(offsets), np.uint64(0xFFFFFFFFFFFFFFFF))
-    masks[-1] = (1 << (m - 64 * (len(offsets) - 1))) - 1
+    last_mask = np.uint64((1 << (m - 64 * (len(offsets) - 1))) - 1)
 
     def sample(master_seed: int, trials: np.ndarray) -> np.ndarray:
         keys = counter_seeds(master_seed, trials)
@@ -169,7 +158,8 @@ def block_deviation_sampler(N: int, K: int) -> Sampler:
         step = max(1, _SLAB_WORDS // max(1, len(trials)))
         for j in range(0, len(offsets), step):
             words = _mix(offsets[j : j + step, None] + keys[None, :])
-            words &= masks[j : j + step, None]
+            if j + step >= len(offsets):
+                words[-1] &= last_mask
             counts = np.bitwise_count(words)
             # A one-column slab skips the reduction: its uint8 -> uint64 cast
             # made full chunks about 10% slower than adding the row.
@@ -193,8 +183,11 @@ def tree_deviation_sampler(tree: ProbabilityTree, seq: AdaptedSequence, lag: int
     cdf = np.cumsum(tree.node_probabilities(seq.n_steps))
 
     def sample(master_seed: int, trials: np.ndarray) -> np.ndarray:
-        x = counter_uniforms(counter_seeds(master_seed, trials), 1)[:, 0]
-        x *= cdf[-1]
+        # Word 0 of each trial's stream, as a 53-bit uniform times the total.
+        words = _mix(counter_seeds(master_seed, trials) + _GOLDEN)
+        words >>= np.uint64(11)
+        x = words.astype(np.float64)
+        x *= 2.0**-53 * cdf[-1]
         return _inverse_cdf_draw(dev, cdf, x)
 
     return sample

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kstep_lln.bounds import gaussian_survival
-from kstep_lln.cli import EXIT_OK, EXIT_TREEFILE, EXIT_USAGE, EXIT_VERIFY, main
+from kstep_lln.cli import EXIT_OK, EXIT_TREEFILE, EXIT_USAGE, main
 from kstep_lln.constructions import binomial_upper_tail, imbalance_prob_exact
 from kstep_lln.decision import DecisionSpace, LossSpec
 from kstep_lln.treefile import TreeBundle, bundle_to_dict, save_tree
@@ -241,6 +241,20 @@ class TestSimulate:
         assert code == EXIT_OK
         rec = dict(zip(*[line.split(",") for line in out.strip().splitlines()[1:3]]))
         assert float(rec["exact_tail"]) == 2 * binomial_upper_tail(64, 34)
+
+    @pytest.mark.parametrize("sided", ["upper", "two_sided"])
+    def test_block_tail_one_ulp_above_a_lattice_point(self, capsys, sided):
+        # C = 4 + 1 ulp: S = 2Z - 64 must reach 6, so the exact tail is
+        # P(Z >= 35), the event the sampler counts, and the interval holds it.
+        code, out, _ = run(
+            capsys, "simulate", "--N", "64", "--K", "1", "--C", "4.000000000000001",
+            "--sided", sided, "--trials", "100000",
+        )
+        assert code == EXIT_OK
+        (rec,) = records(out)[1]
+        want = binomial_upper_tail(64, 35)
+        assert float(rec["exact_tail"]) == (2 * want if sided == "two_sided" else want)
+        assert rec["ci_contains_exact"] == "true"
 
     def test_tree_file_two_sided(self, capsys, tmp_path):
         path = tmp_path / "t.json"

@@ -17,7 +17,6 @@ from kstep_lln.constructions import (
     binomial_upper_tail,
     binomial_upper_tail_exact,
     block_deviation_tail,
-    deviation_count_threshold,
     imbalance_prob,
     imbalance_prob_exact,
     imbalance_threshold,
@@ -373,14 +372,19 @@ class TestBlockDeviationTail:
 
     @pytest.mark.parametrize("m, K", [(m, K) for m in range(1, 9) for K in (1, 2, 3)])
     def test_two_sided_against_tree_enumeration(self, m, K):
-        # C runs over lattice points (2j - m) K, midpoints between them and
-        # values outside the range; none lies within the 1e-9 snap of a
-        # lattice point without being one.
+        # C runs over lattice points (2j - m) K, midpoints between them,
+        # values outside the range, and each lattice point's two float
+        # neighbours, where the block tail and the enumeration must count
+        # the same event; on both sides.
         tree, seq = block_process_tree(m * K, K)
-        for C in [-1.0, 0.0, 0.25 * K] + [K * (h / 2.0) for h in range(1, 2 * m + 2)]:
-            enumerated = exact_tail(tree, seq, K, C, sided="two_sided")
-            got = block_deviation_tail(m * K, K, C, sided="two_sided")
-            assert got == pytest.approx(enumerated, abs=1e-15), C
+        lattice = [float((2 * j - m) * K) for j in range(-1, m + 2)]
+        neighbours = [math.nextafter(L, d) for L in lattice for d in (-math.inf, math.inf)]
+        grid = [-1.0, 0.0, 0.25 * K] + [K * (h / 2.0) for h in range(1, 2 * m + 2)]
+        for C in grid + lattice + neighbours:
+            for sided in ("upper", "two_sided"):
+                enumerated = exact_tail(tree, seq, K, C, sided=sided)
+                got = block_deviation_tail(m * K, K, C, sided=sided)
+                assert got == pytest.approx(enumerated, abs=1e-15), (C, sided)
 
     @pytest.mark.parametrize("K", [1, 2])
     def test_two_sided_at_64_blocks_doubles_the_upper_tail(self, K):
@@ -398,21 +402,9 @@ class TestBlockDeviationTail:
         hit = sum(
             1
             for signs in itertools.product((-1, 1), repeat=m)
-            if K * sum(signs) >= C - 1e-9  # same lattice snap as the implementation
+            if K * sum(signs) >= C
         )
         assert block_deviation_tail(N, K, C) == pytest.approx(hit / 2**m, abs=1e-12)
-
-    def test_lattice_snap_keeps_boundary_points(self):
-        # 4 + float dust (from 0.5*sqrt(64*ln(e)) style arithmetic) must
-        # still count the lattice point at 4.
-        assert block_deviation_tail(64, 1, 4.0 + 5e-16) == block_deviation_tail(64, 1, 4.0)
-
-    @pytest.mark.parametrize("K", [1, 3, 8])
-    def test_lattice_snap_is_1e9_in_units_of_the_deviation(self, K):
-        # two blocks: S = 0 with probability 1/2, S = 2K with probability 1/4
-        assert block_deviation_tail(2 * K, K, 0.9e-9) == 0.75
-        assert block_deviation_tail(2 * K, K, 1.1e-9) == 0.25
-        assert block_deviation_tail(2 * K, K, 5.134547871976749e-09) == 0.25
 
     def test_invariant_under_block_length_rescaling(self):
         # With m fixed, scaling C by K leaves the tail unchanged.

@@ -20,7 +20,6 @@ from kstep_lln.sampling import (
     block_deviation_sampler,
     clopper_pearson,
     counter_seeds,
-    counter_uniforms,
     derive_seed,
     mc_tail,
     tree_deviation_sampler,
@@ -35,18 +34,6 @@ class TestCounterStreams:
         idx = np.arange(10, dtype=np.uint64)
         np.testing.assert_array_equal(counter_seeds(42, idx), counter_seeds(42, idx))
         assert not np.array_equal(counter_seeds(42, idx), counter_seeds(43, idx))
-
-    def test_uniforms_independent_of_batch_layout(self):
-        keys = counter_seeds(7, np.arange(100, dtype=np.uint64))
-        full = counter_uniforms(keys, 8)
-        split = np.vstack([counter_uniforms(keys[:37], 8), counter_uniforms(keys[37:], 8)])
-        np.testing.assert_array_equal(full, split)
-
-    def test_uniforms_range_and_mean(self):
-        u = counter_uniforms(counter_seeds(0, np.arange(4000, dtype=np.uint64)), 16)
-        assert u.min() >= 0.0 and u.max() < 1.0
-        n = u.size
-        assert abs(u.mean() - 0.5) < 3.0 / math.sqrt(12 * n)
 
     def test_derive_seed_distinct_branches(self):
         assert derive_seed(1, 2, 3) != derive_seed(1, 3, 2)
@@ -80,9 +67,6 @@ class TestCounterStreams:
         keys = counter_seeds(9, a)
         assert not np.shares_memory(keys, a)
         np.testing.assert_array_equal(a, want)
-        keys_before = keys.copy()
-        counter_uniforms(keys, 3)
-        np.testing.assert_array_equal(keys, keys_before)
         tree, seq = random_tree(depth=4, max_branching=3, seed=5)
         for sampler in (block_deviation_sampler(130, 2), tree_deviation_sampler(tree, seq, 2)):
             sampler(9, a)

@@ -13,7 +13,7 @@ from kstep_lln.treefile import (
     load_tree,
     save_tree,
 )
-from kstep_lln.trees import AdaptedSequence, ProbabilityTree, random_tree
+from kstep_lln.trees import random_tree
 
 
 def full_bundle(seed=17):

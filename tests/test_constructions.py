@@ -406,6 +406,16 @@ class TestBlockDeviationTail:
         )
         assert block_deviation_tail(N, K, C) == pytest.approx(hit / 2**m, abs=1e-12)
 
+    @pytest.mark.parametrize("K", [1, 3, 8])
+    def test_counts_the_lattice_point_and_nothing_one_ulp_above(self, K):
+        # two blocks: S = -2K, 0, 2K with probabilities 1/4, 1/2, 1/4
+        top = float(2 * K)
+        assert block_deviation_tail(2 * K, K, math.nextafter(0.0, -1.0)) == 0.75
+        assert block_deviation_tail(2 * K, K, 0.0) == 0.75
+        assert block_deviation_tail(2 * K, K, math.nextafter(0.0, 1.0)) == 0.25
+        assert block_deviation_tail(2 * K, K, top) == 0.25
+        assert block_deviation_tail(2 * K, K, math.nextafter(top, math.inf)) == 0.0
+
     def test_invariant_under_block_length_rescaling(self):
         # With m fixed, scaling C by K leaves the tail unchanged.
         base = block_deviation_tail(8, 1, 2.0)

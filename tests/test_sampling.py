@@ -26,7 +26,13 @@ from kstep_lln.sampling import (
 )
 from kstep_lln.sampling import _CHUNK, _inverse_cdf_draw, _mix, _word_offsets
 from kstep_lln.treefile import bundle_from_dict
-from kstep_lln.trees import AdaptedSequence, deviation_per_leaf, exact_tail, random_tree
+from kstep_lln.trees import (
+    AdaptedSequence,
+    block_process_tree,
+    deviation_per_leaf,
+    exact_tail,
+    random_tree,
+)
 
 
 class TestCounterStreams:
@@ -210,6 +216,21 @@ class TestMcTail:
             tree_deviation_sampler(tree, seq, lag), C, sided="two_sided", trials=80_000, seed=2
         )
         assert est.contains(exact)
+
+    @pytest.mark.parametrize("kind", ["block", "tree"])
+    def test_samplers_agree_with_the_block_tail_one_ulp_above_a_lattice_point(self, kind):
+        # N = 8, K = 1, C = 2 + 1 ulp: the event is S >= 4, not S >= 2.
+        C = math.nextafter(2.0, 3.0)
+        tree, seq = block_process_tree(8, 1)
+        exact = block_deviation_tail(8, 1, C, sided="upper")
+        assert exact == exact_tail(tree, seq, 1, C, sided="upper") == 37 / 256
+        if kind == "block":
+            sampler = block_deviation_sampler(8, 1)
+        else:
+            sampler = tree_deviation_sampler(tree, seq, 1)
+        est = mc_tail(sampler, C, sided="upper", trials=50_000, seed=8)
+        assert est.contains(exact)
+        assert not est.contains(block_deviation_tail(8, 1, 2.0, sided="upper"))
 
     def test_sampler_failure_reports_chunk_range(self):
         calls = []

@@ -4,8 +4,8 @@ Exit codes: 0 success, 2 invalid command or parameter (one too large to
 compute with included), 3 unreadable or inconsistent tree file,
 4 falsified invariant or failed verification, 1 unexpected internal
 error.  All commands are deterministic; the master seed defaults to 1729
-and every emitted CSV records its resolved configuration on a leading
-comment line.  Each command imports the layers
+and lies in [0, 2**64 - 1], and every emitted CSV records its resolved
+configuration on a leading comment line.  Each command imports the layers
 it calls when it runs, so the pure-Python commands (`bound`, `invert` with
 --N/--K/--epsilon, `scan --what dominance`) load no numpy, scipy or mpmath.
 """
@@ -60,6 +60,8 @@ def cmd_bound(args) -> int:
 
 def cmd_invert(args) -> int:
     if args.m is not None or args.t is not None:
+        if (args.N, args.K, args.epsilon) != (None, None, None):
+            raise CliError("invert takes --m and --t, or --N, --K and --epsilon, not both")
         if args.m is None or args.t is None:
             raise CliError("the binomial lower-bound query needs both --m and --t")
         from .constructions import binomial_upper_tail
@@ -98,6 +100,8 @@ def cmd_invert(args) -> int:
 def cmd_construct(args) -> int:
     from . import constructions
 
+    if sum((args.min_imbalance, args.imbalance is not None, (args.N, args.K) != (None, None))) > 1:
+        raise CliError("construct takes one of --min-imbalance, --imbalance M, or --N and --K")
     config = {"command": "construct", "seed": args.seed}
     if args.min_imbalance:
         config["m_max"] = args.m_max
@@ -168,10 +172,11 @@ def _load_bundle(path: str):
 
 def cmd_simulate(args) -> int:
     from .constructions import block_deviation_tail
-    from .sampling import _check_workers, block_deviation_sampler, mc_tail, tree_deviation_sampler
+    from .sampling import block_deviation_sampler, mc_tail, tree_deviation_sampler
     from .trees import exact_tail
 
-    _check_workers(args.workers)
+    if args.tree_file and args.N is not None:
+        raise CliError("simulate takes --tree-file or --N, not both")
     config = {
         "command": "simulate", "K": args.K, "C": args.C, "sided": args.sided,
         "trials": args.trials, "seed": args.seed,
@@ -191,8 +196,7 @@ def cmd_simulate(args) -> int:
         raise CliError("simulate requires --tree-file or --N")
     row = {"K": args.K, "C": args.C, "sided": args.sided, "exact_tail": exact}
     if args.trials:
-        est = mc_tail(sampler, args.C, sided=args.sided, trials=args.trials,
-                      seed=args.seed, workers=args.workers)
+        est = mc_tail(sampler, args.C, sided=args.sided, trials=args.trials, seed=args.seed)
         row.update(
             trials=est.trials, p_hat=est.p_hat, ci_low=est.ci_low, ci_high=est.ci_high,
             ci_contains_exact=est.contains(exact),
@@ -245,14 +249,12 @@ def cmd_verify_all(args) -> int:
     if args.format == "json" or args.output is not None:
         raise CliError("verify-all prints text and writes its criterion CSVs with --artifact-dir; "
                        "it takes no --format json or --output")
-    from .sampling import _check_workers
     from .verify import run_all
 
-    _check_workers(args.workers)
     # An unusable artifact directory fails here, not after the whole suite has run.
     if args.artifact_dir:
         make_output_dir(args.artifact_dir)
-    results = run_all(quick=args.quick, seed=args.seed, workers=args.workers)
+    results = run_all(quick=args.quick, seed=args.seed)
     for res in results:
         print(res.line())
         if res.artifact and args.artifact_dir:
@@ -260,6 +262,13 @@ def cmd_verify_all(args) -> int:
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
     return EXIT_VERIFY if failed else EXIT_OK
+
+
+def _seed(text: str) -> int:
+    """Parse --seed.  Seeds become 64-bit stream keys, so a larger or negative one would alias."""
+    if not text.isdecimal() or int(text) >= 1 << 64:
+        raise argparse.ArgumentTypeError(f"seed must be an integer in [0, 2**64 - 1], got {text}")
+    return int(text)
 
 
 def _add_output_options(p: argparse.ArgumentParser, top_level: bool = False) -> None:
@@ -306,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--imbalance", type=int, metavar="M")
     p_con.add_argument("--N", type=int)
     p_con.add_argument("--K", type=int)
-    p_con.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_con.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     _add_output_options(p_con)
     p_con.set_defaults(fn=cmd_construct)
 
@@ -323,8 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--C", type=float, required=True)
     p_sim.add_argument("--sided", choices=["two_sided", "upper"], default="upper")
     p_sim.add_argument("--trials", type=int, default=0, help="Monte Carlo trials (0: exact only)")
-    p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_sim.add_argument("--workers", type=int, default=1)
+    p_sim.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     _add_output_options(p_sim)
     p_sim.set_defaults(fn=cmd_simulate)
 
@@ -332,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--tree-file", required=True)
     p_dec.add_argument("--alt", choices=["random", "adversarial"], default="adversarial")
     p_dec.add_argument("--epsilon", type=float, default=0.3)
-    p_dec.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_dec.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     _add_output_options(p_dec)
     p_dec.set_defaults(fn=cmd_decide)
 
@@ -340,8 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     tier = p_ver.add_mutually_exclusive_group()
     tier.add_argument("--quick", action="store_true", help="reduced grid sizes")
     tier.add_argument("--full", action="store_true", help="publication scale (default)")
-    p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_ver.add_argument("--workers", type=int, default=1)
+    p_ver.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p_ver.add_argument("--artifact-dir", help="criterion CSV directory (see KSTEP_LLN_OUTPUT_DIR)")
     p_ver.set_defaults(fn=cmd_verify_all)
 

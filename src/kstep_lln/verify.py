@@ -5,20 +5,17 @@ CLI `verify-all` command and the test suite both run them.  The full tier
 runs at publication scale; the quick tier shrinks grids and trial counts
 (and, where a tolerance is tied to scale, relaxes it accordingly).  Each
 criterion takes only what it reads: criteria 3 and 6 take nothing, 1, 2, 4
-and 5 the tier (`quick`), 7 and 9 the tier and the master `seed`, and 8 and
-10 the worker count as well.
+and 5 the tier (`quick`), and 7-10 the tier and the master `seed`.
 
-Criteria 7-9 also emit CSV artifacts.  Their computations key every random
-choice off (master seed, criterion, instance), so rerunning with a
-different worker count reproduces the artifacts byte for byte.  Criterion
-10 checks exactly that: the artifacts this run wrote are reproduced at
-another worker count.  The worker count sizes only the Monte Carlo chunk
-threads of criterion 8; criteria 7 and 9 build their rows in instance
-order on the calling thread, where threads over their many small numpy
-calls only contend for the GIL.  A quick-tier estimate is 20,000 trials,
-one 32,768-trial chunk, so the quick tier starts no thread at any worker
-count and criterion 10's rerun there runs the same code; only the full
-tier (100,000 trials, four chunks) uses the threads.
+Criteria 7-9 also emit CSV artifacts, one row per instance.  Every random
+choice of an instance is keyed off (master seed, criterion, instance), and
+a Monte Carlo trial's draws off its own index, so no instance may depend
+on another or on the order they run in.  Criterion 10 checks exactly that:
+it rebuilds every criterion 7-9 instance in reverse order, last instance
+first, and compares the result byte for byte with this run's artifacts.
+State that one instance leaves behind for the next, such as a cache keyed
+on less than the instance's inputs, changes the rows in one order and not
+in the other.
 """
 
 from __future__ import annotations
@@ -27,6 +24,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -42,7 +40,7 @@ from .decision import (
     shifted_deviation_check,
 )
 from .output import format_csv
-from .sampling import _check_workers, block_deviation_sampler, derive_seed
+from .sampling import block_deviation_sampler, derive_seed
 from .sampling import mc_tail, tree_deviation_sampler
 from .trees import deviation_per_leaf, exact_tail, random_tree, verify_deviation_bound
 
@@ -190,64 +188,57 @@ def _deviation_row(seed: int, i: int) -> dict:
 def criterion_7_deviation_suite(quick: bool = False, seed: int = DEFAULT_SEED):
     """Random trees never breach the two-sided bound, nor eps/2 one-sided."""
     t0 = time.perf_counter()
-    n_trees = 100 if quick else 1000
-    rows = [_deviation_row(seed, i) for i in range(n_trees)]
+    row, n_trees, config = _seeded_suites(quick, seed)[7]
+    rows = [row(i) for i in range(n_trees)]
     bad = [r for r in rows if not r["ok"]]
-    csv = format_csv(rows, {"criterion": 7, "trees": n_trees, "seed": seed})
     detail = f"{n_trees} random trees, violations: {len(bad)}"
-    return _result(7, "deviation-bound-suite", not bad, detail, t0, artifact=csv)
+    return _result(7, "deviation-bound-suite", not bad, detail, t0, artifact=format_csv(rows, config))
 
 
-def _mc_rows(n_instances: int, trials: int, seed: int, workers: int) -> list[dict]:
-    rows = []
-    for i in range(n_instances):
-        pick = np.random.default_rng(derive_seed(seed, 8, i))
-        if i % 2 == 0:
-            m = 2 * int(pick.integers(2, 33))
-            lag = int(pick.choice([1, 2, 4]))
-            N = m * lag
-            C = float(pick.choice([0.5, 1.0, 1.5])) * math.sqrt(lag * N)
-            exact = constructions.block_deviation_tail(N, lag, C)
-            sampler = block_deviation_sampler(N, lag)
-            sided = "upper"
-            kind = f"block(N={N},K={lag})"
-        else:
-            depth = int(pick.integers(5, 9))
-            lag = int(pick.integers(1, 4))
-            tree, seq = random_tree(depth, int(pick.integers(2, 4)), derive_seed(seed, 8, i, 1))
-            spread = float(np.quantile(np.abs(deviation_per_leaf(tree, seq, lag)), 0.9))
-            C = spread if spread > 0 else 0.5
-            exact = exact_tail(tree, seq, lag, C, sided="two_sided")
-            sampler = tree_deviation_sampler(tree, seq, lag)
-            sided = "two_sided"
-            kind = f"tree(depth={depth},K={lag})"
-        est = mc_tail(
-            sampler, C, sided=sided, trials=trials, seed=derive_seed(seed, 8, i, 2), workers=workers
-        )
-        rows.append(
-            {
-                "instance": i,
-                "kind": kind,
-                "C": C,
-                "exact": exact,
-                "p_hat": est.p_hat,
-                "ci_low": est.ci_low,
-                "ci_high": est.ci_high,
-                "contained": est.contains(exact),
-            }
-        )
-    return rows
+def _mc_row(seed: int, trials: int, i: int) -> dict:
+    """Criterion 8, instance i: an exact tail against its Monte Carlo interval."""
+    pick = np.random.default_rng(derive_seed(seed, 8, i))
+    if i % 2 == 0:
+        m = 2 * int(pick.integers(2, 33))
+        lag = int(pick.choice([1, 2, 4]))
+        N = m * lag
+        C = float(pick.choice([0.5, 1.0, 1.5])) * math.sqrt(lag * N)
+        exact = constructions.block_deviation_tail(N, lag, C)
+        sampler = block_deviation_sampler(N, lag)
+        sided = "upper"
+        kind = f"block(N={N},K={lag})"
+    else:
+        depth = int(pick.integers(5, 9))
+        lag = int(pick.integers(1, 4))
+        tree, seq = random_tree(depth, int(pick.integers(2, 4)), derive_seed(seed, 8, i, 1))
+        spread = float(np.quantile(np.abs(deviation_per_leaf(tree, seq, lag)), 0.9))
+        C = spread if spread > 0 else 0.5
+        exact = exact_tail(tree, seq, lag, C, sided="two_sided")
+        sampler = tree_deviation_sampler(tree, seq, lag)
+        sided = "two_sided"
+        kind = f"tree(depth={depth},K={lag})"
+    est = mc_tail(sampler, C, sided=sided, trials=trials, seed=derive_seed(seed, 8, i, 2))
+    return {
+        "instance": i,
+        "kind": kind,
+        "C": C,
+        "exact": exact,
+        "p_hat": est.p_hat,
+        "ci_low": est.ci_low,
+        "ci_high": est.ci_high,
+        "contained": est.contains(exact),
+    }
 
 
-def criterion_8_mc_coverage(quick: bool = False, seed: int = DEFAULT_SEED, workers: int = 1):
+def criterion_8_mc_coverage(quick: bool = False, seed: int = DEFAULT_SEED):
     """Exact tails sit inside the Monte Carlo 99% intervals (coverage test)."""
     t0 = time.perf_counter()
-    n_instances, trials, need = (12, 20_000, 11) if quick else (50, 100_000, 47)
-    rows = _mc_rows(n_instances, trials, seed, workers)
+    row, n_instances, config = _seeded_suites(quick, seed)[8]
+    need = 11 if quick else 47
+    rows = [row(i) for i in range(n_instances)]
     contained = sum(1 for r in rows if r["contained"])
-    csv = format_csv(rows, {"criterion": 8, "instances": n_instances, "trials": trials, "seed": seed})
     detail = f"{contained}/{n_instances} intervals contain the exact tail (need >= {need})"
-    return _result(8, "mc-coverage", contained >= need, detail, t0, artifact=csv)
+    return _result(8, "mc-coverage", contained >= need, detail, t0, artifact=format_csv(rows, config))
 
 
 def _corollary_row(seed: int, i: int) -> dict:
@@ -309,36 +300,38 @@ def _corollary_row(seed: int, i: int) -> dict:
 def criterion_9_corollary_suite(quick: bool = False, seed: int = DEFAULT_SEED):
     """Bayesian dominance, the shifted-sequence checks, and the regret tail bound."""
     t0 = time.perf_counter()
-    n_trees = 60 if quick else 500
-    rows = [_corollary_row(seed, i) for i in range(n_trees)]
+    row, n_trees, config = _seeded_suites(quick, seed)[9]
+    rows = [row(i) for i in range(n_trees)]
     bad = [r for r in rows if not r["ok"]]
-    csv = format_csv(rows, {"criterion": 9, "trees": n_trees, "seed": seed})
     detail = f"{n_trees} decision trees, violations: {len(bad)}"
-    return _result(9, "regret-bound-suite", not bad, detail, t0, artifact=csv)
+    return _result(9, "regret-bound-suite", not bad, detail, t0, artifact=format_csv(rows, config))
 
 
-def criterion_10_determinism(
-    prior: list[CriterionResult], quick: bool = False, seed: int = DEFAULT_SEED, workers: int = 1
-):
-    """This run's criterion 7-9 artifacts (`prior`, made at `workers`) recur at another worker count."""
+def _seeded_suites(quick: bool, seed: int) -> dict:
+    """Criteria 7-9, by number: (instance row builder, instance count, artifact config)."""
+    n7, n8, n9, trials = (100, 12, 60, 20_000) if quick else (1000, 50, 500, 100_000)
+    config_8 = {"criterion": 8, "instances": n8, "trials": trials, "seed": seed}
+    return {
+        7: (partial(_deviation_row, seed), n7, {"criterion": 7, "trees": n7, "seed": seed}),
+        8: (partial(_mc_row, seed, trials), n8, config_8),
+        9: (partial(_corollary_row, seed), n9, {"criterion": 9, "trees": n9, "seed": seed}),
+    }
+
+
+def criterion_10_determinism(prior: list[CriterionResult], quick: bool = False, seed: int = DEFAULT_SEED):
+    """This run's criterion 7-9 artifacts (`prior`) recur with every instance rebuilt last first."""
     t0 = time.perf_counter()
     given = {r.number: r.artifact for r in prior}
-    other = 1 if workers > 1 else 3
-    # Resolved at call time, so wrappers installed on this module see the reruns.
-    reruns = [
-        criterion_7_deviation_suite(quick, seed),
-        criterion_8_mc_coverage(quick, seed, other),
-        criterion_9_corollary_suite(quick, seed),
-    ]
-    same = [r.artifact == given[r.number] for r in reruns]
-    passed = all(same)
-    detail = f"criteria 7-9 rerun with {workers} vs {other} workers: byte-identical = {same}"
-    return _result(10, "determinism", passed, detail, t0)
+    same = []
+    for number, (row, n, config) in _seeded_suites(quick, seed).items():
+        rows = [row(i) for i in reversed(range(n))]
+        same.append(format_csv(rows[::-1], config) == given[number])
+    detail = f"criteria 7-9 rebuilt in reverse instance order: byte-identical = {same}"
+    return _result(10, "determinism", all(same), detail, t0)
 
 
-def run_all(quick: bool = False, seed: int = DEFAULT_SEED, workers: int = 1):
+def run_all(quick: bool = False, seed: int = DEFAULT_SEED):
     """Criteria 1-9 in order, then criterion 10 on this run's criterion 7-9 results."""
-    _check_workers(workers)
     # Resolved at call time, so wrappers installed on this module see every criterion.
     results = [
         criterion_1_min_imbalance(quick),
@@ -348,8 +341,8 @@ def run_all(quick: bool = False, seed: int = DEFAULT_SEED, workers: int = 1):
         criterion_5_mv_audit(quick),
         criterion_6_inverse_bound_instance(),
         criterion_7_deviation_suite(quick, seed),
-        criterion_8_mc_coverage(quick, seed, workers),
+        criterion_8_mc_coverage(quick, seed),
         criterion_9_corollary_suite(quick, seed),
     ]
-    results.append(criterion_10_determinism(results[6:9], quick, seed, workers))
+    results.append(criterion_10_determinism(results[6:9], quick, seed))
     return results

@@ -6,7 +6,6 @@ also backs `kstep-lln verify-all --full`.
 
 import csv
 import dataclasses
-import threading
 
 import pytest
 
@@ -61,7 +60,7 @@ def criterion_7(seed):
 
 @pytest.fixture(scope="module")
 def criterion_8(seed):
-    return verify.criterion_8_mc_coverage(quick=False, seed=seed, workers=1)
+    return verify.criterion_8_mc_coverage(quick=False, seed=seed)
 
 
 @pytest.fixture(scope="module")
@@ -91,29 +90,49 @@ def test_criterion_9_regret_bound_suite(criterion_9):
     report(criterion_9)
 
 
-def test_criterion_10_thread_count_determinism(seed, criterion_7, criterion_8, criterion_9):
-    # rerunning criteria 7-9 with 3 workers reproduces the artifacts of the
-    # 1-worker results above byte for byte
+def test_criterion_10_reverse_order_determinism(seed, criterion_7, criterion_8, criterion_9):
+    # rebuilding every criterion 7-9 instance last first reproduces the
+    # artifacts of the in-order results above byte for byte
     result = report(
         verify.criterion_10_determinism([criterion_7, criterion_8, criterion_9], quick=False, seed=seed)
     )
-    assert result.detail == "criteria 7-9 rerun with 1 vs 3 workers: byte-identical = [True, True, True]"
+    assert result.detail == (
+        "criteria 7-9 rebuilt in reverse instance order: byte-identical = [True, True, True]"
+    )
 
 
-def test_criteria_7_and_9_build_rows_on_the_calling_thread(monkeypatch):
-    # the worker count sizes only the Monte Carlo chunk pool of criterion 8:
-    # every tree of criteria 7-9, and of criterion 10's reruns, is built here
-    threads = []
+def test_criterion_10_rebuilds_every_seeded_tree_in_reverse_order(monkeypatch):
+    # criteria 7-9 build 100, 6 and 60 random trees in instance order;
+    # criterion 10 builds each of them once more, each criterion's last first
+    calls = []
     random_tree = verify.random_tree
 
     def recording(*args, **kwargs):
-        threads.append(threading.get_ident())
+        calls.append(args)
         return random_tree(*args, **kwargs)
 
     monkeypatch.setattr(verify, "random_tree", recording)
-    verify.run_all(quick=True, workers=3)
-    assert len(threads) == 2 * (100 + 6 + 60)
-    assert set(threads) == {threading.get_ident()}
+    verify.run_all(quick=True)
+    assert len(calls) == 2 * (100 + 6 + 60)
+    first, rerun = calls[:166], calls[166:]
+    assert rerun == first[:100][::-1] + first[100:106][::-1] + first[106:][::-1]
+
+
+def test_criterion_10_fails_when_an_instance_reads_state_left_by_the_last(monkeypatch):
+    # A one-slot cache keyed by (depth, branching), not by seed, hands an
+    # instance the previous instance's tree whenever their shapes agree.
+    # The in-order reruns repeat its wrong rows; the reverse order does not.
+    slot = {}
+    random_tree = verify.random_tree
+
+    def leaky(depth, max_branching, seed):
+        if (depth, max_branching) not in slot:
+            slot.clear()
+            slot[depth, max_branching] = random_tree(depth, max_branching, seed)
+        return slot[depth, max_branching]
+
+    monkeypatch.setattr(verify, "random_tree", leaky)
+    assert not verify.run_all(quick=True)[9].passed
 
 
 def test_criterion_10_fails_on_one_changed_artifact_byte(seed):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kstep_lln import verify
 from kstep_lln.bounds import gaussian_survival
 from kstep_lln.cli import EXIT_OK, EXIT_TREEFILE, EXIT_USAGE, main
 from kstep_lln.constructions import binomial_upper_tail, imbalance_prob_exact
@@ -376,6 +377,12 @@ class TestErrorPath:
              "cannot write TMP/file/x.csv: [Errno 17] File exists: 'TMP/file'"),
             (["verify-all", "--quick", "--artifact-dir", "TMP/file"],
              "cannot write TMP/file: [Errno 17] File exists: 'TMP/file'"),
+            (["simulate", "--tree-file", "TMP/file", "--N", "64", "--K", "2", "--C", "6"],
+             "simulate takes --tree-file or --N, not both"),
+            (["invert", "--m", "8", "--t", "1", "--N", "64", "--K", "1", "--epsilon", "0.01"],
+             "invert takes --m and --t, or --N, --K and --epsilon, not both"),
+            (["construct", "--min-imbalance", "--imbalance", "5", "--N", "8", "--K", "2"],
+             "construct takes one of --min-imbalance, --imbalance M, or --N and --K"),
         ],
     )
     def test_invalid_parameter_exits_with_usage_error(self, capsys, tmp_path, argv, message):
@@ -402,14 +409,6 @@ class TestErrorPath:
              "threshold C must be finite, got nan"),
             (["simulate", "--tree-file", "TREE", "--K", "1", "--C", "nan", "--trials", "100"],
              "threshold C must be finite, got nan"),
-            (["simulate", "--N", "8", "--K", "2", "--C", "1", "--trials", "100", "--workers", "0"],
-             "workers must be at least 1, got 0"),
-            (["simulate", "--N", "8", "--K", "2", "--C", "1", "--workers", "0"],
-             "workers must be at least 1, got 0"),
-            (["simulate", "--tree-file", "TREE", "--K", "1", "--C", "1", "--workers", "0"],
-             "workers must be at least 1, got 0"),
-            (["verify-all", "--quick", "--workers", "0"],
-             "workers must be at least 1, got 0"),
         ],
     )
     def test_invalid_run_parameter_exits_before_any_output(self, capsys, tmp_path, argv, message):
@@ -419,6 +418,61 @@ class TestErrorPath:
         assert code == EXIT_USAGE
         assert out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--N", "8", "--K", "2", "--C", "1", "--trials", "100", "--workers", "1"],
+            ["verify-all", "--quick", "--workers", "1"],
+        ],
+    )
+    def test_workers_option_is_gone(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == EXIT_USAGE
+        assert out == ""
+        assert "unrecognized arguments: --workers 1" in err
+
+
+class TestSeedRange:
+    # Every command that takes --seed, with the arguments of a short run.
+    COMMANDS = {
+        "construct": ["construct", "--N", "4", "--K", "2"],
+        "simulate": ["simulate", "--N", "8", "--K", "2", "--C", "1", "--trials", "100"],
+        "decide": ["decide", "--tree-file", "TREE", "--alt", "random"],
+        "verify-all": ["verify-all", "--quick"],
+    }
+
+    @pytest.fixture
+    def argv(self, tmp_path, request):
+        path = tmp_path / "t.json"
+        save_tree(path, full_bundle())
+        return [str(path) if a == "TREE" else a for a in self.COMMANDS[request.param]]
+
+    @pytest.mark.parametrize("argv", list(COMMANDS), indirect=True)
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_exits_before_any_output(self, capsys, argv, seed):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"--seed={seed}"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == EXIT_USAGE
+        assert out == ""
+        assert f"argument --seed: seed must be an integer in [0, 2**64 - 1], got {seed}\n" in err
+
+    @pytest.mark.parametrize("argv", list(COMMANDS), indirect=True)
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_at_either_end_of_64_bits_is_taken_as_given(self, capsys, monkeypatch, argv, seed):
+        # verify-all's suite is replaced by one that records its seed: this
+        # checks the range, and the suite runs at the default seed elsewhere.
+        seeds = []
+        monkeypatch.setattr(verify, "run_all", lambda quick, seed: seeds.append(seed) or [])
+        code, out, err = run(capsys, *argv, "--seed", str(seed))
+        assert (code, err) == (EXIT_OK, "")
+        if argv[0] == "verify-all":
+            assert seeds == [seed]
+        else:
+            assert f'"seed": {seed}' in records(out)[0]
 
 
 class TestExtremeParameters:
@@ -471,22 +525,10 @@ class TestVerifyAllQuick:
         lines = [l for l in out.splitlines() if l.startswith("[criterion")]
         assert len(lines) == 10
         assert all("PASS" in l for l in lines)
+        assert "criteria 7-9 rebuilt in reverse instance order: byte-identical = [True, True, True]" in lines[9]
         assert (tmp_path / "criterion_7.csv").exists()
         assert (tmp_path / "criterion_8.csv").exists()
         assert (tmp_path / "criterion_9.csv").exists()
-
-    def test_artifacts_identical_across_worker_counts(self, capsys, tmp_path):
-        outs = {}
-        for workers in ("1", "3"):
-            code, outs[workers], _ = run(
-                capsys, "verify-all", "--quick", "--workers", workers,
-                "--artifact-dir", str(tmp_path / workers),
-            )
-            assert code == EXIT_OK
-        assert "criteria 7-9 rerun with 3 vs 1 workers: byte-identical = [True, True, True]" in outs["3"]
-        for n in (7, 8, 9):
-            name = f"criterion_{n}.csv"
-            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "3" / name).read_bytes()
 
     def test_relative_artifact_dir_resolves_against_output_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("KSTEP_LLN_OUTPUT_DIR", str(tmp_path / "out"))

@@ -14,6 +14,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kstep_lln import sampling
 from kstep_lln.constructions import block_deviation_tail
 from kstep_lln.sampling import (
     TailEstimate,
@@ -150,6 +151,15 @@ class TestTailEstimate:
 
 
 class TestMcTail:
+    BOTH_SAMPLERS = pytest.mark.parametrize(
+        "sampler, C",
+        [
+            (block_deviation_sampler(12, 3), 6.0),
+            (tree_deviation_sampler(*random_tree(depth=6, max_branching=3, seed=404), 2), 1.75),
+        ],
+        ids=["block", "tree"],
+    )
+
     def test_impossible_event_gives_zero_with_zero_lower_end(self):
         sampler = block_deviation_sampler(4, 2)
         est = mc_tail(sampler, 100.0, sided="upper", trials=5000, seed=1)
@@ -167,19 +177,23 @@ class TestMcTail:
         )
         assert est.contains(7 / 64)
 
-    @pytest.mark.parametrize(
-        "sampler, C",
-        [
-            (block_deviation_sampler(12, 3), 6.0),
-            (tree_deviation_sampler(*random_tree(depth=6, max_branching=3, seed=404), 2), 1.75),
-        ],
-        ids=["block", "tree"],
-    )
+    @BOTH_SAMPLERS
     def test_identical_across_worker_counts(self, sampler, C):
         kwargs = dict(sided="two_sided", trials=70_001, seed=5)  # three chunks
         one, *more = (mc_tail(sampler, C, workers=w, **kwargs) for w in (1, 2, 3, 4))
         assert 0 < one.hits < one.trials
         assert all(est == one for est in more)
+
+    @BOTH_SAMPLERS
+    def test_identical_across_chunk_sizes(self, monkeypatch, sampler, C):
+        # 70_001 trials: three chunks of 2^15, or eighteen of 2^12, the last
+        # one partial either way; each trial's draws are keyed by its index.
+        kwargs = dict(sided="two_sided", trials=70_001, seed=5)
+        assert _CHUNK == 1 << 15
+        est = mc_tail(sampler, C, **kwargs)
+        monkeypatch.setattr(sampling, "_CHUNK", 1 << 12)
+        assert 0 < est.hits < est.trials
+        assert mc_tail(sampler, C, **kwargs) == est
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_estimates_do_not_depend_on_the_order_a_sampler_returns(self, workers):

@@ -28,7 +28,6 @@ __all__ = [
     "ThresholdCheck",
     "deviation_threshold",
     "gaussian_survival",
-    "feller_upper",
     "aggregation_objective",
     "aggregation_bound",
     "midpoint_bound",
@@ -38,8 +37,6 @@ __all__ = [
     "mv_lower_bound",
     "dominance_rows",
 ]
-
-SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 #: Upper end of the epsilon range on which the main threshold is valid.
 #: It is where eps < 2 ln(1/eps) stops holding (between 0.70 and 0.71),
@@ -135,13 +132,6 @@ def gaussian_survival(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-def feller_upper(z: float) -> float:
-    """Classic upper bound phi(z)/z for the Gaussian survival function, z > 0."""
-    if not 0 < z < math.inf:
-        raise ValueError(f"z must be positive and finite, got {z!r}")
-    return math.exp(-0.5 * z * z) / (z * SQRT_2PI)
-
-
 def _survival_integral(a: float, lo: float, hi: float) -> float:
     """Closed form of int_lo^hi min(1, exp(-a x^2)) dx, for lo < hi and hi > 0.
 
@@ -231,7 +221,8 @@ def midpoint_bound(C: float, K: int, N: int) -> float:
     """Closed-form bound (4KN/C^2) exp(-C^2/(8KN)).
 
     This is the relaxed aggregation objective at the midpoint t = C/(2K)
-    with rate a = K/(2N), further relaxed through `feller_upper`; it
+    with rate a = K/(2N), further relaxed through Feller's bound
+    phi(z)/z on the Gaussian survival function; it
     dominates `aggregation_bound(relaxed=True)` at that rate, which is the
     rate `AggregationParams.from_horizon` gives when K divides N.
     """

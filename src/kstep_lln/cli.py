@@ -102,10 +102,12 @@ def cmd_construct(args) -> int:
 
     if sum((args.min_imbalance, args.imbalance is not None, (args.N, args.K) != (None, None))) > 1:
         raise CliError("construct takes one of --min-imbalance, --imbalance M, or --N and --K")
+    if args.m_max is not None and not args.min_imbalance:
+        raise CliError("construct takes --m-max only with --min-imbalance")
     config = {"command": "construct", "seed": args.seed}
     if args.min_imbalance:
-        config["m_max"] = args.m_max
-        m_star, p_star = constructions.min_imbalance_prob(args.m_max)
+        m_max = config["m_max"] = 10_000 if args.m_max is None else args.m_max
+        m_star, p_star = constructions.min_imbalance_prob(m_max)
         row = {"m_star": m_star, "p_star": p_star}
         if m_star <= 64:
             row["p_star_exact"] = str(constructions.imbalance_prob_exact(m_star))
@@ -133,16 +135,19 @@ def cmd_construct(args) -> int:
 
 def cmd_scan(args) -> int:
     if args.what == "dominance":
+        if args.m_max is not None:
+            raise CliError("scan takes --m-max only with --what mv-audit or imbalance")
         rows = bounds.dominance_rows((1, 2, 3, 4, 5), (2, 4, 8, 16, 32), (0.5, 1.0, 2.0, 4.0, 8.0))
         _emit(rows, {"command": "scan", "what": "dominance"}, args)
         return EXIT_OK if all(r["chain_ok"] for r in rows) else EXIT_VERIFY
     from . import constructions
 
+    m_max = 200 if args.m_max is None else args.m_max
     if args.what == "mv-audit":
-        report = constructions.verify_mv_bound(args.m_max)
+        report = constructions.verify_mv_bound(m_max)
         rows = [
             {
-                "m_max": args.m_max,
+                "m_max": m_max,
                 "pairs_checked": report.pairs_checked,
                 "violations": len(report.violations),
                 "min_slack": report.min_slack,
@@ -150,14 +155,14 @@ def cmd_scan(args) -> int:
                 "min_slack_t": report.min_slack_at[1],
             }
         ]
-        _emit(rows, {"command": "scan", "what": "mv-audit", "m_max": args.m_max}, args)
+        _emit(rows, {"command": "scan", "what": "mv-audit", "m_max": m_max}, args)
         return EXIT_OK if report.ok else EXIT_VERIFY
-    if args.m_max < 1:
-        raise CliError(f"m_max must be at least 1, got {args.m_max}")
+    if m_max < 1:
+        raise CliError(f"m_max must be at least 1, got {m_max}")
     limit = bounds.gaussian_survival(1.0)
     rows = [{"m": m, "count_threshold": k, "probability": prob, "gap_to_limit": prob - limit}
-            for m, k, prob in constructions._imbalance_probs(args.m_max)]
-    _emit(rows, {"command": "scan", "what": "imbalance", "m_max": args.m_max}, args)
+            for m, k, prob in constructions._imbalance_probs(m_max)]
+    _emit(rows, {"command": "scan", "what": "imbalance", "m_max": m_max}, args)
     return EXIT_OK
 
 
@@ -311,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_con = sub.add_parser("construct", help="block-sign processes and imbalance scans")
     p_con.add_argument("--min-imbalance", action="store_true")
-    p_con.add_argument("--m-max", type=int, default=10_000)
+    p_con.add_argument("--m-max", type=int, help="--min-imbalance scan limit (default 10000)")
     p_con.add_argument("--imbalance", type=int, metavar="M")
     p_con.add_argument("--N", type=int)
     p_con.add_argument("--K", type=int)
@@ -321,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="grid scans: dominance chain, mv-audit, imbalance")
     p_scan.add_argument("--what", choices=["dominance", "mv-audit", "imbalance"], default="dominance")
-    p_scan.add_argument("--m-max", type=int, default=200)
+    p_scan.add_argument("--m-max", type=int, help="mv-audit or imbalance limit (default 200)")
     _add_output_options(p_scan)
     p_scan.set_defaults(fn=cmd_scan)
 

@@ -1,8 +1,9 @@
 """Sequential decisions with a limited impact horizon on a probability tree.
 
 At each step n a decision is chosen from a fixed finite menu; its loss in
-[0, 1] becomes determined K steps later (it is a function of the
-depth-(n+K) node).  The Bayesian strategy picks, at every depth-n node,
+[0, 1] (exactly: any difference of two losses is then a value in [-1, 1])
+becomes determined K steps later, as a function of the depth-(n+K) node.
+The Bayesian strategy picks, at every depth-n node,
 the first decision minimizing the conditional expected loss, which makes
 it dominant node by node and therefore, through the deviation bound
 applied to the shifted difference sequence, nearly unbeatable in total
@@ -16,7 +17,8 @@ strategy's realized losses.  The loss spec caches the last tree's problem,
 the Bayesian strategy and the last rival: the rival is validated once and
 its per-step and total realized losses are kept until another rival or
 tree is used, so strategies passed in must not be modified either.  Arrays
-handed out from that cache are read-only.
+handed out from that cache are read-only.  Sums over the tree use the two
+walks of `trees`: `_pull_back` for expected losses, `_path_sums` for totals.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constructions import _exact_sum, _tail_event
-from .trees import AdaptedSequence, ProbabilityTree, _first_outside, _pull_back
+from .trees import AdaptedSequence, ProbabilityTree, _first_outside, _path_sums, _pull_back
 
 __all__ = [
     "DecisionSpace",
@@ -45,7 +47,6 @@ __all__ = [
 ]
 
 _COND_TOL = 1e-9
-_LOSS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ class LossSpec:
                 if not (isinstance(tab, np.ndarray) and tab.ndim == 1):
                     raise ValueError(f"step {n}, decision {d}: losses must be a 1-D array")
         flat = [tab for per_decision in self.tables for tab in per_decision]
-        bad = _first_outside(flat, -_LOSS_TOL, 1.0 + _LOSS_TOL)
+        bad = _first_outside(flat, 0.0, 1.0)
         if bad is not None:
             n, d = divmod(bad, k)
             raise ValueError(f"step {n + 1}, decision {d}: losses must lie in [0, 1]")
@@ -164,13 +165,9 @@ class _Problem:
             for d in range(n, n + K):
                 choice = choice[parents[d]]
             steps.append(self.tables[n - 1][choice, np.arange(len(choice))])
-        acc = np.zeros(1)
-        for d in range(1, len(steps) + K + 1):
-            acc = acc[parents[d - 1]]
-            if d > K:
-                acc = acc + steps[d - K - 1]
-        acc.flags.writeable = False
-        return _frozen(steps), acc
+        totals = _path_sums(self.tree, steps, K + 1)
+        totals.flags.writeable = False
+        return _frozen(steps), totals
 
     def realized(
         self, loss: LossSpec, strategy: Strategy
@@ -229,7 +226,10 @@ def bayesian_strategy(tree: ProbabilityTree, loss: LossSpec) -> Strategy:
 
 
 def total_losses(tree: ProbabilityTree, loss: LossSpec, strategy: Strategy) -> np.ndarray:
-    """Realized N-step total loss per depth-(N+K) node (read-only)."""
+    """Realized N-step total loss per depth-(N+K) node (read-only).
+
+    Public as the only reader of the totals `regret_tail` compares, which the by-hand table tests pin.
+    """
     return _problem(tree, loss).realized(loss, strategy)[2]
 
 
@@ -303,10 +303,7 @@ def shifted_deviation_check(
                 f"conditional mean {worst!r} > 0 at step {n}, depth-{n} node {node}"
             )
 
-    path_sums = np.zeros(1)
-    for d in range(1, N + K + 1):
-        path_sums = path_sums[tree.parents[d - 1]] + seq.values[d - 1]
-    err = np.abs(path_sums - _regret(tree, loss, alt))
+    err = np.abs(_path_sums(tree, seq.values, 1) - _regret(tree, loss, alt))
     max_err = float(err.max())
     if max_err > _COND_TOL:
         leaf = int(np.argmax(err))

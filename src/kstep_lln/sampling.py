@@ -6,17 +6,18 @@ function.  Trials therefore carry their own streams: partitioning them
 across threads, reordering chunks, or resuming mid-run cannot change any
 estimate.  The block sampler spends one bit per sign: a trial's m signs are
 the low m bits of its first ceil(m/64) 64-bit words, keyed by word index,
-and its +1 count is their popcount, summed over slabs of at most 2^14
-words (columns x trials), so memory grows with the trial count only.  The
-tree sampler spends one uniform per trial on an inverse-CDF draw of a leaf
-from the tree's stored leaf probabilities.  It sorts a chunk's keys once
-and searches them in order: a binary search over keys in random order
-mispredicts its branches (65-80 ns a trial on a 2-core x86 machine).  Its
-draws come back in the order of their keys, not of their trials; every
-caller only counts hits, and a count does not depend on order.  splitmix64
-runs in place on a fresh array with one scratch buffer.  Intervals are
-exact 99% Clopper-Pearson, not normal-approximate, because small tail
-probabilities are precisely the quantity of interest.
+and its +1 count is their popcount, summed over slabs of at most 2^14 words
+(columns x trials), each with its own columns' word offsets, so memory
+grows with the trial count only.  The tree sampler spends one uniform per
+trial on an inverse-CDF draw of a leaf from the tree's stored leaf
+probabilities.  It sorts a chunk's keys once and searches them in order: a
+binary search over keys in random order mispredicts its branches (65-80 ns
+a trial on a 2-core x86 machine).  Its draws come back in the order of
+their keys, not of their trials; every caller only counts hits, and a count
+does not depend on order.  splitmix64 runs in place on a fresh array with
+one scratch buffer.  Intervals are exact 99% Clopper-Pearson, not
+normal-approximate, because small tail probabilities are precisely the
+quantity of interest.
 """
 
 from __future__ import annotations
@@ -74,11 +75,6 @@ def counter_seeds(master_seed: int, counters: np.ndarray) -> np.ndarray:
     z *= _GOLDEN
     z += base
     return _mix(z)
-
-
-def _word_offsets(n_draws: int) -> np.ndarray:
-    """Column j of a stream is word mix(key + (j + 1) * golden); these are the offsets."""
-    return (np.arange(n_draws, dtype=np.uint64) + np.uint64(1)) * _GOLDEN
 
 
 def derive_seed(master_seed: int, *path: int) -> int:
@@ -147,18 +143,21 @@ def block_deviation_sampler(N: int, K: int) -> Sampler:
     the last one masked to the low bits that remain.
     """
     m = _block_count(N, K)
-    offsets = _word_offsets(-(-m // 64))
-    last_mask = np.uint64((1 << (m - 64 * (len(offsets) - 1))) - 1)
+    columns = -(-m // 64)
+    last_mask = np.uint64((1 << (m - 64 * (columns - 1))) - 1)
 
     def sample(master_seed: int, trials: np.ndarray) -> np.ndarray:
         keys = counter_seeds(master_seed, trials)
         z = np.zeros(len(trials), dtype=np.uint64)
         # Slabs of columns x trials words, at most _SLAB_WORDS of them (one
-        # column a slab when the trials alone fill that).
+        # column a slab when the trials alone fill that).  Word column j is
+        # mix(key + (j + 1) * golden).
         step = max(1, _SLAB_WORDS // max(1, len(trials)))
-        for j in range(0, len(offsets), step):
-            words = _mix(offsets[j : j + step, None] + keys[None, :])
-            if j + step >= len(offsets):
+        for j in range(0, columns, step):
+            stop = min(j + step, columns)
+            offsets = np.arange(j + 1, stop + 1, dtype=np.uint64)[:, None] * _GOLDEN
+            words = _mix(offsets + keys[None, :])
+            if stop == columns:
                 words[-1] &= last_mask
             counts = np.bitwise_count(words)
             # A one-column slab skips the reduction: its uint8 -> uint64 cast

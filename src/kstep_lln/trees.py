@@ -5,8 +5,12 @@ depth-d nodes are the time-d information sets, a leaf is a full outcome,
 and the trivial information available before time 1 is the root.  An
 adapted sequence attaches one value to every node of each depth, which is
 exactly what measurability with respect to the depth-d partition means.
-Conditional expectations are computed by exact backward induction, so tail
-probabilities of the deviation statistic
+The two walks that sum over a tree live here, each written once.  The
+backward walk `_pull_back` takes a value up to its conditioning depth by
+backward induction.  The forward walk `_path_sums` sums values down every
+root-to-node path; `deviation_per_leaf` makes the same walk with each
+conditional mean subtracted at the depth where it becomes known.
+Conditional expectations stay internal, and tail probabilities of
 
     S = sum_{n=1}^N (Y_n - E(Y_n | F_{n-K}))
 
@@ -18,15 +22,15 @@ parents are a 1-D integer array and the branch probabilities a 1-D array of
 the same nonzero length, every parent index names a node one level up (the
 per-parent `bincount` the check needs anyway serves as this range check),
 every branch probability is positive, and each parent's branch
-probabilities sum to 1 within 1e-12; the same level loop forms the leaf
-probabilities, whose total must be 1 within 1e-9.  An adapted sequence
-checks that each step is a 1-D array of finite values bounded by 1 in
-absolute value.  The value checks are grouped: every array of at most
-`_GROUP_MAX` = 4096 entries is concatenated into one and reduced once,
-because each numpy call costs about a microsecond however small its array,
-while a larger array is reduced on its own, because copying it costs more
-than the calls saved.  Only a failed check looks at the arrays one by one,
-so an error names the first faulty depth or step.
+probabilities sum to 1 within 1e-12; then the leaf probabilities, formed
+once, must total 1 within 1e-9.  An adapted sequence checks that each step
+is a 1-D array of finite values bounded by 1 in absolute value.  The value
+checks are grouped: every array of at most `_GROUP_MAX` = 4096 entries is
+concatenated into one and reduced once, because each numpy call costs about
+a microsecond however small its array, while a larger array is reduced on
+its own, because copying it costs more than the calls saved.  Only a failed
+check looks at the arrays one by one, so an error names the first faulty
+depth or step.
 
 Trees and loss specs (see `decision`) are immutable after construction,
 and their arrays must not be modified once built: derived quantities are
@@ -52,7 +56,6 @@ __all__ = [
     "ProbabilityTree",
     "AdaptedSequence",
     "DeviationBoundCheck",
-    "conditional_expectation",
     "deviation_per_leaf",
     "exact_tail",
     "verify_deviation_bound",
@@ -153,7 +156,6 @@ class ProbabilityTree:
         if not self.parents:
             raise ValueError("tree must have depth at least 1")
         counts = [1]
-        leaves = np.ones(1)
         small = []  # (depth, branch probabilities, per-parent sums) left for the grouped check
         for d, (par, pr) in enumerate(zip(self.parents, self.branch_probs), start=1):
             fault = _level_fault(par, pr)
@@ -167,7 +169,6 @@ class ProbabilityTree:
                     fault = "parent index out of range"
             if fault is not None:
                 raise ValueError(_value_fault(small) or f"depth {d}: {fault}")
-            leaves = leaves[par] * pr
             counts.append(len(par))
             if len(par) <= _GROUP_MAX:
                 small.append((d, pr, sums))
@@ -175,6 +176,7 @@ class ProbabilityTree:
                 raise ValueError(_value_fault(small) or fault)
         if fault := _value_fault(small):
             raise ValueError(fault)
+        leaves = self._probabilities(self.depth)
         leaf_total = float(leaves.sum())  # pairwise: ~1e-14 off at 2^20 leaves
         if abs(leaf_total - 1.0) > _LEAF_SUM_TOL:
             raise ValueError(f"leaf probabilities sum to {leaf_total!r}")
@@ -256,23 +258,6 @@ def _pull_back(tree: ProbabilityTree, values: np.ndarray, depth: int, target: in
     return out
 
 
-def conditional_expectation(
-    tree: ProbabilityTree, seq: AdaptedSequence, n: int, lag: int
-) -> np.ndarray:
-    """E(Y_n | F_{n-lag}) as one value per depth-max(n-lag, 0) node.
-
-    When the lag reaches past the start of time the conditioning collapses
-    to the trivial information set and the result is the single root value,
-    the unconditional mean of Y_n.
-    """
-    _check_consistent(tree, seq)
-    if not 1 <= n <= seq.n_steps:
-        raise ValueError(f"step n must lie in [1, {seq.n_steps}], got {n}")
-    if lag < 1:
-        raise ValueError(f"lag must be a positive integer, got {lag}")
-    return _pull_back(tree, seq.values[n - 1], n, max(n - lag, 0))
-
-
 def deviation_per_leaf(tree: ProbabilityTree, seq: AdaptedSequence, lag: int) -> np.ndarray:
     """Deviation S = sum_n (Y_n - E(Y_n|F_{n-lag})), one value per depth-N node.
 
@@ -285,23 +270,29 @@ def deviation_per_leaf(tree: ProbabilityTree, seq: AdaptedSequence, lag: int) ->
     _check_consistent(tree, seq)
     if lag < 1:
         raise ValueError(f"lag must be a positive integer, got {lag}")
-    N = seq.n_steps
-    # Conditional means are subtracted where they become known, then pushed
-    # down to depth N along with the Y values in a single forward pass.  Only
-    # depths 0 and 1..N-lag receive a mean; a bincount sum is never -0.0, so
-    # starting each from its first mean instead of zeros changes no bit.
-    pending: dict[int, np.ndarray] = {}
-    for n in range(1, N + 1):
-        d = max(n - lag, 0)
-        mean = _pull_back(tree, seq.values[n - 1], n, d)
-        pending[d] = pending[d] + mean if d in pending else mean
-    acc = -pending[0]
+    N, values = seq.n_steps, seq.values
+    # Each conditional mean is subtracted at the depth where it becomes known,
+    # on the way down to depth N with the Y values.  Depth d >= 1 knows one,
+    # E(Y_{d+lag} | F_d); the root knows the first `lag`, negated only once
+    # summed, since -(m1 + m2) and (-m1) - m2 can differ in the sign of a zero.
+    root = _pull_back(tree, values[0], 1, 0)
+    for n in range(2, min(lag, N) + 1):
+        root += _pull_back(tree, values[n - 1], n, 0)
+    acc = -root
     for d in range(1, N + 1):
-        acc = acc[tree.parents[d - 1]] + seq.values[d - 1]
-        if d in pending:
-            acc -= pending[d]
+        acc = acc[tree.parents[d - 1]] + values[d - 1]
+        if d + lag <= N:
+            acc -= _pull_back(tree, values[d + lag - 1], d + lag, d)
     acc.flags.writeable = False
     object.__setattr__(seq, "_deviation", (tree, lag, acc))
+    return acc
+
+
+def _path_sums(tree: ProbabilityTree, steps, first: int) -> np.ndarray:
+    """Sums of `steps` down every root-to-node path, `steps[i]` on the depth-(first + i) nodes."""
+    acc = np.zeros(tree.node_counts[first - 1])
+    for d, step in enumerate(steps, start=first):
+        acc = acc[tree.parents[d - 1]] + step
     return acc
 
 

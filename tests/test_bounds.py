@@ -11,7 +11,6 @@ from kstep_lln.bounds import (
     HorizonParams,
     aggregation_bound,
     aggregation_objective,
-    feller_upper,
     gaussian_survival,
     kr_threshold,
     midpoint_bound,
@@ -72,22 +71,6 @@ class TestGaussianSurvival:
     @given(st.floats(-8, 8))
     def test_complement(self, z):
         assert gaussian_survival(z) + gaussian_survival(-z) == pytest.approx(1.0, abs=1e-14)
-
-
-class TestFellerUpper:
-    def test_frozen_values(self):
-        assert feller_upper(1.0) == pytest.approx(0.24197072451914335, abs=1e-12)
-        assert feller_upper(2.0) == pytest.approx(0.026995483256594026, abs=1e-12)
-
-    def test_dominates_survival_function(self):
-        for z in np.arange(0.01, 10.0, 0.01):
-            assert feller_upper(float(z)) > gaussian_survival(float(z))
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            feller_upper(0.0)
-        with pytest.raises(ValueError):
-            feller_upper(-1.0)
 
 
 class TestAggregationBound:
@@ -246,11 +229,9 @@ class TestMidpointBound:
         lambda: AggregationParams(C=math.nan, K=2, a=1.0),
         lambda: AggregationParams(C=1.0, K=2, a=math.inf),
         lambda: AggregationParams(C=1.0, K=2, a=math.nan),
-        lambda: feller_upper(math.nan),
-        lambda: feller_upper(math.inf),
     ],
     ids=["midpoint-C-nan", "midpoint-C-inf", "from-horizon-C-inf", "aggregation-C-nan",
-         "aggregation-a-inf", "aggregation-a-nan", "feller-nan", "feller-inf"],
+         "aggregation-a-inf", "aggregation-a-nan"],
 )
 def test_non_finite_inputs_fail_validation(call):
     # NaN slips past a bare "> 0" check, and infinity makes the bounds 0 or NaN

@@ -312,6 +312,30 @@ class TestDecide:
         assert len(rec) == 10 and None not in rec
         assert rec["bayes_first_choice"] == label
 
+    def test_losses_just_outside_the_unit_interval_are_refused_at_load(self, capsys, tmp_path):
+        # Losses 1e-12 outside [0, 1] would make shifted differences of 1 + 2e-12,
+        # which the adapted sequence behind the shift check refuses.
+        doc = {
+            "depth": 2,
+            "nodes": [
+                [{"parent": 0, "prob": 0.5}, {"parent": 0, "prob": 0.5}],
+                [{"parent": 0, "prob": 0.4}, {"parent": 0, "prob": 0.6},
+                 {"parent": 1, "prob": 0.5}, {"parent": 1, "prob": 0.5}],
+            ],
+            "losses": {
+                "decisions": ["a", "b"],
+                "impact_horizon": 1,
+                "tables": [[[1.000000000001, -1e-12, 0.5, 0.5], [-1e-12, 1.000000000001, 0.5, 0.5]]],
+            },
+        }
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "decide", "--tree-file", str(path), "--alt", "adversarial")
+        assert (code, out) == (EXIT_TREEFILE, "")
+        assert err.endswith(
+            "invalid losses block: step 1, decision 0: losses must lie in [0, 1]\n"
+        )
+
     def test_missing_losses(self, capsys, tmp_path):
         tree, seq = random_tree(3, 2, seed=2)
         path = tmp_path / "nolosses.json"
@@ -383,6 +407,12 @@ class TestErrorPath:
              "invert takes --m and --t, or --N, --K and --epsilon, not both"),
             (["construct", "--min-imbalance", "--imbalance", "5", "--N", "8", "--K", "2"],
              "construct takes one of --min-imbalance, --imbalance M, or --N and --K"),
+            (["construct", "--N", "8", "--K", "2", "--m-max", "5"],
+             "construct takes --m-max only with --min-imbalance"),
+            (["construct", "--imbalance", "50", "--m-max", "5"],
+             "construct takes --m-max only with --min-imbalance"),
+            (["scan", "--what", "dominance", "--m-max", "5"],
+             "scan takes --m-max only with --what mv-audit or imbalance"),
         ],
     )
     def test_invalid_parameter_exits_with_usage_error(self, capsys, tmp_path, argv, message):

@@ -93,7 +93,8 @@ class TestValidationMessages:
     """One fault per input, at the first step, the last, and in an array of 8192 entries."""
 
     @pytest.mark.parametrize("n_steps, at, d", [(4, 1, 0), (4, 4, 1), (12, 1, 1), (12, 12, 1)])
-    @pytest.mark.parametrize("bad", [1.5, -0.25, math.nan])
+    # The range is exact: 1e-12 outside [0, 1] is refused.
+    @pytest.mark.parametrize("bad", [1.5, -0.25, math.nan, 1.000000000001, -1e-12])
     def test_loss_out_of_range(self, n_steps, at, d, bad):
         tables = two_decision_tables(n_steps)
         tables[at - 1][d][-1] = bad

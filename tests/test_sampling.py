@@ -25,7 +25,7 @@ from kstep_lln.sampling import (
     mc_tail,
     tree_deviation_sampler,
 )
-from kstep_lln.sampling import _CHUNK, _inverse_cdf_draw, _mix, _word_offsets
+from kstep_lln.sampling import _CHUNK, _inverse_cdf_draw, _mix
 from kstep_lln.treefile import bundle_from_dict
 from kstep_lln.trees import (
     AdaptedSequence,
@@ -377,8 +377,8 @@ class TestBlockSampler:
         masks = np.full(columns, np.uint64((1 << 64) - 1))
         masks[-1] = (1 << 59) - 1
         z = np.zeros(trials, dtype=np.int64)
-        for offset, mask in zip(_word_offsets(columns), masks):
-            z += np.bitwise_count(_mix(keys + offset) & mask)
+        for j, mask in enumerate(masks):  # word column j is mix(key + (j + 1) * golden)
+            z += np.bitwise_count(_mix(keys + ((j + 1) * 0x9E3779B97F4A7C15 & (1 << 64) - 1)) & mask)
         dev = block_deviation_sampler(2 * m, 2)(5, idx)
         np.testing.assert_array_equal(dev, (2.0 * z - m) * 2)
 
@@ -393,15 +393,17 @@ class TestBlockSampler:
         assert block_deviation_sampler(m, 1)(5, trial).tolist() == [2 * ones - m]
 
     def test_memory_does_not_grow_with_the_block_length(self):
-        sampler = block_deviation_sampler(65536, 1)
-        trials = np.arange(4096, dtype=np.uint64)
-        tracemalloc.start()
-        try:
-            sampler(3, trials)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20  # a trials x m/64 word matrix would take 32 MiB
+        # Built and run under the trace: a trials x m/64 word matrix would take
+        # 32 MiB at N = 65536, and a table of all m/64 word offsets 12.5 MB at
+        # N = 10^8.
+        for N, trials in ((65536, 4096), (10**8, 1)):
+            tracemalloc.start()
+            try:
+                block_deviation_sampler(N, 1)(3, np.arange(trials, dtype=np.uint64))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, N
 
 
 def _shuffled_tree_file(seed):

@@ -10,8 +10,8 @@ from kstep_lln.treefile import TreeFileError, bundle_from_dict
 from kstep_lln.trees import (
     AdaptedSequence,
     ProbabilityTree,
+    _pull_back,
     block_process_tree,
-    conditional_expectation,
     deviation_per_leaf,
     exact_tail,
     random_tree,
@@ -238,35 +238,28 @@ class TestAdaptedSequence:
 
 
 class TestConditionalExpectation:
+    # `_pull_back(tree, seq.values[n - 1], n, d)` is E(Y_n | F_d), one value per depth-d node.
     def test_balanced_signs_average_to_zero_at_root(self):
         tree, _ = block_process_tree(2, 1)
         seq = AdaptedSequence(values=(np.array([1.0, -1.0]), np.array([1.0, -1.0, 1.0, -1.0])))
         for n in (1, 2):
-            out = conditional_expectation(tree, seq, n, lag=5)
+            out = _pull_back(tree, seq.values[n - 1], n, 0)
             assert out.shape == (1,)
             assert out[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_constants_are_predictable(self):
         tree = two_level_tree()
         seq = AdaptedSequence(values=(np.array([0.2, 0.2]), np.full(4, 0.7)))
-        out = conditional_expectation(tree, seq, 2, lag=1)
+        out = _pull_back(tree, seq.values[1], 2, 1)
         np.testing.assert_allclose(out, [0.7, 0.7], atol=1e-15)
 
     def test_leaf_probability_dot_product_by_hand(self):
         # leaves (0.125, 0.125, 0.075, 0.675) dot (1, -1, 1, -1) = -0.6
         tree = two_level_tree()
         seq = AdaptedSequence(values=(np.zeros(2), np.array([1.0, -1.0, 1.0, -1.0])))
-        out = conditional_expectation(tree, seq, 2, lag=2)
+        out = _pull_back(tree, seq.values[1], 2, 0)
         assert out.shape == (1,)
         assert out[0] == pytest.approx(-0.6, abs=1e-15)
-
-    def test_rejects_step_out_of_range(self):
-        tree = two_level_tree()
-        seq = AdaptedSequence(values=(np.zeros(2), np.zeros(4)))
-        with pytest.raises(ValueError, match="step n"):
-            conditional_expectation(tree, seq, 3, lag=1)
-        with pytest.raises(ValueError, match="lag"):
-            conditional_expectation(tree, seq, 2, lag=0)
 
     @given(st.integers(0, 10_000), st.integers(1, 3))
     @settings(max_examples=60, deadline=None)
@@ -274,18 +267,13 @@ class TestConditionalExpectation:
         tree, seq = random_tree(depth=5, max_branching=3, seed=seed)
         for n in (1, 3, 5):
             d = max(n - lag, 0)
-            cond = conditional_expectation(tree, seq, n, lag)
+            cond = _pull_back(tree, seq.values[n - 1], n, d)
             averaged = float(np.dot(tree.node_probabilities(d), cond))
             plain = float(np.dot(tree.node_probabilities(n), seq.values[n - 1]))
             assert averaged == pytest.approx(plain, abs=1e-9)
-
-    def test_lag_past_start_gives_root_mean(self):
-        tree, seq = random_tree(depth=4, max_branching=3, seed=11)
-        for n in (1, 2, 3):
-            out = conditional_expectation(tree, seq, n, lag=n + 2)
-            assert out.shape == (1,)
-            plain = float(np.dot(tree.node_probabilities(n), seq.values[n - 1]))
-            assert out[0] == pytest.approx(plain, abs=1e-12)
+            root = _pull_back(tree, seq.values[n - 1], n, 0)
+            assert root.shape == (1,)
+            assert root[0] == pytest.approx(plain, abs=1e-12)
 
 
 class TestDeviationPerLeaf:
@@ -296,7 +284,7 @@ class TestDeviationPerLeaf:
         tree, seq = random_tree(depth=5, max_branching=3, seed=seed)
         ref = np.zeros(tree.node_counts[-1])
         for n in range(1, seq.n_steps + 1):
-            cond = conditional_expectation(tree, seq, n, lag)
+            cond = _pull_back(tree, seq.values[n - 1], n, max(n - lag, 0))
             for d in range(max(n - lag, 0) + 1, n + 1):
                 cond = cond[tree.parents[d - 1]]
             term = seq.values[n - 1] - cond
@@ -313,17 +301,35 @@ class TestDeviationPerLeaf:
         pending = [np.zeros(c) for c in tree.node_counts]
         for n in range(1, depth + 1):
             d = max(n - lag, 0)
-            mean = conditional_expectation(tree, seq, n, lag)
+            mean = _pull_back(tree, seq.values[n - 1], n, d)
             pending[d] = pending[d] + mean
         ref = -pending[0]
         for d in range(1, depth + 1):
             ref = ref[tree.parents[d - 1]] + seq.values[d - 1] - pending[d]
         assert deviation_per_leaf(tree, seq, lag).tobytes() == ref.tobytes()
 
+    def test_root_negates_the_sum_of_its_means(self):
+        # Root means 0.5 and -0.5: -(0.5 + -0.5) is -0.0, where (-0.5) - -0.5
+        # would be +0.0, and -0.0 values carry that sign down to two leaves.
+        tree = ProbabilityTree(
+            parents=(np.array([0, 0]), np.array([0, 0, 1, 1])),
+            branch_probs=(np.full(2, 0.5), np.full(4, 0.5)),
+        )
+        seq = AdaptedSequence(values=(np.array([-0.0, 1.0]), np.array([-0.0, -0.0, -1.0, -1.0])))
+        dev = deviation_per_leaf(tree, seq, 2)
+        assert dev.tolist() == [0.0, 0.0, 0.0, 0.0]
+        assert np.signbit(dev).tolist() == [True, True, False, False]
+
     def test_zero_process(self):
         tree = two_level_tree()
         seq = AdaptedSequence(values=(np.zeros(2), np.zeros(4)))
         np.testing.assert_allclose(deviation_per_leaf(tree, seq, 1), np.zeros(4), atol=1e-15)
+
+    def test_rejects_nonpositive_lag(self):
+        tree = two_level_tree()
+        seq = AdaptedSequence(values=(np.zeros(2), np.zeros(4)))
+        with pytest.raises(ValueError, match="lag must be a positive integer, got 0"):
+            deviation_per_leaf(tree, seq, 0)
 
     def test_fresh_signs_reduce_to_plain_sums(self):
         # One new fair sign per step: all lag-1 conditional means vanish,
@@ -418,15 +424,16 @@ class TestExactTail:
         tree, raw = random_tree(depth=5, max_branching=3, seed=77)
         centered = []
         for n in range(1, raw.n_steps + 1):
-            cond = conditional_expectation(tree, raw, n, lag)
             d = max(n - lag, 0)
+            cond = _pull_back(tree, raw.values[n - 1], n, d)
             pushed = cond
             for dd in range(d + 1, n + 1):
                 pushed = pushed[tree.parents[dd - 1]]
             centered.append(0.5 * (raw.values[n - 1] - pushed))
         seq = AdaptedSequence(values=tuple(centered))
         for n in range(1, seq.n_steps + 1):
-            assert np.max(np.abs(conditional_expectation(tree, seq, n, lag))) < 1e-12
+            cond = _pull_back(tree, seq.values[n - 1], n, max(n - lag, 0))
+            assert np.max(np.abs(cond)) < 1e-12
         sums = path_sums(tree, seq)
         probs = tree.node_probabilities(tree.depth)
         for C in (0.1, 0.4, 0.9):

@@ -159,7 +159,7 @@ def aggregation_objective(ap: AggregationParams, t: float, relaxed: bool = False
     return ap.K * _survival_integral(ap.a, t, hi) / (ap.C - ap.K * t)
 
 
-def _golden_section(f, lo: float, hi: float) -> tuple[float, float]:
+def _golden_section(f, lo: float, hi: float) -> float:
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
@@ -176,8 +176,7 @@ def _golden_section(f, lo: float, hi: float) -> tuple[float, float]:
             fd = f(d)
         if (b - a) <= 1e-9 * max(1.0, abs(a), abs(b)):
             break
-    x = 0.5 * (a + b)
-    return x, f(x)
+    return f(0.5 * (a + b))
 
 
 def aggregation_bound(ap: AggregationParams, relaxed: bool = False) -> float:
@@ -210,7 +209,7 @@ def aggregation_bound(ap: AggregationParams, relaxed: bool = False) -> float:
     best = min(range(len(values)), key=values.__getitem__)
     lo = candidates[max(best - 1, 0)]
     hi = candidates[min(best + 1, len(candidates) - 1)]
-    _, refined = _golden_section(lambda t: aggregation_objective(ap, t, relaxed), lo, hi)
+    refined = _golden_section(lambda t: aggregation_objective(ap, t, relaxed), lo, hi)
     value = min(values[best], refined)
     if not relaxed:
         value = min(value, ap.K * math.exp(-ap.a * T * T))

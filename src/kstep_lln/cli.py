@@ -251,9 +251,6 @@ def cmd_decide(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    if args.format == "json" or args.output is not None:
-        raise CliError("verify-all prints text and writes its criterion CSVs with --artifact-dir; "
-                       "it takes no --format json or --output")
     from .verify import run_all
 
     # An unusable artifact directory fails here, not after the whole suite has run.
@@ -276,16 +273,9 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _add_output_options(p: argparse.ArgumentParser, top_level: bool = False) -> None:
-    # On subparsers the defaults are suppressed so a flag given before the
-    # subcommand is not clobbered by the subparser's own parse.
-    default = dict(default="csv") if top_level else dict(default=argparse.SUPPRESS)
-    p.add_argument("--format", choices=["csv", "json"], **default)
-    p.add_argument(
-        "--output",
-        help="output path (see KSTEP_LLN_OUTPUT_DIR); stdout if absent",
-        **({} if top_level else dict(default=argparse.SUPPRESS)),
-    )
+def _add_output_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--format", choices=["csv", "json"], default="csv")
+    p.add_argument("--output", help="output path (see KSTEP_LLN_OUTPUT_DIR); stdout if absent")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -293,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="kstep-lln",
         description="Deviation bounds for K-steps-ahead forecasts: compute, invert, verify.",
     )
-    _add_output_options(parser, top_level=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bound = sub.add_parser("bound", help="upper-bound threshold for (N, K, epsilon)")

@@ -65,7 +65,6 @@ __all__ = [
 
 _PROB_SUM_TOL = 1e-12
 _LEAF_SUM_TOL = 1e-9
-_VALUE_TOL = 1e-12
 # A per-parent sum s passes when abs(s - 1.0) <= _PROB_SUM_TOL; s - 1.0 is exact
 # near 1, so that is s in [_SUM_LO, _SUM_HI].  1.0 + 1e-12 rounds up past it.
 _SUM_LO = 1.0 - _PROB_SUM_TOL
@@ -224,7 +223,7 @@ class AdaptedSequence:
         for n, v in enumerate(self.values, start=1):
             if not (isinstance(v, np.ndarray) and v.ndim == 1):
                 raise ValueError(f"step {n}: values must be a 1-D array")
-        bad = _first_outside(self.values, -1.0 - _VALUE_TOL, 1.0 + _VALUE_TOL)
+        bad = _first_outside(self.values, -1.0, 1.0)
         if bad is not None:
             raise ValueError(
                 f"step {bad + 1}: values must be finite and bounded by 1 in absolute value"

@@ -45,15 +45,6 @@ class TestBound:
         threshold = float(lines[2].split(",")[3])
         assert threshold == pytest.approx(158.63212504992021, abs=1e-6)
 
-    def test_json_format(self, capsys):
-        code, out, _ = run(
-            capsys, "--format", "json", "bound", "--N", "3", "--K", "1",
-            "--epsilon", repr(math.exp(-1)),
-        )
-        assert code == EXIT_OK
-        doc = json.loads(out)
-        assert doc["result"][0]["threshold"] == 8.0
-
     def test_output_flags_accepted_after_subcommand(self, capsys):
         code, out, _ = run(
             capsys, "bound", "--N", "3", "--K", "1", "--epsilon", repr(math.exp(-1)),
@@ -350,16 +341,16 @@ class TestOutputHandling:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for target in (a, b):
             code, _, _ = run(
-                capsys, "--output", str(target), "simulate", "--N", "12", "--K", "2",
-                "--C", "4.0", "--trials", "5000",
+                capsys, "simulate", "--N", "12", "--K", "2", "--C", "4.0", "--trials", "5000",
+                "--output", str(target),
             )
             assert code == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
     def test_output_dir_environment_variable(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("KSTEP_LLN_OUTPUT_DIR", str(tmp_path))
-        code, _, _ = run(capsys, "--output", "row.csv", "bound", "--N", "10", "--K", "1",
-                         "--epsilon", "0.1")
+        code, _, _ = run(capsys, "bound", "--N", "10", "--K", "1", "--epsilon", "0.1",
+                         "--output", "row.csv")
         assert code == EXIT_OK
         assert (tmp_path / "row.csv").exists()
 
@@ -389,12 +380,6 @@ class TestErrorPath:
              "m_max must be at least 1, got 0"),
             (["scan", "--what", "imbalance", "--m-max=-5"],
              "m_max must be at least 1, got -5"),
-            (["--format", "json", "verify-all", "--quick"],
-             "verify-all prints text and writes its criterion CSVs with --artifact-dir; "
-             "it takes no --format json or --output"),
-            (["--output", "x.json", "verify-all", "--quick"],
-             "verify-all prints text and writes its criterion CSVs with --artifact-dir; "
-             "it takes no --format json or --output"),
             (["bound", "--N", "10", "--K", "1", "--epsilon", "0.1", "--output", "TMP"],
              "cannot write TMP: [Errno 21] Is a directory: 'TMP'"),
             (["bound", "--N", "10", "--K", "1", "--epsilon", "0.1", "--output", "TMP/file/x.csv"],
@@ -463,6 +448,31 @@ class TestErrorPath:
         assert exc.value.code == EXIT_USAGE
         assert out == ""
         assert "unrecognized arguments: --workers 1" in err
+
+    @pytest.mark.parametrize(
+        "argv, rejected",
+        [
+            (["verify-all", "--quick", "--format", "json"], "unrecognized arguments: --format json"),
+            (["verify-all", "--quick", "--output", "x.csv"], "unrecognized arguments: --output x.csv"),
+            (["--format", "json", "bound", "--N", "3", "--K", "1", "--epsilon", "0.3"],
+             "invalid choice: 'json'"),
+            (["--output", "x.csv", "bound", "--N", "3", "--K", "1", "--epsilon", "0.3"],
+             "invalid choice: 'x.csv'"),
+        ],
+    )
+    def test_output_options_only_after_a_row_writing_command(
+        self, capsys, tmp_path, monkeypatch, argv, rejected
+    ):
+        # verify-all has neither option, and no command takes them before its name.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("KSTEP_LLN_OUTPUT_DIR", raising=False)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == EXIT_USAGE
+        assert out == ""
+        assert rejected in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSeedRange:

@@ -168,7 +168,9 @@ class TestConstructionMessages:
         )
 
     @pytest.mark.parametrize("step_count, at", FAULT_PLACES)
-    @pytest.mark.parametrize("bad", [1.5, -2.0, math.nan])
+    @pytest.mark.parametrize(
+        "bad", [1.5, -2.0, math.nan, math.nextafter(1.0, 2.0), -math.nextafter(1.0, 2.0)]
+    )
     def test_value_out_of_bounds(self, step_count, at, bad):
         parents, probs = binary_levels(step_count)
         values = [np.zeros(2**n) for n in range(1, step_count + 1)]
@@ -224,6 +226,13 @@ class TestAdaptedSequence:
         with pytest.raises(ValueError, match="bounded by 1"):
             AdaptedSequence(values=(np.array([0.5, 1.5]),))
 
+    def test_accepts_exactly_plus_and_minus_one(self):
+        values = (np.array([1.0, -1.0]), np.array([1.0, -1.0, -1.0, 1.0]))
+        assert AdaptedSequence(values=values).n_steps == 2
+        parents, probs = binary_levels(2)
+        bundle = bundle_from_dict(tree_doc(parents, probs, list(values)))
+        assert [v.tolist() for v in bundle.sequence.values] == [v.tolist() for v in values]
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_values(self, bad):
         with pytest.raises(ValueError, match="finite"):
@@ -237,7 +246,7 @@ class TestAdaptedSequence:
         assert AdaptedSequence(values=(np.array([0.5]), np.array([]))).n_steps == 2
 
 
-class TestConditionalExpectation:
+class TestPullBack:
     # `_pull_back(tree, seq.values[n - 1], n, d)` is E(Y_n | F_d), one value per depth-d node.
     def test_balanced_signs_average_to_zero_at_root(self):
         tree, _ = block_process_tree(2, 1)

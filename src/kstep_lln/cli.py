@@ -278,11 +278,23 @@ def _add_output_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", help="output path (see KSTEP_LLN_OUTPUT_DIR); stdout if absent")
 
 
+class _AfterCommand(argparse.Action):
+    """Refuses an output option given before the command name; it sets nothing."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        example = f"kstep-lln COMMAND ... {option_string} {values}"
+        raise argparse.ArgumentError(self, f"goes after the command name, as in '{example}'")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kstep-lln",
         description="Deviation bounds for K-steps-ahead forecasts: compute, invert, verify.",
     )
+    for option in ("--format", "--output"):
+        parser.add_argument(
+            option, action=_AfterCommand, default=argparse.SUPPRESS, help=argparse.SUPPRESS
+        )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bound = sub.add_parser("bound", help="upper-bound threshold for (N, K, epsilon)")

@@ -46,25 +46,27 @@ class TreeBundle:
     losses: LossSpec | None = None
 
 
+def _floats(a: np.ndarray) -> list[float]:
+    """An array as a list of Python floats, each the value `float(a[i])` gives."""
+    return a.astype(np.float64, copy=False).tolist()
+
+
 def bundle_to_dict(bundle: TreeBundle) -> dict:
     tree = bundle.tree
     doc: dict = {
         "depth": tree.depth,
         "nodes": [
-            [{"parent": int(p), "prob": float(q)} for p, q in zip(par, pr)]
+            [{"parent": p, "prob": q} for p, q in zip(par.tolist(), _floats(pr))]
             for par, pr in zip(tree.parents, tree.branch_probs)
         ],
     }
     if bundle.sequence is not None:
-        doc["Y"] = [[float(v) for v in level] for level in bundle.sequence.values]
+        doc["Y"] = [_floats(level) for level in bundle.sequence.values]
     if bundle.losses is not None:
         doc["losses"] = {
             "decisions": list(bundle.losses.space.labels),
             "impact_horizon": bundle.losses.horizon,
-            "tables": [
-                [[float(v) for v in tab] for tab in per_decision]
-                for per_decision in bundle.losses.tables
-            ],
+            "tables": [[_floats(tab) for tab in per_decision] for per_decision in bundle.losses.tables],
         }
     return doc
 

@@ -34,12 +34,16 @@ depth or step.
 
 Trees and loss specs (see `decision`) are immutable after construction,
 and their arrays must not be modified once built: derived quantities are
-cached on them.  A tree keeps the node counts and leaf probabilities its
-validation computes; an adapted sequence keeps its deviation per leaf for
-the last (tree, lag) it was evaluated on; a loss spec keeps the last
-tree's problem, the Bayesian strategy and the last rival.  Arrays handed
-out from a cache are read-only.  Desk scale is about 10^6 leaves for exact
-enumeration; beyond that, sample.
+cached on them.  Block trees enforce this: their levels are read-only
+views of shared arrays, so a write raises.  numpy's bincount and argmin
+copy a read-only array before they read it, so an array of more than
+`_GROUP_MAX` entries is checked with min and max, and summed per parent by
+np.add.at when read-only.  A tree keeps the node counts and leaf
+probabilities its validation computes; an adapted sequence keeps its
+deviation per leaf for the last (tree, lag) it was evaluated on; a loss
+spec keeps the last tree's problem, the Bayesian strategy and the last
+rival.  Arrays handed out from a cache are read-only.  Desk scale is about
+10^6 leaves for exact enumeration; beyond that, sample.
 """
 
 from __future__ import annotations
@@ -82,8 +86,12 @@ _INDEX_CODES = "".join(c for c in np.typecodes["AllInteger"] if np.can_cast(c, n
 
 
 def _inside(a: np.ndarray, lo, hi) -> bool:
-    # a[a.argmin()] is a.min(), NaN included, at a third of its cost on small arrays.
-    return bool(lo <= a[a.argmin()] and a[a.argmax()] <= hi)  # NaN fails both
+    # NaN fails both comparisons.  a[a.argmin()] is a.min(), NaN included, at a
+    # third of its cost on small arrays; but argmin copies a read-only array
+    # first, which tripled its cost on a 2^20-entry block-tree level.
+    if a.size > _GROUP_MAX:
+        return bool(lo <= a.min() and a.max() <= hi)
+    return bool(lo <= a[a.argmin()] and a[a.argmax()] <= hi)
 
 
 def _first_outside(arrays, lo, hi) -> int | None:
@@ -137,6 +145,26 @@ def _value_fault(levels) -> str | None:
     return f"depth {d}: branch probabilities at parent {bad} sum to {float(sums[bad])!r}"
 
 
+def _parent_sums(par: np.ndarray, weights: np.ndarray, n_parents: int) -> np.ndarray:
+    """np.bincount(par, weights=weights, minlength=n_parents).
+
+    np.bincount copies a read-only argument before it counts, and block-tree
+    levels are read-only: at 2^20 entries, on a 2-core x86 box, the copies
+    took 8.7 ms and the count 2.8 ms.  So a large read-only level is summed
+    in place by np.add.at, which adds in the same order and gives the same
+    bits.  It raises IndexError for an index past the parent level, where
+    np.bincount lengthens the sums, and wraps a negative one, where
+    np.bincount raises.
+    """
+    if len(par) <= _GROUP_MAX or weights.dtype != np.float64 or (
+        par.flags.writeable and weights.flags.writeable
+    ):
+        return np.bincount(par, weights=weights, minlength=n_parents)
+    sums = np.zeros(n_parents)
+    np.add.at(sums, par, weights)
+    return sums
+
+
 @dataclass(frozen=True, eq=False)
 class ProbabilityTree:
     """Rooted tree with branch probabilities; depth-d arrays index depth-d nodes.
@@ -159,10 +187,12 @@ class ProbabilityTree:
         for d, (par, pr) in enumerate(zip(self.parents, self.branch_probs), start=1):
             fault = _level_fault(par, pr)
             if fault is None:
-                # A negative index raises; one past the parent level lengthens the sums.
+                # A negative index raises (np.add.at would wrap it, so a large level
+                # is checked first); one past the parent level lengthens the sums.
                 try:
-                    sums = np.bincount(par, weights=pr, minlength=counts[-1])
-                except (ValueError, MemoryError):
+                    in_range = len(par) <= _GROUP_MAX or par.min() >= 0
+                    sums = _parent_sums(par, pr, counts[-1]) if in_range else None
+                except (ValueError, IndexError, MemoryError):
                     sums = None
                 if sums is None or len(sums) > counts[-1]:
                     fault = "parent index out of range"
@@ -249,11 +279,8 @@ def _pull_back(tree: ProbabilityTree, values: np.ndarray, depth: int, target: in
     """Backward induction of node values from `depth` to `target` <= depth."""
     out = values
     for d in range(depth, target, -1):
-        out = np.bincount(
-            tree.parents[d - 1],
-            weights=tree.branch_probs[d - 1] * out,
-            minlength=tree.node_counts[d - 1],
-        )
+        weights = tree.branch_probs[d - 1] * out
+        out = _parent_sums(tree.parents[d - 1], weights, tree.node_counts[d - 1])
     return out
 
 
@@ -373,20 +400,35 @@ def block_process_tree(N: int, K: int) -> tuple[ProbabilityTree, AdaptedSequence
     A fresh fair sign is revealed at each block start (a binary split with
     equal probabilities); all other steps are deterministic pass-throughs.
     Node index bit 0 encodes the newest block's sign: 0 is +1, 1 is -1.
+    Every level array is a read-only prefix of one of at most five shared
+    arrays of 2^m entries (m = N/K): pass-through parents 0, 1, 2, ...,
+    split parents 0, 0, 1, 1, ..., probabilities 1 and 0.5, and the
+    alternating signs.  Its levels take at most 40 * 2^m bytes in all (the
+    2^20-leaf tree 40 MiB, against 96 MiB when each level had its own array).
     """
-    _block_count(N, K)
+    leaves = 1 << _block_count(N, K)
+    split_parents = np.repeat(np.arange(leaves // 2), 2)
+    halves = np.full(leaves, 0.5)
+    signs = np.ones(leaves)
+    signs[1::2] = -1.0
+    shared = [split_parents, halves, signs]
+    if K > 1:
+        through_parents, ones = np.arange(leaves), np.ones(leaves)
+        shared += [through_parents, ones]
+    for a in shared:
+        a.flags.writeable = False
     parents: list[np.ndarray] = []
     branch_probs: list[np.ndarray] = []
     values: list[np.ndarray] = []
     n_nodes = 1
     for n in range(1, N + 1):
         if (n - 1) % K == 0:
-            parents.append(np.repeat(np.arange(n_nodes), 2))
-            branch_probs.append(np.full(2 * n_nodes, 0.5))
             n_nodes *= 2
+            parents.append(split_parents[:n_nodes])
+            branch_probs.append(halves[:n_nodes])
         else:
-            parents.append(np.arange(n_nodes))
-            branch_probs.append(np.ones(n_nodes))
-        values.append(1.0 - 2.0 * (np.arange(n_nodes) % 2))
+            parents.append(through_parents[:n_nodes])
+            branch_probs.append(ones[:n_nodes])
+        values.append(signs[:n_nodes])
     tree = ProbabilityTree(parents=tuple(parents), branch_probs=tuple(branch_probs))
     return tree, AdaptedSequence(values=tuple(values))

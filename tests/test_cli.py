@@ -455,9 +455,9 @@ class TestErrorPath:
             (["verify-all", "--quick", "--format", "json"], "unrecognized arguments: --format json"),
             (["verify-all", "--quick", "--output", "x.csv"], "unrecognized arguments: --output x.csv"),
             (["--format", "json", "bound", "--N", "3", "--K", "1", "--epsilon", "0.3"],
-             "invalid choice: 'json'"),
+             "argument --format: goes after the command name, as in 'kstep-lln COMMAND ... --format json'"),
             (["--output", "x.csv", "bound", "--N", "3", "--K", "1", "--epsilon", "0.3"],
-             "invalid choice: 'x.csv'"),
+             "argument --output: goes after the command name, as in 'kstep-lln COMMAND ... --output x.csv'"),
         ],
     )
     def test_output_options_only_after_a_row_writing_command(

@@ -13,7 +13,7 @@ from kstep_lln.treefile import (
     load_tree,
     save_tree,
 )
-from kstep_lln.trees import random_tree
+from kstep_lln.trees import AdaptedSequence, ProbabilityTree, block_process_tree, random_tree
 
 
 def full_bundle(seed=17):
@@ -62,6 +62,66 @@ class TestRoundTrip:
         back = load_tree(path)
         assert back.sequence is None
         assert back.losses is None
+
+
+def per_scalar_dict(bundle):
+    """The document built one numpy scalar at a time, with int() and float()."""
+    doc = {
+        "depth": bundle.tree.depth,
+        "nodes": [
+            [{"parent": int(p), "prob": float(q)} for p, q in zip(par, pr)]
+            for par, pr in zip(bundle.tree.parents, bundle.tree.branch_probs)
+        ],
+    }
+    if bundle.sequence is not None:
+        doc["Y"] = [[float(v) for v in level] for level in bundle.sequence.values]
+    if bundle.losses is not None:
+        doc["losses"] = {
+            "decisions": list(bundle.losses.space.labels),
+            "impact_horizon": bundle.losses.horizon,
+            "tables": [
+                [[float(v) for v in tab] for tab in per_decision]
+                for per_decision in bundle.losses.tables
+            ],
+        }
+    return doc
+
+
+def narrow_bundle():
+    """int32 parents, float32 and integer branch probabilities, float32 and integer values."""
+    tree = ProbabilityTree(
+        parents=(np.array([0, 0], np.int32), np.array([0, 1], np.int16), np.array([0, 0, 1, 1], np.int32)),
+        branch_probs=(
+            np.array([0.25, 0.75], np.float32),
+            np.array([1, 1]),
+            np.array([0.125, 0.875, 0.5, 0.5], np.float32),
+        ),
+    )
+    seq = AdaptedSequence(
+        values=(np.array([0.1, -0.7], np.float32), np.array([1, -1]), np.array([0.3, 0, -1, 1], np.float32))
+    )
+    losses = LossSpec(
+        space=DecisionSpace(("a", "b")),
+        horizon=1,
+        tables=(
+            (np.array([0.2, 0.9], np.float32), np.array([0, 1])),
+            (np.array([0.2, 0.9, 1, 0], np.float32), np.array([0, 1, 1, 0])),
+        ),
+    )
+    return TreeBundle(tree=tree, sequence=seq, losses=losses)
+
+
+class TestSavedBytes:
+    @pytest.mark.parametrize(
+        "make",
+        [full_bundle, narrow_bundle, lambda: TreeBundle(*block_process_tree(6, 3))],
+        ids=["random", "narrow-dtypes", "block"],
+    )
+    def test_same_bytes_as_per_scalar_conversion(self, tmp_path, make):
+        bundle = make()
+        path = tmp_path / "t.json"
+        save_tree(path, bundle)
+        assert path.read_text() == json.dumps(per_scalar_dict(bundle), indent=1) + "\n"
 
 
 class TestIdentity:

@@ -184,6 +184,32 @@ class TestConstructionMessages:
                 bundle_from_dict(tree_doc(parents, probs, values))
             assert str(via_file.value) == f"invalid Y values: {message}"
 
+    @pytest.mark.parametrize("depth, at", FAULT_PLACES)
+    @pytest.mark.parametrize("fault", ["zero", "nan", "sum", "negative parent", "parent past the end"])
+    def test_read_only_levels_get_the_same_message(self, depth, at, fault):
+        # Large read-only levels are summed by np.add.at and reduced by min and max.
+        parents, probs = binary_levels(depth)
+        if fault in ("zero", "nan", "sum"):
+            probs[at - 1][-1] = {"zero": 0.0, "nan": math.nan, "sum": 0.6}[fault]
+        else:
+            parents[at - 1][-1] = -1 if fault == "negative parent" else 2 ** (at - 1)
+        with pytest.raises(ValueError) as writeable:
+            ProbabilityTree(parents=tuple(parents), branch_probs=tuple(probs))
+        for a in (*parents, *probs):
+            a.flags.writeable = False
+        with pytest.raises(ValueError) as read_only:
+            ProbabilityTree(parents=tuple(parents), branch_probs=tuple(probs))
+        assert str(read_only.value) == str(writeable.value)
+
+    @pytest.mark.parametrize("bad", [1.5, math.nan, -math.nextafter(1.0, 2.0)])
+    def test_read_only_values_get_the_same_message(self, bad):
+        values = [np.zeros(2**n) for n in range(1, 14)]
+        values[12][-1] = bad
+        for v in values:
+            v.flags.writeable = False
+        with pytest.raises(ValueError, match="^step 13: values must be finite"):
+            AdaptedSequence(values=tuple(values))
+
     @pytest.mark.parametrize(
         "s", [1.0 - 1e-12, math.nextafter(1.0 - 1e-12, 0.0), math.nextafter(1.0 + 1e-12, 0.0),
               1.0 + 1e-12, math.nextafter(1.0 + 1e-12, 2.0)],
@@ -516,3 +542,84 @@ class TestGenerators:
     def test_block_tree_rejects_ragged(self):
         with pytest.raises(ValueError):
             block_process_tree(7, 2)
+
+
+def block_levels_one_by_one(N, K):
+    """The block tree's level arrays, each allocated on its own."""
+    parents, branch_probs, values = [], [], []
+    n_nodes = 1
+    for n in range(1, N + 1):
+        if (n - 1) % K == 0:
+            parents.append(np.repeat(np.arange(n_nodes), 2))
+            branch_probs.append(np.full(2 * n_nodes, 0.5))
+            n_nodes *= 2
+        else:
+            parents.append(np.arange(n_nodes))
+            branch_probs.append(np.ones(n_nodes))
+        values.append(1.0 - 2.0 * (np.arange(n_nodes) % 2))
+    return parents, branch_probs, values
+
+
+def owner(a):
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+BLOCK_SHAPES = [(1, 1), (2, 1), (6, 3), (12, 4), (16, 1), (40, 2)]
+
+
+class TestBlockTreeSharedLevels:
+    @staticmethod
+    def assert_same(a, b):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("N, K", BLOCK_SHAPES)
+    def test_levels_and_derived_arrays_match_one_by_one_levels(self, N, K):
+        tree, seq = block_process_tree(N, K)
+        parents, branch_probs, values = block_levels_one_by_one(N, K)
+        ref_tree = ProbabilityTree(parents=tuple(parents), branch_probs=tuple(branch_probs))
+        ref_seq = AdaptedSequence(values=tuple(values))
+        for got, want in zip(
+            (tree.parents, tree.branch_probs, seq.values), (parents, branch_probs, values)
+        ):
+            assert len(got) == len(want) == N
+            for a, b in zip(got, want):
+                self.assert_same(a, b)
+        assert tree.node_counts == ref_tree.node_counts
+        self.assert_same(tree.node_probabilities(N), ref_tree.node_probabilities(N))
+        for lag in range(1, K + 2):
+            self.assert_same(
+                deviation_per_leaf(tree, seq, lag), deviation_per_leaf(ref_tree, ref_seq, lag)
+            )
+
+    @pytest.mark.parametrize("N, K", BLOCK_SHAPES)
+    def test_levels_share_at_most_five_leaf_sized_buffers(self, N, K):
+        tree, seq = block_process_tree(N, K)
+        owners = {id(o): o for o in map(owner, (*tree.parents, *tree.branch_probs, *seq.values))}
+        assert len(owners) <= (3 if K == 1 else 5)
+        assert sum(o.nbytes for o in owners.values()) <= 5 * 8 * 2 ** (N // K)
+
+    def test_read_only_levels_give_the_same_bits(self):
+        # Levels past 4096 entries, summed by np.add.at when read-only.
+        tree, seq = random_tree(depth=10, max_branching=4, seed=11)
+        assert tree.node_counts[-2] > 4096
+        frozen = [[a.copy() for a in arrays] for arrays in (tree.parents, tree.branch_probs, seq.values)]
+        for a in (x for arrays in frozen for x in arrays):
+            a.flags.writeable = False
+        ro_tree = ProbabilityTree(parents=tuple(frozen[0]), branch_probs=tuple(frozen[1]))
+        ro_seq = AdaptedSequence(values=tuple(frozen[2]))
+        self.assert_same(ro_tree.node_probabilities(10), tree.node_probabilities(10))
+        for lag in (1, 2, 3):
+            self.assert_same(deviation_per_leaf(ro_tree, ro_seq, lag), deviation_per_leaf(tree, seq, lag))
+
+    @pytest.mark.parametrize("N, K", BLOCK_SHAPES[:-1])
+    def test_every_level_is_read_only(self, N, K):
+        tree, seq = block_process_tree(N, K)
+        levels = (*tree.parents, *tree.branch_probs, *seq.values)
+        for a in levels:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[-1]
+        # The refused writes changed nothing.
+        for a, b in zip(levels, (x for arrays in block_levels_one_by_one(N, K) for x in arrays)):
+            self.assert_same(a, b)

@@ -18,7 +18,8 @@ the Bayesian strategy and the last rival: the rival is validated once and
 its per-step and total realized losses are kept until another rival or
 tree is used, so strategies passed in must not be modified either.  Arrays
 handed out from that cache are read-only.  Sums over the tree use the two
-walks of `trees`: `_pull_back` for expected losses, `_path_sums` for totals.
+walks of `trees`: `_pull_back` for expected losses, `_path_sums` for totals;
+choices are carried down by their level step, `_step_down`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constructions import _exact_sum, _tail_event
-from .trees import AdaptedSequence, ProbabilityTree, _first_outside, _path_sums, _pull_back
+from .trees import (
+    _REAL_KINDS, AdaptedSequence, ProbabilityTree, _first_outside, _path_sums, _pull_back,
+    _step_down,
+)
 
 __all__ = [
     "DecisionSpace",
@@ -83,8 +87,10 @@ class LossSpec:
             if len(per_decision) != k:
                 raise ValueError(f"step {n}: expected {k} decision tables")
             for d, tab in enumerate(per_decision):
-                if not (isinstance(tab, np.ndarray) and tab.ndim == 1):
-                    raise ValueError(f"step {n}, decision {d}: losses must be a 1-D array")
+                if not (
+                    isinstance(tab, np.ndarray) and tab.ndim == 1 and tab.dtype.kind in _REAL_KINDS
+                ):
+                    raise ValueError(f"step {n}, decision {d}: losses must be a 1-D real array")
         flat = [tab for per_decision in self.tables for tab in per_decision]
         bad = _first_outside(flat, 0.0, 1.0)
         if bad is not None:
@@ -159,11 +165,10 @@ class _Problem:
         The decision made at a depth-n node is carried down to its
         depth-(n+K) descendants, where the step-n table rows live.
         """
-        parents = self.tree.parents
         steps = []
         for n, choice in enumerate(strategy.choices, start=1):
-            for d in range(n, n + K):
-                choice = choice[parents[d]]
+            for d in range(n + 1, n + K + 1):
+                choice = _step_down(self.tree, d, choice)
             steps.append(self.tables[n - 1][choice, np.arange(len(choice))])
         totals = _path_sums(self.tree, steps, K + 1)
         totals.flags.writeable = False

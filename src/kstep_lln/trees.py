@@ -18,32 +18,39 @@ come out exact up to float accumulation, and serve as the oracle against
 which Monte Carlo estimates (see `sampling`) are judged.
 
 Construction validates each input once.  A tree checks every level: the
-parents are a 1-D integer array and the branch probabilities a 1-D array of
-the same nonzero length, every parent index names a node one level up (the
-per-parent `bincount` the check needs anyway serves as this range check),
+parents are a 1-D integer array and the branch probabilities a 1-D real
+array of the same nonzero length, every parent index names a node one
+level up (the per-parent `bincount` the check needs anyway serves as this
+range check, and a fan-out level, below, is in range by construction),
 every branch probability is positive, and each parent's branch
 probabilities sum to 1 within 1e-12; then the leaf probabilities, formed
 once, must total 1 within 1e-9.  An adapted sequence checks that each step
-is a 1-D array of finite values bounded by 1 in absolute value.  The value
-checks are grouped: every array of at most `_GROUP_MAX` = 4096 entries is
-concatenated into one and reduced once, because each numpy call costs about
-a microsecond however small its array, while a larger array is reduced on
-its own, because copying it costs more than the calls saved.  Only a failed
-check looks at the arrays one by one, so an error names the first faulty
-depth or step.
+is a 1-D real array of finite values bounded by 1 in absolute value.  The
+value checks are grouped: every array of at most `_GROUP_MAX` = 4096
+entries is concatenated into one and reduced once, because each numpy call
+costs about a microsecond however small its array, while a larger array is
+reduced on its own, because copying it costs more than the calls saved.
+Only a failed check looks at the arrays one by one, so an error names the
+first faulty depth or step.
 
 Trees and loss specs (see `decision`) are immutable after construction,
 and their arrays must not be modified once built: derived quantities are
 cached on them.  Block trees enforce this: their levels are read-only
 views of shared arrays, so a write raises.  numpy's bincount and argmin
 copy a read-only array before they read it, so an array of more than
-`_GROUP_MAX` entries is checked with min and max, and summed per parent by
-np.add.at when read-only.  A tree keeps the node counts and leaf
-probabilities its validation computes; an adapted sequence keeps its
-deviation per leaf for the last (tree, lag) it was evaluated on; a loss
-spec keeps the last tree's problem, the Bayesian strategy and the last
-rival.  Arrays handed out from a cache are read-only.  Desk scale is about
-10^6 leaves for exact enumeration; beyond that, sample.
+`_GROUP_MAX` entries is checked with min and max.  Validation also finds
+every level of more than `_GROUP_MAX` nodes whose parents are 0, ..., 0,
+1, ..., 1, and so on, each repeated b <= 16 times: a level of fan-out b
+(b = 1 passes each node through to one child).  The walks step down such a
+level by np.repeat, or not at all, and sum it per parent by columns, so
+they never gather or scatter through its parent array; every large level
+of a block tree is one.  A large read-only level of any other shape is
+summed by bincount, copy and all.  A tree keeps the node counts, fan-outs
+and leaf probabilities its validation computes; an adapted sequence keeps
+its deviation per leaf for the last (tree, lag) it was evaluated on; a
+loss spec keeps the last tree's problem, the Bayesian strategy and the
+last rival.  Arrays handed out from a cache are read-only.  Desk scale is
+about 10^6 leaves for exact enumeration; beyond that, sample.
 """
 
 from __future__ import annotations
@@ -83,6 +90,13 @@ _SUM_HI = math.nextafter(1.0 + _PROB_SUM_TOL, 0.0)
 _GROUP_MAX = 4096
 # Integer dtypes that bincount and indexing take without a cast (uint64 is not one).
 _INDEX_CODES = "".join(c for c in np.typecodes["AllInteger"] if np.can_cast(c, np.intp))
+# The largest fan-out summed by columns, one numpy call per column: on a 2-core x86
+# box that beat bincount up to fan-out 16 (15 -> 8 us at 8192 nodes of fan-out 2)
+# and lost from 32 on (53 against 35 us at fan-out 64).
+_FAN_OUT_MAX = 16
+# dtype kinds of real arrays (bool, int, uint, float): numpy orders complex numbers
+# by their real part first, so a range check would pass 0.5 + 0.9j as within [-1, 1].
+_REAL_KINDS = "biuf"
 
 
 def _inside(a: np.ndarray, lo, hi) -> bool:
@@ -118,8 +132,8 @@ def _level_fault(par, pr) -> str | None:
     """What is wrong with one level's array types and lengths, if anything."""
     if not (isinstance(par, np.ndarray) and par.ndim == 1 and par.dtype.char in _INDEX_CODES):
         return "parents must be a 1-D integer array"
-    if not (isinstance(pr, np.ndarray) and pr.ndim == 1):
-        return "branch probabilities must be a 1-D array"
+    if not (isinstance(pr, np.ndarray) and pr.ndim == 1 and pr.dtype.kind in _REAL_KINDS):
+        return "branch probabilities must be a 1-D real array"
     if len(par) != len(pr):
         return "parent and probability arrays differ in length"
     if len(par) == 0:
@@ -145,24 +159,58 @@ def _value_fault(levels) -> str | None:
     return f"depth {d}: branch probabilities at parent {bad} sum to {float(sums[bad])!r}"
 
 
-def _parent_sums(par: np.ndarray, weights: np.ndarray, n_parents: int) -> np.ndarray:
-    """np.bincount(par, weights=weights, minlength=n_parents).
+def _fan_out(par: np.ndarray, n_parents: int) -> int:
+    """b if `par` is 0, ..., 0, 1, ..., 1, ..., n_parents - 1, each b times; else 0.
 
-    np.bincount copies a read-only argument before it counts, and block-tree
-    levels are read-only: at 2^20 entries, on a 2-core x86 box, the copies
-    took 8.7 ms and the count 2.8 ms.  So a large read-only level is summed
-    in place by np.add.at, which adds in the same order and gives the same
-    bits.  It raises IndexError for an index past the parent level, where
-    np.bincount lengthens the sums, and wraps a negative one, where
-    np.bincount raises.
+    Only b <= `_FAN_OUT_MAX` is looked for.  The test reads the level once
+    and allocates only booleans: column 0 of par.reshape(n_parents, b) runs
+    from 0 to n_parents - 1 strictly increasing, and every other column
+    equals it.
     """
-    if len(par) <= _GROUP_MAX or weights.dtype != np.float64 or (
-        par.flags.writeable and weights.flags.writeable
-    ):
+    n = len(par)
+    if n % n_parents or n > _FAN_OUT_MAX * n_parents:
+        return 0
+    b = n // n_parents
+    cols = par.reshape(n_parents, b)
+    first = cols[:, 0]
+    if not (first[0] == 0 and first[-1] == n_parents - 1 and (first[1:] > first[:-1]).all()):
+        return 0
+    return b if b == 1 or (cols[:, 1:] == first[:, None]).all() else 0
+
+
+def _parent_sums(par: np.ndarray, weights: np.ndarray, n_parents: int, fan_out: int) -> np.ndarray:
+    """np.bincount(par, weights=weights, minlength=n_parents), in the same bits.
+
+    np.bincount adds 0.0 + w_0 + w_1 + ... per parent in index order, in
+    float64.  A level of fan-out b (see `_fan_out`) is summed in that order
+    by columns of weights.reshape(n_parents, b), without reading `par`,
+    which np.bincount would copy first when read-only (8.7 ms at 2^20
+    entries on a 2-core x86 box, against 2.8 ms for the count).  At fan-out
+    1 the sums are weights + 0.0, formed in place when `weights` is float64,
+    so a caller passes fresh weights there.
+    """
+    if not fan_out:
         return np.bincount(par, weights=weights, minlength=n_parents)
-    sums = np.zeros(n_parents)
-    np.add.at(sums, par, weights)
+    if fan_out == 1 and weights.dtype == np.float64:
+        weights += 0.0
+        return weights
+    cols = weights.reshape(n_parents, fan_out)
+    sums = np.add(cols[:, 0], 0.0, dtype=np.float64)
+    for j in range(1, fan_out):
+        sums += cols[:, j]
     return sums
+
+
+def _step_down(tree: ProbabilityTree, d: int, x: np.ndarray) -> np.ndarray:
+    """x[tree.parents[d - 1]]: depth-(d-1) node values carried to the depth-d nodes.
+
+    A level of fan-out 1 hands back `x` itself, so a caller writes into the
+    result only when `x` is its own scratch array.
+    """
+    b = tree._fan_outs[d - 1]
+    if not b:
+        return x[tree.parents[d - 1]]
+    return x if b == 1 else np.repeat(x, b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,34 +231,38 @@ class ProbabilityTree:
         if not self.parents:
             raise ValueError("tree must have depth at least 1")
         counts = [1]
+        fan_outs = []
         small = []  # (depth, branch probabilities, per-parent sums) left for the grouped check
         for d, (par, pr) in enumerate(zip(self.parents, self.branch_probs), start=1):
             fault = _level_fault(par, pr)
             if fault is None:
-                # A negative index raises (np.add.at would wrap it, so a large level
-                # is checked first); one past the parent level lengthens the sums.
+                # Only levels of more than `_GROUP_MAX` nodes get a fan-out, whose
+                # indices are in range by construction.  Elsewhere np.bincount raises
+                # on a negative index and lengthens the sums for one past the parent level.
+                b = _fan_out(par, counts[-1]) if len(par) > _GROUP_MAX else 0
                 try:
-                    in_range = len(par) <= _GROUP_MAX or par.min() >= 0
-                    sums = _parent_sums(par, pr, counts[-1]) if in_range else None
-                except (ValueError, IndexError, MemoryError):
+                    sums = pr if b == 1 else _parent_sums(par, pr, counts[-1], b)
+                except (ValueError, MemoryError):
                     sums = None
                 if sums is None or len(sums) > counts[-1]:
                     fault = "parent index out of range"
             if fault is not None:
                 raise ValueError(_value_fault(small) or f"depth {d}: {fault}")
             counts.append(len(par))
+            fan_outs.append(b)
             if len(par) <= _GROUP_MAX:
                 small.append((d, pr, sums))
             elif fault := _value_fault([(d, pr, sums)]):
                 raise ValueError(_value_fault(small) or fault)
         if fault := _value_fault(small):
             raise ValueError(fault)
+        object.__setattr__(self, "_node_counts", tuple(counts))
+        object.__setattr__(self, "_fan_outs", tuple(fan_outs))
         leaves = self._probabilities(self.depth)
         leaf_total = float(leaves.sum())  # pairwise: ~1e-14 off at 2^20 leaves
         if abs(leaf_total - 1.0) > _LEAF_SUM_TOL:
             raise ValueError(f"leaf probabilities sum to {leaf_total!r}")
         leaves.flags.writeable = False
-        object.__setattr__(self, "_node_counts", tuple(counts))
         object.__setattr__(self, "_leaf_probs", leaves)
 
     @property
@@ -232,7 +284,8 @@ class ProbabilityTree:
     def _probabilities(self, depth: int) -> np.ndarray:
         probs = np.ones(1)
         for d in range(1, depth + 1):
-            probs = probs[self.parents[d - 1]] * self.branch_probs[d - 1]
+            probs = _step_down(self, d, probs)
+            probs *= self.branch_probs[d - 1]
         return probs
 
 
@@ -251,8 +304,8 @@ class AdaptedSequence:
         if not self.values:
             raise ValueError("sequence must cover at least one step")
         for n, v in enumerate(self.values, start=1):
-            if not (isinstance(v, np.ndarray) and v.ndim == 1):
-                raise ValueError(f"step {n}: values must be a 1-D array")
+            if not (isinstance(v, np.ndarray) and v.ndim == 1 and v.dtype.kind in _REAL_KINDS):
+                raise ValueError(f"step {n}: values must be a 1-D real array")
         bad = _first_outside(self.values, -1.0, 1.0)
         if bad is not None:
             raise ValueError(
@@ -279,8 +332,12 @@ def _pull_back(tree: ProbabilityTree, values: np.ndarray, depth: int, target: in
     """Backward induction of node values from `depth` to `target` <= depth."""
     out = values
     for d in range(depth, target, -1):
-        weights = tree.branch_probs[d - 1] * out
-        out = _parent_sums(tree.parents[d - 1], weights, tree.node_counts[d - 1])
+        if out is values:
+            out = tree.branch_probs[d - 1] * out
+        else:  # a fresh float64 array of this walk's own
+            out *= tree.branch_probs[d - 1]
+        par, b = tree.parents[d - 1], tree._fan_outs[d - 1]
+        out = _parent_sums(par, out, tree.node_counts[d - 1], b)
     return out
 
 
@@ -306,7 +363,8 @@ def deviation_per_leaf(tree: ProbabilityTree, seq: AdaptedSequence, lag: int) ->
         root += _pull_back(tree, values[n - 1], n, 0)
     acc = -root
     for d in range(1, N + 1):
-        acc = acc[tree.parents[d - 1]] + values[d - 1]
+        acc = _step_down(tree, d, acc)
+        acc += values[d - 1]
         if d + lag <= N:
             acc -= _pull_back(tree, values[d + lag - 1], d + lag, d)
     acc.flags.writeable = False
@@ -318,7 +376,8 @@ def _path_sums(tree: ProbabilityTree, steps, first: int) -> np.ndarray:
     """Sums of `steps` down every root-to-node path, `steps[i]` on the depth-(first + i) nodes."""
     acc = np.zeros(tree.node_counts[first - 1])
     for d, step in enumerate(steps, start=first):
-        acc = acc[tree.parents[d - 1]] + step
+        acc = _step_down(tree, d, acc)
+        acc += step
     return acc
 
 

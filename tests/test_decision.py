@@ -141,7 +141,17 @@ class TestMalformedInputs:
     def test_tables_must_be_1d_arrays(self, bad):
         with pytest.raises(ValueError) as err:
             LossSpec(space=DecisionSpace(("a", "b")), horizon=1, tables=((np.full(4, 0.5), bad),))
-        assert str(err.value) == "step 1, decision 1: losses must be a 1-D array"
+        assert str(err.value) == "step 1, decision 1: losses must be a 1-D real array"
+
+    @pytest.mark.parametrize(
+        "bad",
+        [np.full(4, 0.5 + 0.5j), np.full(4, "0.5"), np.full(4, 0.5, dtype=object)],
+        ids=["complex", "string", "object"],
+    )
+    def test_tables_must_be_real(self, bad):
+        with pytest.raises(ValueError) as err:
+            LossSpec(space=DecisionSpace(("a", "b")), horizon=1, tables=((np.full(4, 0.5), bad),))
+        assert str(err.value) == "step 1, decision 1: losses must be a 1-D real array"
 
     @pytest.mark.parametrize(
         "bad", [np.zeros(4), np.zeros((1, 4), dtype=int), np.zeros(4, dtype=bool), [0, 0, 0, 0]]

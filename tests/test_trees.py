@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kstep_lln.constructions import block_deviation_tail
+from kstep_lln.decision import (
+    DecisionSpace, LossSpec, bayesian_strategy, random_strategy, total_losses,
+)
 from kstep_lln.treefile import TreeFileError, bundle_from_dict
 from kstep_lln.trees import (
     AdaptedSequence,
@@ -155,6 +158,19 @@ class TestConstructionMessages:
         parents[at - 1][-1] = -1 if where == "negative" else 2 ** (at - 1)
         self.assert_rejected(parents, probs, f"depth {at}: parent index out of range")
 
+    @pytest.mark.parametrize("at, bad", [(0, -1), (-1, 8192), (-1, 8190)])
+    def test_pass_through_level_index_fault(self, at, bad):
+        # Depth 14 passes each of 8192 nodes through, but for one index.
+        parents, probs = binary_levels(13)
+        parents.append(np.arange(8192))
+        probs.append(np.ones(8192))
+        parents[-1][at] = bad
+        if bad == 8190:  # parent 8190 has two children, 8191 none
+            message = "branch probabilities at parent 8190 sum to 2.0"
+        else:
+            message = "parent index out of range"
+        self.assert_rejected(parents, probs, f"depth 14: {message}")
+
     def test_shallower_value_fault_is_reported_before_a_deeper_structural_one(self):
         parents, probs = binary_levels(13)
         probs[2][0] = 0.0
@@ -187,7 +203,8 @@ class TestConstructionMessages:
     @pytest.mark.parametrize("depth, at", FAULT_PLACES)
     @pytest.mark.parametrize("fault", ["zero", "nan", "sum", "negative parent", "parent past the end"])
     def test_read_only_levels_get_the_same_message(self, depth, at, fault):
-        # Large read-only levels are summed by np.add.at and reduced by min and max.
+        # Large read-only levels are reduced by min and max.  A probability fault leaves
+        # a level of fan-out 2, summed by columns; a parent fault leaves one for np.bincount.
         parents, probs = binary_levels(depth)
         if fault in ("zero", "nan", "sum"):
             probs[at - 1][-1] = {"zero": 0.0, "nan": math.nan, "sum": 0.6}[fault]
@@ -231,8 +248,12 @@ class TestMalformedArrays:
             ((np.array([0.0, 0.0]),), (np.array([0.5, 0.5]),), "parents must be a 1-D integer array"),
             (([0, 0],), (np.array([0.5, 0.5]),), "parents must be a 1-D integer array"),
             ((np.array([[0, 0]]),), (np.array([0.5, 0.5]),), "parents must be a 1-D integer array"),
-            ((np.array([0, 0]),), ([0.5, 0.5],), "branch probabilities must be a 1-D array"),
-            ((np.array([0, 0]),), (np.array([[0.5, 0.5]]),), "branch probabilities must be a 1-D array"),
+            ((np.array([0, 0]),), ([0.5, 0.5],), "branch probabilities must be a 1-D real array"),
+            (
+                (np.array([0, 0]),),
+                (np.array([[0.5, 0.5]]),),
+                "branch probabilities must be a 1-D real array",
+            ),
         ],
     )
     def test_tree_levels(self, parents, probs, message):
@@ -244,7 +265,36 @@ class TestMalformedArrays:
     def test_sequence_steps(self, bad):
         with pytest.raises(ValueError) as err:
             AdaptedSequence(values=(np.array([0.5]), bad))
-        assert str(err.value) == "step 2: values must be a 1-D array"
+        assert str(err.value) == "step 2: values must be a 1-D real array"
+
+    # Each would pass the range checks, or raise TypeError, if taken as it is: numpy
+    # orders complex numbers by their real part first.
+    NON_REAL = {
+        "complex": np.array([0.5 + 0.9j, 0.5 - 0.9j]),
+        "string": np.array(["0.5", "0.5"]),
+        "object": np.array([0.5, 0.5], dtype=object),
+    }
+
+    @pytest.mark.parametrize("kind", NON_REAL)
+    def test_branch_probabilities_must_be_real(self, kind):
+        with pytest.raises(ValueError) as err:
+            ProbabilityTree(
+                parents=(np.array([0]), np.array([0, 0])),
+                branch_probs=(np.array([1.0]), self.NON_REAL[kind]),
+            )
+        assert str(err.value) == "depth 2: branch probabilities must be a 1-D real array"
+
+    @pytest.mark.parametrize("kind", NON_REAL)
+    def test_sequence_values_must_be_real(self, kind):
+        with pytest.raises(ValueError) as err:
+            AdaptedSequence(values=(np.array([0.5]), self.NON_REAL[kind]))
+        assert str(err.value) == "step 2: values must be a 1-D real array"
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.uint16, np.float32])
+    def test_other_real_dtypes_are_accepted(self, dtype):
+        one = np.ones(1, dtype=dtype)
+        assert ProbabilityTree(parents=(np.array([0]),), branch_probs=(one,)).node_counts == (1, 1)
+        assert AdaptedSequence(values=(one,)).n_steps == 1
 
 
 class TestAdaptedSequence:
@@ -566,6 +616,98 @@ def owner(a):
     return a
 
 
+# The general walks, with no knowledge of level shapes: np.bincount up, fancy indexing down.
+def general_pull_back(tree, x, depth, target):
+    for d in range(depth, target, -1):
+        weights = tree.branch_probs[d - 1] * x
+        x = np.bincount(tree.parents[d - 1], weights=weights, minlength=tree.node_counts[d - 1])
+    return x
+
+
+def general_probabilities(tree, depth):
+    probs = np.ones(1)
+    for d in range(1, depth + 1):
+        probs = probs[tree.parents[d - 1]] * tree.branch_probs[d - 1]
+    return probs
+
+
+def general_deviation(tree, seq, lag):
+    N, values = seq.n_steps, seq.values
+    root = general_pull_back(tree, values[0], 1, 0)
+    for n in range(2, min(lag, N) + 1):
+        root = root + general_pull_back(tree, values[n - 1], n, 0)
+    acc = -root
+    for d in range(1, N + 1):
+        acc = acc[tree.parents[d - 1]] + values[d - 1]
+        if d + lag <= N:
+            acc = acc - general_pull_back(tree, values[d + lag - 1], d + lag, d)
+    return acc
+
+
+def general_totals(tree, loss, strategy):
+    K = loss.horizon
+    acc = np.zeros(tree.node_counts[K])
+    for n, choice in enumerate(strategy.choices, start=1):
+        for d in range(n + 1, n + K + 1):
+            choice = choice[tree.parents[d - 1]]
+        step = np.stack(loss.tables[n - 1])[choice, np.arange(len(choice))]
+        acc = acc[tree.parents[n + K - 1]] + step
+    return acc
+
+
+def regular_tree(fan_outs, seed):
+    """A random tree whose depth-d nodes each have fan_outs[d - 1] children."""
+    rng = np.random.default_rng(seed)
+    parents, probs, values = [], [], []
+    n = 1
+    for b in fan_outs:
+        par = np.repeat(np.arange(n), b)
+        weights = rng.exponential(size=n * b) + 1e-6
+        parents.append(par)
+        probs.append(weights / np.bincount(par, weights=weights)[par])
+        n *= b
+        values.append(rng.uniform(-1.0, 1.0, size=n))
+    return list(parents), list(probs), list(values)
+
+
+def near_miss(kind):
+    """A valid 13-level binary tree whose last level (8192 nodes) is not quite of fan-out 2."""
+    parents, probs, values = regular_tree((2,) * 13, seed=5)
+    par, pr = parents[-1].copy(), probs[-1].copy()
+    j = 1000  # children 2j..2j+3 belong to parents j and j + 1
+    if kind == "three and one":
+        par[2 * j + 2] = j
+        pr[2 * j : 2 * j + 4] = (0.25, 0.25, 0.5, 1.0)
+    else:  # "swapped": parents j and j + 1 trade their two children
+        par[2 * j : 2 * j + 4] = (j + 1, j + 1, j, j)
+    parents[-1], probs[-1] = par, pr
+    return parents, probs, values
+
+
+def built(levels):
+    parents, probs, values = levels
+    tree = ProbabilityTree(parents=tuple(parents), branch_probs=tuple(probs))
+    return tree, AdaptedSequence(values=tuple(values))
+
+
+# name: (K, tree and sequence); each is checked at lags 1..K+1 and impact horizon K.
+FAN_OUT_TREES = {
+    "block(16, 1)": (1, lambda: block_process_tree(16, 1)),
+    "block(12, 4)": (4, lambda: block_process_tree(12, 4)),
+    "block(40, 2)": (2, lambda: block_process_tree(40, 2)),
+    "random binary": (1, lambda: random_tree(13, max_branching=2, seed=3)),
+    "fan-out 3": (1, lambda: built(regular_tree((3,) * 8 + (1,), seed=4))),
+    "three and one": (1, lambda: built(near_miss("three and one"))),
+    "swapped": (1, lambda: built(near_miss("swapped"))),
+}
+
+
+def two_decision_loss(tree, horizon, seed):
+    rng = np.random.default_rng(seed)
+    tables = tuple(tuple(rng.uniform(0, 1, (2, c))) for c in tree.node_counts[horizon + 1 :])
+    return LossSpec(space=DecisionSpace(("a", "b")), horizon=horizon, tables=tables)
+
+
 BLOCK_SHAPES = [(1, 1), (2, 1), (6, 3), (12, 4), (16, 1), (40, 2)]
 
 
@@ -587,11 +729,10 @@ class TestBlockTreeSharedLevels:
             for a, b in zip(got, want):
                 self.assert_same(a, b)
         assert tree.node_counts == ref_tree.node_counts
-        self.assert_same(tree.node_probabilities(N), ref_tree.node_probabilities(N))
+        self.assert_same(tree.node_probabilities(N), general_probabilities(ref_tree, N))
         for lag in range(1, K + 2):
-            self.assert_same(
-                deviation_per_leaf(tree, seq, lag), deviation_per_leaf(ref_tree, ref_seq, lag)
-            )
+            want = general_deviation(ref_tree, ref_seq, lag)
+            self.assert_same(deviation_per_leaf(tree, seq, lag), want)
 
     @pytest.mark.parametrize("N, K", BLOCK_SHAPES)
     def test_levels_share_at_most_five_leaf_sized_buffers(self, N, K):
@@ -601,7 +742,7 @@ class TestBlockTreeSharedLevels:
         assert sum(o.nbytes for o in owners.values()) <= 5 * 8 * 2 ** (N // K)
 
     def test_read_only_levels_give_the_same_bits(self):
-        # Levels past 4096 entries, summed by np.add.at when read-only.
+        # Levels past 4096 entries of no fan-out: np.bincount copies them when read-only.
         tree, seq = random_tree(depth=10, max_branching=4, seed=11)
         assert tree.node_counts[-2] > 4096
         frozen = [[a.copy() for a in arrays] for arrays in (tree.parents, tree.branch_probs, seq.values)]
@@ -623,3 +764,62 @@ class TestBlockTreeSharedLevels:
         # The refused writes changed nothing.
         for a, b in zip(levels, (x for arrays in block_levels_one_by_one(N, K) for x in arrays)):
             self.assert_same(a, b)
+
+
+class TestFanOutLevels:
+    """Levels of more than 4096 nodes with a fan-out are walked without gather or scatter."""
+
+    @staticmethod
+    def assert_same(a, b):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("name", FAN_OUT_TREES)
+    def test_walks_give_the_bits_of_the_general_walk(self, name):
+        K, build = FAN_OUT_TREES[name]
+        tree, seq = build()
+        N = tree.depth
+        for d in (1, N // 2, N - 1, N):
+            self.assert_same(tree.node_probabilities(d), general_probabilities(tree, d))
+        for lag in range(1, K + 2):
+            self.assert_same(deviation_per_leaf(tree, seq, lag), general_deviation(tree, seq, lag))
+        negative_zeros = np.full(tree.node_counts[N], -0.0)  # 0.0 + -0.0 is 0.0, -0.0 + -0.0 is not
+        for n, x in [(N - 1, seq.values[N - 2]), (N, seq.values[N - 1]), (N, negative_zeros)]:
+            for target in (0, n - 2, n - 1):
+                self.assert_same(_pull_back(tree, x, n, target), general_pull_back(tree, x, n, target))
+        if tree.node_counts[-1] > 2**16:
+            return  # a loss spec on every level of the 2^20-leaf tree takes ~100 MB
+        loss = two_decision_loss(tree, K, seed=9)
+        for strategy in (bayesian_strategy(tree, loss), random_strategy(tree, loss, seed=10)):
+            self.assert_same(total_losses(tree, loss, strategy), general_totals(tree, loss, strategy))
+
+    def test_fan_outs_are_found_on_large_levels_only(self):
+        tree, _ = block_process_tree(28, 2)
+        assert tree._fan_outs == tuple(
+            (2 if d % 2 else 1) if n > 4096 else 0 for d, n in enumerate(tree.node_counts[1:], 1)
+        )
+        # The last two levels; a binary tree's depth-12 level has only 4096 nodes.
+        for name, last_two in [("random binary", (0, 2)), ("fan-out 3", (3, 1)),
+                               ("three and one", (0, 0)), ("swapped", (0, 0))]:
+            assert FAN_OUT_TREES[name][1]()[0]._fan_outs[-2:] == last_two
+        # Past fan-out 16, one numpy call per column costs more than np.bincount.
+        for b, found in [(16, 16), (17, 0)]:
+            tree, _ = built(regular_tree((257, b), seed=6))
+            assert tree._fan_outs == (0, found)
+
+    def test_no_bincount_on_a_large_level(self, monkeypatch):
+        sizes = []
+        real = np.bincount
+
+        def counted(x, *args, **kwargs):
+            sizes.append(len(x))
+            return real(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", counted)
+        tree, seq = block_process_tree(28, 2)
+        for d in range(tree.depth + 1):
+            tree.node_probabilities(d)
+        for lag in (1, 2, 3):
+            deviation_per_leaf(tree, seq, lag)
+        loss = two_decision_loss(tree, 2, seed=1)
+        total_losses(tree, loss, random_strategy(tree, loss, seed=2))
+        assert sizes and max(sizes) <= 4096

@@ -79,7 +79,7 @@ class LossSpec:
 
     def __post_init__(self) -> None:
         if type(self.horizon) is not int or self.horizon < 1:
-            raise ValueError(f"impact horizon must be a positive integer, got {self.horizon}")
+            raise ValueError(f"impact horizon must be a positive integer, got {self.horizon!r}")
         if not self.tables:
             raise ValueError("loss spec must cover at least one step")
         k = len(self.space)

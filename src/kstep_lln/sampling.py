@@ -2,27 +2,26 @@
 
 Every random draw is a pure function of (master seed, trial index, draw
 index) through the splitmix64 finalizer, a published counter-based mixing
-function.  Trials therefore carry their own streams: partitioning them
-across threads, reordering chunks, or resuming mid-run cannot change any
-estimate.  The block sampler spends one bit per sign: a trial's m signs are
-the low m bits of its first ceil(m/64) 64-bit words, keyed by word index,
-and its +1 count is their popcount, summed over slabs of at most 2^14 words
-(columns x trials), each with its own columns' word offsets, so memory
-grows with the trial count only.  The tree sampler spends one uniform per
-trial on an inverse-CDF draw of a leaf from the tree's stored leaf
-probabilities.  It sorts a chunk's keys once and searches them in order: a
-binary search over keys in random order mispredicts its branches (65-80 ns
-a trial on a 2-core x86 machine).  Its draws come back in the order of
-their keys, not of their trials; every caller only counts hits, and a count
-does not depend on order.  splitmix64 runs in place on a fresh array with
-one scratch buffer.  Intervals are exact 99% Clopper-Pearson, not
-normal-approximate, because small tail probabilities are precisely the
-quantity of interest.
+function.  Trials therefore carry their own streams: splitting them into
+chunks, reordering the chunks, or resuming mid-run cannot change any
+estimate, and the chunks run in turn on one thread.  The block sampler
+spends one bit per sign: a trial's m signs are the low m bits of its first
+ceil(m/64) 64-bit words, keyed by word index, and its +1 count is their
+popcount, summed over slabs of at most 2^14 words (columns x trials), each
+with its own columns' word offsets, so memory grows with the trial count
+only.  The tree sampler spends one uniform per trial on an inverse-CDF draw
+of a leaf from the tree's stored leaf probabilities.  It sorts a chunk's
+keys once and searches them in order: a binary search over keys in random
+order mispredicts its branches (65-80 ns a trial on a 2-core x86 machine).
+Its draws come back in the order of their keys, not of their trials; every
+caller only counts hits, and a count does not depend on order.  splitmix64
+runs in place on a fresh array with one scratch buffer.  Intervals are exact
+99% Clopper-Pearson, not normal-approximate, because small tail
+probabilities are precisely the quantity of interest.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -219,19 +218,18 @@ def mc_tail(
 ) -> TailEstimate:
     """Estimate P(|S| >= C) or P(S >= C) from `trials` independent paths.
 
-    Results are identical for any `workers` value: each trial's draws are
-    keyed by its own index, and only integer hit counts are merged.  The
-    `workers` thread pool buys no time and stays only while the benchmark's
-    `numerics` workload passes `workers=2`.
+    Chunks of 2^15 trials run in turn on the calling thread, their integer
+    hit counts added as they go; each trial's draws are keyed by its own
+    index.  `workers` has no effect but must be at least 1: the benchmark's
+    `numerics` workload passes `workers=2`, until ROADMAP item 9 deletes it.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     event = _tail_event(C, sided)
-    starts = range(0, trials, _CHUNK)
-
-    def run_chunk(start: int) -> int:
+    hits = 0
+    for start in range(0, trials, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, trials), dtype=np.uint64)
         try:
             dev = sampler(seed, idx)
@@ -239,14 +237,7 @@ def mc_tail(
             raise RuntimeError(f"sampler failed in trials [{int(idx[0])}, {int(idx[-1])}]") from exc
         if len(dev) != len(idx):
             raise RuntimeError(f"sampler returned {len(dev)} values for {len(idx)} trials")
-        return int(event(dev).sum())
-
-    if workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            hits = sum(pool.map(run_chunk, starts))
-    else:
-        # For a single chunk a pool would only add the cost of starting and joining a thread.
-        hits = sum(map(run_chunk, starts))
+        hits += int(event(dev).sum())
 
     lo, hi = clopper_pearson(hits, trials)
     return TailEstimate(trials=trials, hits=hits, ci_low=lo, ci_high=hi)

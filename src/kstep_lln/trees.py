@@ -147,8 +147,9 @@ def _value_fault(levels) -> str | None:
     `levels` holds (depth, branch probabilities, per-parent sums) in depth order;
     at one depth a non-positive probability is reported before its sums.
     """
-    # math.ulp(0.0) is the least positive double, so [ulp, inf] means "> 0".
-    pos = _first_outside([pr for _, pr, _ in levels], math.ulp(0.0), math.inf)
+    # math.ulp(0.0) is the least positive double, so [ulp, inf] means "> 0"; a float64
+    # scalar, as numpy rounds a Python float to 0.0 in a float16 or float32 array's dtype.
+    pos = _first_outside([pr for _, pr, _ in levels], np.float64(math.ulp(0.0)), math.inf)
     off = _first_outside([sums for _, _, sums in levels], _SUM_LO, _SUM_HI)
     if pos is not None and (off is None or pos <= off):
         return f"depth {levels[pos][0]}: branch probabilities must be positive"
@@ -347,12 +348,13 @@ def deviation_per_leaf(tree: ProbabilityTree, seq: AdaptedSequence, lag: int) ->
     N is the sequence length; each of the N terms has magnitude at most 2.
     The result is cached on `seq` for the last (tree, lag) and read-only.
     """
+    # Checked before the cache, where a lag of 2.0 would equal a cached 2.
+    if not (isinstance(lag, (int, np.integer)) and lag >= 1):
+        raise ValueError(f"lag must be a positive integer, got {lag!r}")
     last_tree, last_lag, last = seq._deviation
     if last_tree is tree and last_lag == lag:
         return last
     _check_consistent(tree, seq)
-    if lag < 1:
-        raise ValueError(f"lag must be a positive integer, got {lag}")
     N, values = seq.n_steps, seq.values
     # Each conditional mean is subtracted at the depth where it becomes known,
     # on the way down to depth N with the Y values.  Depth d >= 1 knows one,

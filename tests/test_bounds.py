@@ -19,6 +19,7 @@ from kstep_lln.bounds import (
     suitable_x_check,
     deviation_threshold,
 )
+from kstep_lln.constructions import block_deviation_tail
 
 
 class TestHorizonParams:
@@ -329,6 +330,19 @@ class TestKrThreshold:
         kr = kr_threshold(p)
         assert kr == pytest.approx(7.199096228721912, abs=1e-9)
         assert kr > mv_threshold(p).threshold
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 5])
+    def test_block_process_reaches_it(self, K):
+        # As a lower-bound threshold, the block process's exact upper tail at
+        # kr_threshold is at least eps; the tightest point, tail/eps = 1.087,
+        # is (K, m, eps) = (1, 2, 0.23).
+        misses = [
+            (m, eps)
+            for m in range(2, 401)
+            for eps in (0.001, 0.01, 0.05, 0.1, 0.2, 0.23)
+            if block_deviation_tail(K * m, K, kr_threshold(HorizonParams(K * m, K, eps))) < eps
+        ]
+        assert misses == []
 
 
 class TestMvLowerBound:

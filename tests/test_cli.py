@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -13,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kstep_lln import verify
+from kstep_lln import bounds, constructions, decision, verify
 from kstep_lln.bounds import gaussian_survival
-from kstep_lln.cli import EXIT_OK, EXIT_TREEFILE, EXIT_USAGE, main
+from kstep_lln.cli import EXIT_OK, EXIT_TREEFILE, EXIT_USAGE, EXIT_VERIFY, main
 from kstep_lln.constructions import binomial_upper_tail, imbalance_prob_exact
 from kstep_lln.decision import DecisionSpace, LossSpec
 from kstep_lln.treefile import TreeBundle, bundle_to_dict, save_tree
@@ -579,6 +580,66 @@ class TestVerifyAllQuick:
             "criterion_7.csv", "criterion_8.csv", "criterion_9.csv"
         ]
         assert not (tmp_path / "arts").exists()
+
+
+class TestVerificationFailureExit:
+    """A falsified invariant in any one layer exits with code 4, rows still written."""
+
+    @staticmethod
+    def break_mv_bound_at(monkeypatch, pair):
+        # The lower bound rises to 1 at one (m, t): exactly one audit violation.
+        bound = constructions.mv_lower_bound
+        monkeypatch.setattr(
+            constructions, "mv_lower_bound", lambda m, t: 1.0 if (m, t) == pair else bound(m, t)
+        )
+
+    def test_verify_all_with_one_failing_criterion(self, capsys, monkeypatch):
+        self.break_mv_bound_at(monkeypatch, (8, 1))
+        code, out, _ = run(capsys, "verify-all", "--quick")
+        assert code == EXIT_VERIFY
+        lines = out.splitlines()
+        (failed,) = [l for l in lines if " FAIL " in l]
+        assert failed.startswith("[criterion  5] FAIL  mv-audit: ")
+        assert lines[-1] == "9/10 criteria passed"
+
+    def test_scan_mv_audit_with_one_violation(self, capsys, monkeypatch):
+        self.break_mv_bound_at(monkeypatch, (8, 1))
+        code, out, _ = run(capsys, "scan", "--what", "mv-audit", "--m-max", "16")
+        assert code == EXIT_VERIFY
+        (row,) = records(out)[1]
+        assert row["violations"] == "1"
+
+    def test_scan_dominance_with_one_violation(self, capsys, monkeypatch):
+        # The midpoint bound drops to 0 at the first grid point only.
+        midpoint = bounds.midpoint_bound
+        calls = []
+
+        def first_zero(C, K, N):
+            calls.append(C)
+            return 0.0 if len(calls) == 1 else midpoint(C, K, N)
+
+        monkeypatch.setattr(bounds, "midpoint_bound", first_zero)
+        code, out, _ = run(capsys, "scan", "--what", "dominance")
+        assert code == EXIT_VERIFY
+        assert [r["chain_ok"] for r in records(out)[1]].count("false") == 1
+
+    @pytest.mark.parametrize("layer", ["regret_tail", "shifted_deviation_check"])
+    def test_decide_with_a_failing_check(self, capsys, monkeypatch, tmp_path, layer):
+        if layer == "regret_tail":
+            monkeypatch.setattr(decision, "regret_tail", lambda *args: 1.0)
+        else:
+            check = decision.shifted_deviation_check
+            monkeypatch.setattr(
+                decision, "shifted_deviation_check",
+                lambda *args: dataclasses.replace(check(*args), failures=("forced",)),
+            )
+        path = tmp_path / "d.json"
+        save_tree(path, full_bundle())
+        code, out, _ = run(capsys, "decide", "--tree-file", str(path))
+        assert code == EXIT_VERIFY
+        (rec,) = records(out)[1]
+        expected = ("false", "true") if layer == "regret_tail" else ("true", "false")
+        assert (rec["bound_holds"], rec["shift_check_passed"]) == expected
 
 
 json_values = st.recursive(

@@ -131,11 +131,13 @@ class TestValidationMessages:
 
 
 class TestMalformedInputs:
-    @pytest.mark.parametrize("horizon", [1.5, True, 0])
-    def test_horizon_must_be_a_positive_int(self, horizon):
+    @pytest.mark.parametrize(
+        "horizon, shown", [(1.5, "1.5"), (True, "True"), (0, "0"), (np.int64(1), "np.int64(1)")]
+    )
+    def test_horizon_must_be_a_positive_int(self, horizon, shown):
         with pytest.raises(ValueError) as err:
             LossSpec(space=DecisionSpace(("a",)), horizon=horizon, tables=((np.full(4, 0.5),),))
-        assert str(err.value) == f"impact horizon must be a positive integer, got {horizon}"
+        assert str(err.value) == f"impact horizon must be a positive integer, got {shown}"
 
     @pytest.mark.parametrize("bad", [np.full((1, 4), 0.5), [0.5] * 4])
     def test_tables_must_be_1d_arrays(self, bad):

@@ -207,18 +207,15 @@ class TestMcTail:
         assert 0 < est.hits < est.trials
         assert mc_tail(reversed_chunks, 1.75, **kwargs) == est
 
-    def test_single_chunk_runs_on_calling_thread(self):
+    def test_every_chunk_runs_on_calling_thread(self):
         threads = []
 
         def recording(master_seed, trials):
             threads.append(threading.get_ident())
             return np.zeros(len(trials))
 
-        mc_tail(recording, 0.5, sided="upper", trials=32_768, seed=0, workers=2)
-        assert threads == [threading.get_ident()]
-        threads.clear()
-        mc_tail(recording, 0.5, sided="upper", trials=32_769, seed=0, workers=2)
-        assert len(threads) == 2
+        mc_tail(recording, 0.5, sided="upper", trials=32_769, seed=0, workers=2)  # two chunks
+        assert threads == [threading.get_ident()] * 2
 
     def test_tree_sampler_agrees_with_exact_enumeration(self):
         tree, seq = random_tree(depth=6, max_branching=3, seed=404)

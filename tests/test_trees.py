@@ -9,6 +9,7 @@ from kstep_lln.constructions import block_deviation_tail
 from kstep_lln.decision import (
     DecisionSpace, LossSpec, bayesian_strategy, random_strategy, total_losses,
 )
+from kstep_lln.sampling import tree_deviation_sampler
 from kstep_lln.treefile import TreeFileError, bundle_from_dict
 from kstep_lln.trees import (
     AdaptedSequence,
@@ -137,8 +138,11 @@ class TestConstructionMessages:
 
     @pytest.mark.parametrize("depth, at", FAULT_PLACES)
     @pytest.mark.parametrize("bad", [0.0, -0.5])
-    def test_non_positive_probability(self, depth, at, bad):
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16])
+    def test_non_positive_probability(self, depth, at, bad, dtype):
+        # The positivity bound must not round to 0.0 in a narrower float dtype.
         parents, probs = binary_levels(depth)
+        probs[at - 1] = probs[at - 1].astype(dtype)
         probs[at - 1][-1] = bad
         self.assert_rejected(parents, probs, f"depth {at}: branch probabilities must be positive")
 
@@ -410,11 +414,27 @@ class TestDeviationPerLeaf:
         seq = AdaptedSequence(values=(np.zeros(2), np.zeros(4)))
         np.testing.assert_allclose(deviation_per_leaf(tree, seq, 1), np.zeros(4), atol=1e-15)
 
-    def test_rejects_nonpositive_lag(self):
+    @pytest.mark.parametrize("lag", [0, 1.5, 2.0, np.float64(2.0)], ids=repr)
+    def test_rejects_a_lag_that_is_not_a_positive_integer(self, lag):
         tree = two_level_tree()
         seq = AdaptedSequence(values=(np.zeros(2), np.zeros(4)))
-        with pytest.raises(ValueError, match="lag must be a positive integer, got 0"):
-            deviation_per_leaf(tree, seq, 0)
+        deviation_per_leaf(tree, seq, 2)  # a cached lag of 2 must not answer for 2.0
+        message = f"lag must be a positive integer, got {lag!r}"
+        for call in (
+            lambda: deviation_per_leaf(tree, seq, lag),
+            lambda: exact_tail(tree, seq, lag, 1.0),
+            lambda: tree_deviation_sampler(tree, seq, lag),
+        ):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == message
+
+    def test_numpy_integer_lag_matches_int(self):
+        tree, seq = random_tree(depth=4, max_branching=3, seed=11)
+        expected = deviation_per_leaf(tree, seq, 2).copy()
+        fresh = AdaptedSequence(values=seq.values)
+        np.testing.assert_array_equal(deviation_per_leaf(tree, fresh, np.int64(2)), expected)
+        assert exact_tail(tree, fresh, np.int64(2), 1.0) == exact_tail(tree, seq, 2, 1.0)
 
     def test_fresh_signs_reduce_to_plain_sums(self):
         # One new fair sign per step: all lag-1 conditional means vanish,

@@ -18,6 +18,7 @@ exposed as its own function so it can be checked numerically.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -44,6 +45,23 @@ __all__ = [
 EPSILON_CUTOFF = 0.7
 
 
+def _integer(name: str, x, lo: float = 1, hi: float = math.inf) -> int:
+    """x as a Python int if it is a Python or numpy integer in [lo, hi], else a ValueError.
+
+    A bool or a float (even 2.0) is refused.  The message names the argument and
+    the limit failed.  A Python int costs one type test and one chained comparison.
+    """
+    if type(x) is int:
+        if lo <= x <= hi:
+            return x
+    elif isinstance(x, numbers.Integral) and not isinstance(x, bool):
+        return _integer(name, int(x), lo, hi)
+    if lo == 1 and hi == math.inf:
+        raise ValueError(f"{name} must be a positive integer, got {x!r}")
+    limit = "an integer" if type(x) is not int else f"at least {lo}" if x < lo else f"at most {hi}"
+    raise ValueError(f"{name} must be {limit}, got {x!r}")
+
+
 @dataclass(frozen=True)
 class HorizonParams:
     """Problem size triple: N steps, prediction horizon K, tail budget epsilon."""
@@ -53,10 +71,8 @@ class HorizonParams:
     epsilon: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.N, int) or self.N < 1:
-            raise ValueError(f"N must be a positive integer, got {self.N!r}")
-        if not isinstance(self.K, int) or self.K < 1:
-            raise ValueError(f"K must be a positive integer, got {self.K!r}")
+        object.__setattr__(self, "N", _integer("N", self.N))
+        object.__setattr__(self, "K", _integer("K", self.K))
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
 
@@ -76,8 +92,7 @@ class AggregationParams:
     def __post_init__(self) -> None:
         if not 0 < self.C < math.inf:
             raise ValueError(f"deviation level C must be positive and finite, got {self.C!r}")
-        if not isinstance(self.K, int) or self.K < 1:
-            raise ValueError(f"K must be a positive integer, got {self.K!r}")
+        object.__setattr__(self, "K", _integer("K", self.K))
         if not 0 < self.a < math.inf:
             raise ValueError(f"rate a must be positive and finite, got {self.a!r}")
 
@@ -91,8 +106,7 @@ class AggregationParams:
         the double is the same as `K / (2.0 * N)`'s: both are one correctly
         rounded quotient of the same rational.
         """
-        if N < 1 or K < 1:
-            raise ValueError("N and K must be positive integers")
+        N, K = _integer("N", N), _integer("K", K)
         return cls(C=C, K=K, a=1 / (2 * -(-N // K)))
 
 
@@ -227,8 +241,7 @@ def midpoint_bound(C: float, K: int, N: int) -> float:
     """
     if not 0 < C < math.inf:
         raise ValueError(f"C must be positive and finite, got {C!r}")
-    if N < 1 or K < 1:
-        raise ValueError("N and K must be positive integers")
+    N, K = _integer("N", N), _integer("K", K)
     q = C * C / (K * N)
     return (4.0 / q) * math.exp(-q / 8.0)
 
@@ -292,12 +305,9 @@ def mv_lower_bound(m: int, t: int) -> float:
     Valid for even m and integer t in [0, m/8]; P(Z >= m/2 + t) is at
     least this value for Z ~ Binomial(m, 1/2).
     """
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
+    m, t = _integer("m", m), _integer("t", t, lo=-math.inf)
     if m % 2 != 0:
         raise ValueError(f"m must be even, got {m}")
-    if not isinstance(t, int):
-        raise ValueError(f"t must be an integer, got {t!r}")
     if t < 0 or 8 * t > m:
         raise ValueError(f"t must lie in [0, m/8] = [0, {m / 8}], got {t}")
     return math.exp(-16.0 * t * t / m) / 15.0

@@ -157,8 +157,6 @@ def cmd_scan(args) -> int:
         ]
         _emit(rows, {"command": "scan", "what": "mv-audit", "m_max": m_max}, args)
         return EXIT_OK if report.ok else EXIT_VERIFY
-    if m_max < 1:
-        raise CliError(f"m_max must be at least 1, got {m_max}")
     limit = bounds.gaussian_survival(1.0)
     rows = [{"m": m, "count_threshold": k, "probability": prob, "gap_to_limit": prob - limit}
             for m, k, prob in constructions._imbalance_probs(m_max)]

@@ -34,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bounds import mv_lower_bound
+from .bounds import _integer, mv_lower_bound
 
 __all__ = [
     "MvAuditReport",
@@ -57,6 +57,12 @@ _COMB_MAX = 600
 # Largest m `binomial_upper_tail` takes: its window grows as sqrt(m).
 _TAIL_M_MAX = 10**9
 
+# Largest m_max of the exact scans, whose work grows as m_max^2 and about m_max^3.
+# On a 2-core x86 box (CPython 3.11) min_imbalance_prob took 0.06, 0.4 and 3.8 s
+# at 10^4, 3 * 10^4 and 10^5, and verify_mv_bound 0.19 and 1.2 s at 1600 and 3200.
+_IMBALANCE_M_MAX = 10**5
+_MV_AUDIT_M_MAX = 3200
+
 # Below this many entries `_exact_sum` is `math.fsum` itself: on CPython 3.11
 # with numpy 2.4 the extraction's fixed cost, about 6 us, is fsum's at 200.
 _EXACT_SUM_MIN = 200
@@ -69,11 +75,12 @@ _LN2 = 0xB17217F7D1CF79ABC9E3B39803F2F6AF
 _TWO_PI = 0x6487ED5110B4611A62633145C06E0E689
 
 
-def _block_count(N: int, K: int) -> int:
-    """m = N/K, the number of K-step blocks in N steps; K must divide N."""
+def _block_shape(N: int, K: int) -> tuple[int, int, int]:
+    """N, K and m = N/K, the number of K-step blocks, as Python ints; K must divide N."""
+    N, K = _integer("N", N, lo=-math.inf), _integer("K", K, lo=-math.inf)
     if N < 1 or K < 1 or N % K != 0:
         raise ValueError(f"need K | N with both positive, got N={N}, K={K}")
-    return N // K
+    return N, K, N // K
 
 
 def _tail_event(C: float, sided: str):
@@ -186,8 +193,7 @@ def binomial_upper_tail(m: int, k0: int) -> float:
     window grows as sqrt(m), and at 10^9 a central tail peaks at 4.6 MB
     (tracemalloc), one with k0 = m - 10 at 1 KB.
     """
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
+    m, k0 = _integer("m", m), _integer("k0", k0, lo=-math.inf)
     if k0 <= 0:
         return 1.0
     if k0 > m:
@@ -246,8 +252,7 @@ def _exact_sum(x: np.ndarray) -> float:
 
 def binomial_upper_tail_exact(m: int, k0: int) -> Fraction:
     """Exact rational P(Binomial(m, 1/2) >= k0); intended for small m."""
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
+    m, k0 = _integer("m", m), _integer("k0", k0, lo=-math.inf)
     if k0 <= 0:
         return Fraction(1)
     if k0 > m:
@@ -260,15 +265,15 @@ def sample_block_process(N: int, K: int, seed: int) -> tuple[int, ...]:
 
     Returns the N values in {-1, +1}; their sum is the deviation (2Z - m) K.
     """
+    _, K, m = _block_shape(N, K)
     rng = np.random.default_rng(seed)
-    signs = 2 * rng.integers(0, 2, size=_block_count(N, K)) - 1
+    signs = 2 * rng.integers(0, 2, size=m) - 1
     return tuple(int(s) for s in np.repeat(signs, K))
 
 
 def imbalance_threshold(m: int) -> int:
     """Smallest count k0 such that 2 k0 - m >= sqrt(m), computed exactly."""
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
+    m = _integer("m", m)
     s = math.isqrt(m)
     # For non-square m the integer 2k-m clears sqrt(m) iff it clears s+1.
     root_ceil = s if s * s == m else s + 1
@@ -289,8 +294,10 @@ def _imbalance_probs(m_max: int):
     """Yield (m, k0, P(Z >= k0)) for 1 <= m <= m_max, with k0 = imbalance_threshold(m).
 
     Each probability is the correctly rounded exact value: the tail count is
-    carried from m to m + 1 in integers by Pascal's rule.
+    carried from m to m + 1 in integers by Pascal's rule.  m_max must lie in
+    [1, `_IMBALANCE_M_MAX`], checked before the first row.
     """
+    m_max = _integer("m_max", m_max, hi=_IMBALANCE_M_MAX)
     # At m: k = imbalance_threshold(m), c = C(m, k), tail = sum_{j >= k} C(m, j).
     k = c = tail = 1
     yield 1, k, tail / 2
@@ -312,11 +319,9 @@ def min_imbalance_prob(m_max: int) -> tuple[int, float]:
     Each m's probability is the correctly rounded exact value from
     `_imbalance_probs`.  Returns the first minimiser.  The minimum is 7/64,
     attained at m = 6; the limit as m grows is the Gaussian survival value
-    at 1 (about 0.1587).
+    at 1 (about 0.1587).  m_max must lie in [6, `_IMBALANCE_M_MAX`].
     """
-    if m_max < 6:
-        raise ValueError(f"m_max must be at least 6, got {m_max!r}")
-    m, _, p = min(_imbalance_probs(m_max), key=lambda row: row[2])
+    m, _, p = min(_imbalance_probs(_integer("m_max", m_max, lo=6)), key=lambda row: row[2])
     return m, p
 
 
@@ -334,7 +339,7 @@ def block_deviation_tail(N: int, K: int, C: float, sided: str = "upper") -> floa
     2 k0 - m <= 0, where {|S| >= C} is sure.
     """
     _tail_event(C, sided)  # rejects a non-finite C or an unknown side
-    m = _block_count(N, K)
+    _, K, m = _block_shape(N, K)
     k0 = bisect_left(range(m + 1), True, key=lambda k: (2 * k - m) * K >= C)
     if sided == "upper":
         return binomial_upper_tail(m, k0)
@@ -362,10 +367,9 @@ def verify_mv_bound(m_max: int) -> MvAuditReport:
     the correctly rounded exact tail (an integer count summed down from
     k = m, over 2^m) with the bound.  Any violation would falsify the
     lower-bound constant pair (1/15, 16), so violations are collected rather
-    than raised; `ok` reports the verdict.
+    than raised; `ok` reports the verdict.  m_max must lie in [8, `_MV_AUDIT_M_MAX`].
     """
-    if m_max < 8:
-        raise ValueError(f"m_max must be at least 8, got {m_max!r}")
+    m_max = _integer("m_max", m_max, 8, _MV_AUDIT_M_MAX)
     violations = []
     min_slack = math.inf
     min_at = (0, 0)

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import _integer
 from .constructions import _exact_sum, _tail_event
 from .trees import (
     _REAL_KINDS, AdaptedSequence, ProbabilityTree, _first_outside, _path_sums, _pull_back,
@@ -78,8 +79,7 @@ class LossSpec:
     tables: tuple[tuple[np.ndarray, ...], ...]
 
     def __post_init__(self) -> None:
-        if type(self.horizon) is not int or self.horizon < 1:
-            raise ValueError(f"impact horizon must be a positive integer, got {self.horizon!r}")
+        object.__setattr__(self, "horizon", _integer("impact horizon", self.horizon))
         if not self.tables:
             raise ValueError("loss spec must cover at least one step")
         k = len(self.space)
@@ -129,7 +129,9 @@ class _Problem:
     and expected-loss stacks (decisions, depth-n nodes); the Bayesian
     strategy and the last rival seen, each as (strategy, per-step realized
     losses, path totals).  The rival slot is replaced by one assignment of
-    a finished tuple, so threads racing on it each read a consistent entry.
+    a finished tuple, so it never pairs one strategy with another's losses:
+    a reader, on whatever thread a caller runs it, sees the old entry or the
+    new one whole.
     """
 
     __slots__ = ("tree", "tables", "stacks", "bayes", "rival")
@@ -212,10 +214,8 @@ def _check_strategy(tree: ProbabilityTree, loss: LossSpec, strategy: Strategy) -
 def expected_losses(tree: ProbabilityTree, loss: LossSpec, n: int, d: int) -> np.ndarray:
     """E(loss of decision d at step n | F_n), one value per depth-n node (read-only)."""
     stacks = _problem(tree, loss).stacks
-    if not 1 <= n <= loss.n_steps:
-        raise ValueError(f"step n must lie in [1, {loss.n_steps}], got {n}")
-    if not 0 <= d < len(loss.space):
-        raise ValueError(f"decision index must lie in [0, {len(loss.space)}), got {d}")
+    n = _integer("step n", n, 1, loss.n_steps)
+    d = _integer("decision index", d, 0, len(loss.space) - 1)
     return stacks[n - 1][d]
 
 

@@ -27,7 +27,8 @@ from typing import Callable
 
 import numpy as np
 
-from .constructions import _block_count, _tail_event
+from .bounds import _integer
+from .constructions import _block_shape, _tail_event
 from .trees import AdaptedSequence, ProbabilityTree, deviation_per_leaf
 
 __all__ = [
@@ -96,8 +97,8 @@ def derive_seed(master_seed: int, *path: int) -> int:
 
 def clopper_pearson(hits: int, trials: int) -> tuple[float, float]:
     """Exact two-sided 99% binomial confidence interval for hits out of trials."""
-    if trials < 1 or not 0 <= hits <= trials:
-        raise ValueError(f"need 0 <= hits <= trials with trials >= 1, got {hits}/{trials}")
+    trials = _integer("trials", trials)
+    hits = _integer("hits", hits, 0, trials)
     # Imported here so that exact-only callers never load scipy.
     from scipy.special import betaincinv
 
@@ -141,7 +142,7 @@ def block_deviation_sampler(N: int, K: int) -> Sampler:
     Z is the popcount of a trial's first m stream bits: ceil(m/64) words,
     the last one masked to the low bits that remain.
     """
-    m = _block_count(N, K)
+    _, K, m = _block_shape(N, K)
     columns = -(-m // 64)
     last_mask = np.uint64((1 << (m - 64 * (columns - 1))) - 1)
 
@@ -220,13 +221,11 @@ def mc_tail(
 
     Chunks of 2^15 trials run in turn on the calling thread, their integer
     hit counts added as they go; each trial's draws are keyed by its own
-    index.  `workers` has no effect but must be at least 1: the benchmark's
-    `numerics` workload passes `workers=2`, until ROADMAP item 9 deletes it.
+    index.  `workers` has no effect but must be a positive integer: the
+    benchmark's `numerics` workload passes 2 until ROADMAP item 9 deletes it.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    trials = _integer("trials", trials)
+    _integer("workers", workers)
     event = _tail_event(C, sided)
     hits = 0
     for start in range(0, trials, _CHUNK):

@@ -60,8 +60,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import HorizonParams, deviation_threshold
-from .constructions import _block_count, _exact_sum, _tail_event
+from .bounds import HorizonParams, _integer, deviation_threshold
+from .constructions import _block_shape, _exact_sum, _tail_event
 
 __all__ = [
     "ProbabilityTree",
@@ -276,8 +276,7 @@ class ProbabilityTree:
 
     def node_probabilities(self, depth: int) -> np.ndarray:
         """Unconditional probabilities of the depth-d nodes (read-only at the leaves)."""
-        if not 0 <= depth <= self.depth:
-            raise ValueError(f"depth must lie in [0, {self.depth}], got {depth}")
+        depth = _integer("depth", depth, 0, self.depth)
         if depth == self.depth:
             return self._leaf_probs
         return self._probabilities(depth)
@@ -349,8 +348,7 @@ def deviation_per_leaf(tree: ProbabilityTree, seq: AdaptedSequence, lag: int) ->
     The result is cached on `seq` for the last (tree, lag) and read-only.
     """
     # Checked before the cache, where a lag of 2.0 would equal a cached 2.
-    if not (isinstance(lag, (int, np.integer)) and lag >= 1):
-        raise ValueError(f"lag must be a positive integer, got {lag!r}")
+    lag = _integer("lag", lag)
     last_tree, last_lag, last = seq._deviation
     if last_tree is tree and last_lag == lag:
         return last
@@ -420,6 +418,7 @@ def verify_deviation_bound(
     `holds` must come back True on every valid input; a False return would
     falsify either the bound or this engine.
     """
+    lag = _integer("lag", lag)  # refused as `lag`, before HorizonParams would call it K
     threshold = deviation_threshold(HorizonParams(N=seq.n_steps, K=lag, epsilon=epsilon))
     tail = exact_tail(tree, seq, lag, threshold, sided="two_sided")
     return DeviationBoundCheck(tail=tail, threshold=threshold, epsilon=epsilon)
@@ -433,10 +432,7 @@ def random_tree(
     Branching per node is uniform on {2, ..., max_branching}; children are
     laid out parent-contiguously.  Deterministic given the seed.
     """
-    if depth < 1:
-        raise ValueError(f"depth must be at least 1, got {depth}")
-    if max_branching < 2:
-        raise ValueError(f"max_branching must be at least 2, got {max_branching}")
+    depth, max_branching = _integer("depth", depth), _integer("max_branching", max_branching, lo=2)
     rng = np.random.default_rng(seed)
     parents: list[np.ndarray] = []
     branch_probs: list[np.ndarray] = []
@@ -467,7 +463,8 @@ def block_process_tree(N: int, K: int) -> tuple[ProbabilityTree, AdaptedSequence
     alternating signs.  Its levels take at most 40 * 2^m bytes in all (the
     2^20-leaf tree 40 MiB, against 96 MiB when each level had its own array).
     """
-    leaves = 1 << _block_count(N, K)
+    N, K, m = _block_shape(N, K)
+    leaves = 1 << m
     split_parents = np.repeat(np.arange(leaves // 2), 2)
     halves = np.full(leaves, 0.5)
     signs = np.ones(leaves)

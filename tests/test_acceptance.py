@@ -10,7 +10,7 @@ import hashlib
 
 import pytest
 
-from kstep_lln import verify
+from kstep_lln import trees, verify
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +164,64 @@ def test_criterion_10_fails_when_an_instance_reads_state_left_by_the_last(monkey
 
     monkeypatch.setattr(verify, "random_tree", leaky)
     assert not verify.run_all(quick=True)[9].passed
+
+
+def _replacing_call(k, replacement, fn):
+    """fn, except that its k-th call (from 1) goes to replacement."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return (replacement if len(calls) == k else fn)(*args, **kwargs)
+
+    return wrapper
+
+
+def _rows(result):
+    return list(csv.DictReader(result.artifact.splitlines()[1:]))
+
+
+def test_criterion_4_fails_on_a_discharge_at_eps_over_2(monkeypatch):
+    # Raised to 0.345 = 0.69/2, the midpoint bound still dominates the chain but
+    # no longer discharges eps/2 at any of the 4 epsilons and 9 (K, m) pairs.
+    midpoint = verify.bounds.midpoint_bound
+    monkeypatch.setattr(
+        verify.bounds, "midpoint_bound", lambda C, K, N: max(midpoint(C, K, N), 0.345)
+    )
+    result = verify.criterion_4_dominance_chain(quick=True)
+    assert result.line().startswith("[criterion  4] FAIL  dominance-chain: ")
+    assert result.detail == "36 (N,K,C) triples, chain violations: 0; midpoint >= eps/2 cases: 36"
+
+
+def test_criterion_7_fails_on_one_tail_at_eps(monkeypatch):
+    # The two-sided tail of instance 0 reads 0.69, at or above each epsilon of the grid.
+    monkeypatch.setattr(
+        trees, "exact_tail", _replacing_call(1, lambda *args, **kwargs: 0.69, trees.exact_tail)
+    )
+    result = verify.criterion_7_deviation_suite(quick=True)
+    assert result.line().startswith("[criterion  7] FAIL  deviation-bound-suite: ")
+    assert result.detail == "100 random trees, violations: 1"
+    assert [(r["two_sided_tail"], r["ok"]) for r in _rows(result) if r["ok"] != "true"] == [
+        ("0.69", "false")
+    ]
+
+
+def test_criterion_9_fails_on_one_dominance_and_one_regret_failure(monkeypatch):
+    # Instance 0 is handed the adversarial strategy as its Bayesian one; the
+    # first of instance 1's three regret tails reads 1.0.
+    monkeypatch.setattr(
+        verify, "bayesian_strategy",
+        _replacing_call(1, verify.adversarial_strategy, verify.bayesian_strategy),
+    )
+    monkeypatch.setattr(
+        verify, "regret_tail", _replacing_call(4, lambda *args: 1.0, verify.regret_tail)
+    )
+    result = verify.criterion_9_corollary_suite(quick=True)
+    assert result.line().startswith("[criterion  9] FAIL  regret-bound-suite: ")
+    assert result.detail == "60 decision trees, violations: 2"
+    flags = [(r["dominance_ok"], r["shift_ok"], r["regret_ok"]) for r in _rows(result)]
+    assert flags[:2] == [("false", "true", "true"), ("true", "true", "false")]
+    assert set(flags[2:]) == {("true", "true", "true")}
 
 
 def test_criterion_10_fails_on_one_changed_artifact_byte(seed):

@@ -19,6 +19,7 @@ from kstep_lln.bounds import (
     suitable_x_check,
     deviation_threshold,
 )
+from kstep_lln import constructions, decision, sampling, trees
 from kstep_lln.constructions import block_deviation_tail
 
 
@@ -362,3 +363,118 @@ class TestMvLowerBound:
     def test_rejects_odd_m(self):
         with pytest.raises(ValueError, match="even"):
             mv_lower_bound(9, 1)
+
+
+def _arrays(arrays) -> list:
+    return [a.tolist() for a in arrays]
+
+
+def _tree_lists(tree_and_seq) -> tuple:
+    tree, seq = tree_and_seq
+    return _arrays(tree.parents), _arrays(tree.branch_probs), _arrays(seq.values)
+
+
+def _expected_losses(n, d):
+    tree, _ = trees.random_tree(3, 2, seed=1)
+    counts = tree.node_counts
+    tables = tuple((np.full(counts[k + 1], 0.25), np.full(counts[k + 1], 0.5)) for k in (1, 2))
+    loss = decision.LossSpec(decision.DecisionSpace(("a", "b")), 1, tables)
+    return decision.expected_losses(tree, loss, n, d).tolist()
+
+
+# Every public function that takes a count, size, lag or index: its integer arguments
+# (named as its error messages name them) with valid values, and a call on them.
+INTEGER_CALLS = {
+    "HorizonParams": ({"N": 100, "K": 5}, lambda a: HorizonParams(a["N"], a["K"], 0.1)),
+    "AggregationParams": ({"K": 3}, lambda a: AggregationParams(C=2.0, K=a["K"], a=0.25)),
+    "from_horizon": (
+        {"N": 100, "K": 3}, lambda a: AggregationParams.from_horizon(20.0, a["N"], a["K"])
+    ),
+    "midpoint_bound": ({"K": 3, "N": 100}, lambda a: midpoint_bound(20.0, a["K"], a["N"])),
+    "mv_lower_bound": ({"m": 64, "t": 2}, lambda a: mv_lower_bound(a["m"], a["t"])),
+    "binomial_upper_tail": (
+        {"m": 100, "k0": 60}, lambda a: constructions.binomial_upper_tail(a["m"], a["k0"])
+    ),
+    "binomial_upper_tail_exact": (
+        {"m": 10, "k0": 6}, lambda a: constructions.binomial_upper_tail_exact(a["m"], a["k0"])
+    ),
+    "imbalance_threshold": ({"m": 100}, lambda a: constructions.imbalance_threshold(a["m"])),
+    "imbalance_prob": ({"m": 100}, lambda a: constructions.imbalance_prob(a["m"])),
+    "min_imbalance_prob": ({"m_max": 50}, lambda a: constructions.min_imbalance_prob(a["m_max"])),
+    "verify_mv_bound": ({"m_max": 16}, lambda a: constructions.verify_mv_bound(a["m_max"])),
+    "block_deviation_tail": (
+        {"N": 250, "K": 1}, lambda a: block_deviation_tail(a["N"], a["K"], 20.0)
+    ),
+    "sample_block_process": (
+        {"N": 12, "K": 3}, lambda a: constructions.sample_block_process(a["N"], a["K"], seed=7)
+    ),
+    "block_deviation_sampler": (
+        {"N": 200, "K": 2},
+        lambda a: sampling.block_deviation_sampler(a["N"], a["K"])(7, np.arange(64)).tolist(),
+    ),
+    "block_process_tree": (
+        {"N": 8, "K": 2}, lambda a: _tree_lists(trees.block_process_tree(a["N"], a["K"]))
+    ),
+    "random_tree": (
+        {"depth": 3, "max_branching": 3},
+        lambda a: _tree_lists(trees.random_tree(a["depth"], a["max_branching"], seed=1)),
+    ),
+    "deviation_per_leaf": (
+        {"lag": 2},
+        lambda a: trees.deviation_per_leaf(*trees.random_tree(3, 2, seed=1), a["lag"]).tolist(),
+    ),
+    "node_probabilities": (
+        {"depth": 2},
+        lambda a: trees.random_tree(3, 2, seed=1)[0].node_probabilities(a["depth"]).tolist(),
+    ),
+    "verify_deviation_bound": (
+        {"lag": 2},
+        lambda a: trees.verify_deviation_bound(*trees.random_tree(3, 2, seed=1), a["lag"], 0.1),
+    ),
+    "LossSpec": (
+        {"impact horizon": 1},
+        lambda a: decision.LossSpec(
+            decision.DecisionSpace(("a",)), a["impact horizon"], ((np.full(4, 0.5),),)
+        ).horizon,
+    ),
+    "expected_losses": (
+        {"step n": 2, "decision index": 1},
+        lambda a: _expected_losses(a["step n"], a["decision index"]),
+    ),
+    "clopper_pearson": (
+        {"hits": 3, "trials": 10}, lambda a: sampling.clopper_pearson(a["hits"], a["trials"])
+    ),
+    "mc_tail": (
+        {"trials": 200, "workers": 2},
+        lambda a: sampling.mc_tail(
+            sampling.block_deviation_sampler(8, 2), 2.0, sided="upper",
+            trials=a["trials"], seed=3, workers=a["workers"],
+        ),
+    ),
+}
+
+
+class TestIntegerRule:
+    """One rule for every integer argument: any Python or numpy integer, never a bool or float."""
+
+    @pytest.mark.parametrize("name", INTEGER_CALLS)
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8])
+    def test_numpy_integers_give_the_int_result(self, name, kind):
+        # Unconverted, numpy integers made 2^m overflow: binomial tails of inf, an
+        # exact tail dividing by 0, an OverflowError in block_deviation_tail at
+        # uint8 and wrong block-sampler deviations at int32 and uint8.
+        args, call = INTEGER_CALLS[name]
+        expected = call(args)
+        # repr: a numpy integer kept in a result would show, as would inf for a float.
+        assert repr(call({k: kind(v) for k, v in args.items()})) == repr(expected)
+
+    @pytest.mark.parametrize(
+        "name, arg", [(name, arg) for name, (args, _) in INTEGER_CALLS.items() for arg in args]
+    )
+    @pytest.mark.parametrize("bad", [True, 2.0, np.float64(2.0), "2"], ids=repr)
+    def test_refuses_a_non_integer_naming_the_argument(self, name, arg, bad):
+        args, call = INTEGER_CALLS[name]
+        with pytest.raises(ValueError) as err:
+            call({**args, arg: bad})
+        assert str(err.value).startswith(f"{arg} must be ")
+        assert str(err.value).endswith(f", got {bad!r}")

@@ -381,6 +381,15 @@ class TestErrorPath:
              "m_max must be at least 1, got 0"),
             (["scan", "--what", "imbalance", "--m-max=-5"],
              "m_max must be at least 1, got -5"),
+            # One past each exact scan's limit: refused before any work.
+            (["construct", "--min-imbalance", "--m-max", "100001"],
+             "m_max must be at most 100000, got 100001"),
+            (["scan", "--what", "imbalance", "--m-max", "100001"],
+             "m_max must be at most 100000, got 100001"),
+            (["scan", "--what", "mv-audit", "--m-max", "3201"],
+             "m_max must be at most 3200, got 3201"),
+            (["simulate", "--K", "1", "--C", "1"],
+             "simulate requires --tree-file or --N"),
             (["bound", "--N", "10", "--K", "1", "--epsilon", "0.1", "--output", "TMP"],
              "cannot write TMP: [Errno 21] Is a directory: 'TMP'"),
             (["bound", "--N", "10", "--K", "1", "--epsilon", "0.1", "--output", "TMP/file/x.csv"],
@@ -432,6 +441,39 @@ class TestErrorPath:
         save_tree(path, full_bundle())
         code, out, err = run(capsys, *[str(path) if a == "TREE" else a for a in argv])
         assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    # Edits of `full_bundle()`'s document, whose depths 1-4 hold 3, 9, 23 and 54 nodes.
+    TREE_FILE_EDITS = {
+        "node": lambda doc: doc["nodes"].__setitem__(0, [1, 2]),
+        "Y": lambda doc: doc.update(Y=5),
+        "steps": lambda doc: doc["Y"].append(doc["Y"][-1]),
+        "decisions": lambda doc: doc["losses"].update(decisions=["hold", 1]),
+        "table": lambda doc: doc["losses"]["tables"][0][1].pop(),
+    }
+
+    @pytest.mark.parametrize(
+        "command, edit, message",
+        [
+            ("simulate", "node", "malformed node record: depth 1 must list node objects"),
+            ("simulate", "Y", "invalid Y values: 'Y' must be a list of levels"),
+            ("simulate", "steps", "invalid Y values: sequence has 5 steps but tree depth is 4"),
+            ("decide", "decisions", "invalid losses block: 'decisions' must be a list of strings"),
+            ("decide", "table",
+             "invalid losses block: step 1, decision 1: 22 losses for 23 depth-3 nodes"),
+        ],
+    )
+    def test_refused_tree_file_exits_3(self, capsys, tmp_path, command, edit, message):
+        doc = bundle_to_dict(full_bundle())
+        self.TREE_FILE_EDITS[edit](doc)
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, "--tree-file", str(path)]
+        if command == "simulate":
+            argv += ["--K", "1", "--C", "1"]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_TREEFILE
         assert out == ""
         assert err == f"error: {message}\n"
 

@@ -482,3 +482,19 @@ def test_scans_use_no_float_tail(monkeypatch):
     report = verify_mv_bound(200)
     assert (report.pairs_checked, len(report.violations)) == (1325, 0)
     assert report.min_slack_at == (200, 25)
+
+
+@pytest.mark.parametrize(
+    "scan, limit",
+    [
+        (min_imbalance_prob, 10**5),
+        (lambda m_max: list(constructions._imbalance_probs(m_max)), 10**5),
+        (verify_mv_bound, 3200),
+    ],
+)
+def test_scans_refuse_past_their_limit_before_any_work(scan, limit):
+    # At 10^9 either scan would run for years; the refusal comes at once.
+    for m_max in (limit + 1, 10**9):
+        with pytest.raises(ValueError) as err:
+            scan(m_max)
+        assert str(err.value) == f"m_max must be at most {limit}, got {m_max}"

@@ -132,7 +132,11 @@ class TestValidationMessages:
 
 class TestMalformedInputs:
     @pytest.mark.parametrize(
-        "horizon, shown", [(1.5, "1.5"), (True, "True"), (0, "0"), (np.int64(1), "np.int64(1)")]
+        "horizon, shown",
+        [
+            (1.5, "1.5"), (True, "True"), (0, "0"), (np.int64(0), "0"),
+            (np.float64(1.0), "np.float64(1.0)"),
+        ],
     )
     def test_horizon_must_be_a_positive_int(self, horizon, shown):
         with pytest.raises(ValueError) as err:
@@ -154,6 +158,38 @@ class TestMalformedInputs:
         with pytest.raises(ValueError) as err:
             LossSpec(space=DecisionSpace(("a", "b")), horizon=1, tables=((np.full(4, 0.5), bad),))
         assert str(err.value) == "step 1, decision 1: losses must be a 1-D real array"
+
+    @pytest.mark.parametrize(
+        "space, tables, message",
+        [
+            (("a",), (), "loss spec must cover at least one step"),
+            (("a", "b"), ((np.full(4, 0.5),),), "step 1: expected 2 decision tables"),
+        ],
+    )
+    def test_loss_spec_shape(self, space, tables, message):
+        with pytest.raises(ValueError) as err:
+            LossSpec(space=DecisionSpace(space), horizon=1, tables=tables)
+        assert str(err.value) == message
+
+    def test_loss_table_must_fit_its_depth(self):
+        loss = LossSpec(space=DecisionSpace(("a",)), horizon=1, tables=((np.full(3, 0.5),),))
+        with pytest.raises(ValueError) as err:
+            bayesian_strategy(uniform_binary_tree(2), loss)
+        assert str(err.value) == "step 1, decision 0: 3 losses for 4 depth-2 nodes"
+
+    @pytest.mark.parametrize(
+        "choices, message",
+        [
+            ((np.zeros(2, dtype=int),), "strategy covers 1 steps, losses 2"),
+            ((np.zeros(3, dtype=int), np.zeros(4, dtype=int)), "step 1: 3 choices for 2 depth-1 nodes"),
+        ],
+    )
+    def test_strategy_must_fit_the_problem(self, choices, message):
+        tree = uniform_binary_tree(3)
+        loss = random_loss(tree, 2, 1, 2, seed=0)
+        with pytest.raises(ValueError) as err:
+            total_losses(tree, loss, Strategy(choices=choices))
+        assert str(err.value) == message
 
     @pytest.mark.parametrize(
         "bad", [np.zeros(4), np.zeros((1, 4), dtype=int), np.zeros(4, dtype=bool), [0, 0, 0, 0]]
@@ -379,6 +415,44 @@ class TestShiftedSequence:
         alt = random_strategy(tree, loss, seed=23)
         seq = shifted_sequence(tree, loss, alt)
         assert all(np.allclose(v, 0.0) for v in seq.values)
+
+    @staticmethod
+    def dyadic_problem():
+        """Two steps at K = 1; decision b costs 0.5 more below depth-1 node 1 at step 1, else a tie.
+
+        Every loss and sum is a dyadic rational, so the reports' values are exact.
+        """
+        tree = uniform_binary_tree(3)
+        loss = LossSpec(
+            space=DecisionSpace(("a", "b")),
+            horizon=1,
+            tables=(
+                (np.full(4, 0.25), np.array([0.25, 0.25, 0.75, 0.75])),
+                (np.full(8, 0.25), np.full(8, 0.25)),
+            ),
+        )
+        always_b = Strategy(choices=(np.ones(2, dtype=int), np.ones(4, dtype=int)))
+        return tree, loss, always_b
+
+    def test_reports_a_non_dominant_strategy_in_the_bayesian_slot(self):
+        tree, loss, always_b = self.dyadic_problem()
+        bayes = bayesian_strategy(tree, loss)
+        prob = decision._problem(tree, loss)
+        prob.bayes = (always_b, *prob._realize(loss.horizon, always_b))
+        report = shifted_deviation_check(tree, loss, bayes)
+        assert report.failures == ("conditional mean 0.5 > 0 at step 1, depth-1 node 1",)
+        assert (report.max_conditional_mean, report.max_sum_identity_error) == (0.5, 0.0)
+
+    def test_reports_realized_totals_off_their_path_sums(self):
+        tree, loss, always_b = self.dyadic_problem()
+        prob = decision._problem(tree, loss)
+        bayes, steps, totals = prob.bayes
+        off = totals.copy()
+        off[5] += 0.5
+        prob.bayes = (bayes, steps, off)
+        report = shifted_deviation_check(tree, loss, always_b)
+        assert report.failures == ("path sum differs from realized regret by 0.5 at leaf 5",)
+        assert (report.max_conditional_mean, report.max_sum_identity_error) == (0.0, 0.5)
 
     @given(st.integers(0, 3000))
     @settings(max_examples=100, deadline=None)

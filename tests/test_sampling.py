@@ -256,6 +256,11 @@ class TestMcTail:
             mc_tail(broken, 0.5, sided="upper", trials=100_000, seed=0)
         assert calls == [32768, 32768, 32768]  # the failing chunk is not rerun per trial
 
+    def test_sampler_returning_the_wrong_count(self):
+        with pytest.raises(RuntimeError) as err:
+            mc_tail(lambda seed, trials: np.zeros(3), 0.5, sided="upper", trials=10, seed=0)
+        assert str(err.value) == "sampler returned 3 values for 10 trials"
+
     def test_rejects_bad_arguments(self):
         sampler = block_deviation_sampler(4, 2)
         with pytest.raises(ValueError):
@@ -265,7 +270,7 @@ class TestMcTail:
         for C in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="must be finite"):
                 mc_tail(sampler, C, sided="upper", trials=10, seed=0)
-        with pytest.raises(ValueError, match="workers must be at least 1, got 0"):
+        with pytest.raises(ValueError, match="workers must be a positive integer, got 0"):
             mc_tail(sampler, 1.0, sided="upper", trials=10, seed=0, workers=0)
 
     def test_coverage_over_repeated_seeds(self):

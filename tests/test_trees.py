@@ -265,6 +265,29 @@ class TestMalformedArrays:
             ProbabilityTree(parents=(np.array([0]),) + parents, branch_probs=(np.array([1.0]),) + probs)
         assert str(err.value) == f"depth 2: {message}"
 
+    @pytest.mark.parametrize(
+        "parents, probs, message",
+        [
+            ((np.array([0, 0]),), (), "parents and branch_probs must cover the same depths"),
+            (
+                (np.array([0, 0]),),
+                (np.array([1.0]),),
+                "depth 1: parent and probability arrays differ in length",
+            ),
+            ((np.array([], dtype=int),), (np.array([]),), "depth 1: empty level"),
+        ],
+    )
+    def test_tree_shape(self, parents, probs, message):
+        with pytest.raises(ValueError) as err:
+            ProbabilityTree(parents=parents, branch_probs=probs)
+        assert str(err.value) == message
+
+    def test_sequence_longer_than_the_tree(self):
+        seq = AdaptedSequence(values=(np.zeros(2), np.zeros(4), np.zeros(4)))
+        with pytest.raises(ValueError) as err:
+            deviation_per_leaf(two_level_tree(), seq, 1)
+        assert str(err.value) == "sequence has 3 steps but tree depth is 2"
+
     @pytest.mark.parametrize("bad", [np.array([[0.1, 0.2]]), [0.1, 0.2]])
     def test_sequence_steps(self, bad):
         with pytest.raises(ValueError) as err:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections import deque
 
 from . import DEFAULT_SEED, bounds
 from .output import format_csv, format_json, make_output_dir, write_output
@@ -24,10 +23,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_TREEFILE = 3
 EXIT_VERIFY = 4
-
-#: `construct --imbalance M` scans up to M in exact integers (0.1 s at the limit).
-_SCANNED_IMBALANCE_M_MAX = 10_000
-
 
 class CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_USAGE):
@@ -108,17 +103,16 @@ def cmd_construct(args) -> int:
     if args.min_imbalance:
         m_max = config["m_max"] = 10_000 if args.m_max is None else args.m_max
         m_star, p_star = constructions.min_imbalance_prob(m_max)
-        row = {"m_star": m_star, "p_star": p_star}
-        if m_star <= 64:
-            row["p_star_exact"] = str(constructions.imbalance_prob_exact(m_star))
+        row = {"m_star": m_star, "p_star": p_star,
+               "p_star_exact": str(constructions.imbalance_prob_exact(m_star))}
         _emit([row], config, args)
         return EXIT_OK
     if args.imbalance is not None:
         m = config["m"] = args.imbalance
         k0 = constructions.imbalance_threshold(m)
-        if m <= _SCANNED_IMBALANCE_M_MAX:
-            # The scan's last row: the same correctly rounded value `scan --what imbalance` prints.
-            prob = deque(constructions._imbalance_probs(m), maxlen=1)[0][2]
+        if m <= constructions._IMBALANCE_M_MAX:
+            # Correctly rounded, the value the row of `scan --what imbalance` prints.
+            prob = float(constructions.imbalance_prob_exact(m))
         else:
             prob = constructions.imbalance_prob(m)
         row = {"m": m, "count_threshold": k0, "probability": prob}

@@ -9,11 +9,11 @@ Everything about the construction therefore reduces to exact fair-binomial
 tail probabilities, which this module computes three ways: a float path for
 single tails, good to ~1e-13 relative up to m = 10^6 and refused above
 m = 10^9 (its window grows as sqrt(m); a central tail at 10^9 peaks at
-4.6 MB); an exact rational path (the `*_exact` functions) for small m; and,
-for the scans over a whole family of m (`_imbalance_probs`,
-`verify_mv_bound`), exact integer counts carried from one m or k to the
-next by Pascal's rule, each tail then one correctly rounded division
-count / 2^m.
+4.6 MB); for one m (the `*_exact` functions and `verify_mv_bound`), exact
+integer tail counts from one walk down from k = m, `_tail_counts`; and,
+for the scans over a whole family of m (`_imbalance_probs`), exact counts
+carried from one m to the next by Pascal's rule.  An exact tail is then
+the count over 2^m, as a Fraction or as one correctly rounded division.
 
 The float path starts once, from a pmf value: the correctly rounded integer
 ratio C(m, k)/2^m for moderate m or a short side of at most 64, and beyond
@@ -57,9 +57,11 @@ _COMB_MAX = 600
 # Largest m `binomial_upper_tail` takes: its window grows as sqrt(m).
 _TAIL_M_MAX = 10**9
 
-# Largest m_max of the exact scans, whose work grows as m_max^2 and about m_max^3.
-# On a 2-core x86 box (CPython 3.11) min_imbalance_prob took 0.06, 0.4 and 3.8 s
-# at 10^4, 3 * 10^4 and 10^5, and verify_mv_bound 0.19 and 1.2 s at 1600 and 3200.
+# Largest m of an exact tail, and m_max of the exact scans; their work grows as
+# m^2 and, for the mv audit, about m_max^3.  On a 2-core x86 box (CPython 3.11)
+# min_imbalance_prob took 0.06, 0.4 and 3.8 s at 10^4, 3 * 10^4 and 10^5,
+# binomial_upper_tail_exact 0.015 and 1.3 s at (10^4, 5050) and (10^5, 50159),
+# and verify_mv_bound 0.19 and 1.2 s at 1600 and 3200.
 _IMBALANCE_M_MAX = 10**5
 _MV_AUDIT_M_MAX = 3200
 
@@ -250,14 +252,27 @@ def _exact_sum(x: np.ndarray) -> float:
     return math.fsum(x.tolist())
 
 
+def _tail_counts(m: int, k_lo: int, k_hi: int) -> list[int]:
+    """[sum_{j >= k} C(m, j) for k_lo <= k <= k_hi] from one walk down from k = m (k_lo >= 1)."""
+    c, count, counts = 1, 0, []  # at k = m: C(m, k) and sum_{j > k} C(m, j); the kept counts
+    for k in range(m, k_lo - 1, -1):
+        count += c
+        if k <= k_hi:
+            counts.append(count)
+        c = c * k // (m - k + 1)  # C(m, k - 1), an exact division
+    return counts[::-1]
+
+
 def binomial_upper_tail_exact(m: int, k0: int) -> Fraction:
-    """Exact rational P(Binomial(m, 1/2) >= k0); intended for small m."""
+    """Exact rational P(Binomial(m, 1/2) >= k0); past the trivial tails, m <= `_IMBALANCE_M_MAX`."""
     m, k0 = _integer("m", m), _integer("k0", k0, lo=-math.inf)
     if k0 <= 0:
         return Fraction(1)
     if k0 > m:
         return Fraction(0)
-    return Fraction(sum(math.comb(m, k) for k in range(k0, m + 1)), 1 << m)
+    if m > _IMBALANCE_M_MAX:
+        raise ValueError(f"m must be at most {_IMBALANCE_M_MAX} for an exact tail, got {m!r}")
+    return Fraction(_tail_counts(m, k0, k0)[0], 1 << m)
 
 
 def sample_block_process(N: int, K: int, seed: int) -> tuple[int, ...]:
@@ -286,7 +301,7 @@ def imbalance_prob(m: int) -> float:
 
 
 def imbalance_prob_exact(m: int) -> Fraction:
-    """Rational-arithmetic version of `imbalance_prob` for small m."""
+    """Rational-arithmetic version of `imbalance_prob`, for m up to `_IMBALANCE_M_MAX`."""
     return binomial_upper_tail_exact(m, imbalance_threshold(m))
 
 
@@ -364,10 +379,10 @@ def verify_mv_bound(m_max: int) -> MvAuditReport:
     """Check P(Z >= m/2 + t) >= (1/15) exp(-16 t^2/m) on its whole domain.
 
     Scans every even m <= m_max and every integer t in [0, m/8], comparing
-    the correctly rounded exact tail (an integer count summed down from
-    k = m, over 2^m) with the bound.  Any violation would falsify the
-    lower-bound constant pair (1/15, 16), so violations are collected rather
-    than raised; `ok` reports the verdict.  m_max must lie in [8, `_MV_AUDIT_M_MAX`].
+    the correctly rounded exact tail (a `_tail_counts` count over 2^m) with
+    the bound.  Any violation would falsify the lower-bound constant pair
+    (1/15, 16), so violations are collected rather than raised; `ok` reports
+    the verdict.  m_max must lie in [8, `_MV_AUDIT_M_MAX`].
     """
     m_max = _integer("m_max", m_max, 8, _MV_AUDIT_M_MAX)
     violations = []
@@ -375,19 +390,8 @@ def verify_mv_bound(m_max: int) -> MvAuditReport:
     min_at = (0, 0)
     checked = 0
     for m in range(2, m_max + 1, 2):
-        half = m // 2
-        # Walking k down from m: c = C(m, k-1), count = sum_{j >= k-1} C(m, j).
-        c = count = 1
-        window = []
-        for k in range(m, half, -1):
-            c = c * k // (m - k + 1)
-            count += c
-            if k - 1 <= half + m // 8:
-                window.append(count)
-        for t, count in enumerate(reversed(window)):
-            tail = count / (1 << m)
-            lower = mv_lower_bound(m, t)
-            slack = tail - lower
+        for t, count in enumerate(_tail_counts(m, m // 2, m // 2 + m // 8)):
+            slack = count / (1 << m) - mv_lower_bound(m, t)
             checked += 1
             if slack < min_slack:
                 min_slack, min_at = slack, (m, t)

@@ -226,6 +226,7 @@ def mc_tail(
     """
     trials = _integer("trials", trials)
     _integer("workers", workers)
+    seed = _integer("seed", seed, 0, 2**64 - 1)  # a wider seed would alias a narrower one
     event = _tail_event(C, sided)
     hits = 0
     for start in range(0, trials, _CHUNK):

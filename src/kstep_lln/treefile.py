@@ -131,8 +131,6 @@ def bundle_from_dict(doc: dict) -> TreeBundle:
             labels, horizon, tables = block["decisions"], block["impact_horizon"], block["tables"]
             if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
                 raise TreeFileError("'decisions' must be a list of strings")
-            if type(horizon) is not int:
-                raise TreeFileError(f"'impact_horizon' must be an integer, got {horizon!r}")
             losses = LossSpec(
                 space=DecisionSpace(labels=tuple(labels)),
                 horizon=horizon,

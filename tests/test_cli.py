@@ -123,22 +123,26 @@ class TestConstruct:
         assert "0.109375" in out
 
     def test_single_imbalance_prints_the_scan_row(self, capsys):
-        code, out, _ = run(capsys, "scan", "--what", "imbalance", "--m-max", "500")
-        assert code == EXIT_OK
-        scan = records(out)[1]
-        for m in range(1, 501):
-            code, out, _ = run(capsys, "construct", "--imbalance", str(m))
+        # Above 10^4 too, where the float tail differs from the scan's row at most M.
+        above = (10_001, 10_004, 12_345, 17_389, 20_000)
+        for m_max, ms in ((500, range(1, 501)), (20_000, above)):
+            code, out, _ = run(capsys, "scan", "--what", "imbalance", "--m-max", str(m_max))
             assert code == EXIT_OK
-            (row,) = records(out)[1]
-            assert row == {k: scan[m - 1][k] for k in ("m", "count_threshold", "probability")}
-        code, out, _ = run(capsys, "construct", "--imbalance", "59")
-        assert records(out)[1][0]["probability"] == "0.14879760414221435"
+            scan = records(out)[1]
+            for m in ms:
+                code, out, _ = run(capsys, "construct", "--imbalance", str(m))
+                assert code == EXIT_OK
+                (row,) = records(out)[1]
+                assert row == {k: scan[m - 1][k] for k in ("m", "count_threshold", "probability")}
+        for m, prob in (("59", "0.14879760414221435"), ("10004", "0.15629598533628353")):
+            code, out, _ = run(capsys, "construct", "--imbalance", m)
+            assert records(out)[1][0]["probability"] == prob
 
     def test_single_imbalance_above_the_scan_limit_uses_the_float_tail(self, capsys):
-        code, out, _ = run(capsys, "construct", "--imbalance", "10001")
+        code, out, _ = run(capsys, "construct", "--imbalance", "100001")
         assert code == EXIT_OK
         (row,) = records(out)[1]
-        assert float(row["probability"]) == binomial_upper_tail(10001, int(row["count_threshold"]))
+        assert float(row["probability"]) == binomial_upper_tail(100001, int(row["count_threshold"]))
 
     def test_block_sample_deterministic(self, capsys):
         code1, out1, _ = run(capsys, "construct", "--N", "6", "--K", "3", "--seed", "11")

@@ -28,6 +28,7 @@ from kstep_lln.constructions import (
     _COMB_MAX,
     _EXACT_SUM_MIN,
     _F,
+    _IMBALANCE_M_MAX,
     _LN2,
     _TAIL_M_MAX,
     _TWO_PI,
@@ -199,6 +200,29 @@ class TestBinomialUpperTail:
     def test_rejects_nonpositive_m(self):
         with pytest.raises(ValueError):
             binomial_upper_tail(0, 0)
+
+    def test_exact_tail_is_the_comb_sum(self):
+        for m in range(1, 65):
+            for k0 in range(-1, m + 2):
+                count = sum(math.comb(m, k) for k in range(max(k0, 0), m + 1))
+                assert binomial_upper_tail_exact(m, k0) == Fraction(count, 2**m), (m, k0)
+
+    def test_tail_count_windows(self):
+        for m in range(1, 31):
+            counts = [sum(math.comb(m, j) for j in range(k, m + 1)) for k in range(m + 1)]
+            for lo, hi in itertools.combinations_with_replacement(range(1, m + 1), 2):
+                assert constructions._tail_counts(m, lo, hi) == counts[lo:hi + 1], (m, lo, hi)
+
+    @pytest.mark.parametrize("m", [_IMBALANCE_M_MAX + 1, 10**30])
+    def test_exact_tail_refuses_m_above_the_limit_before_the_walk(self, m):
+        # At 10^30 the walk would never end; the refusal comes at once.
+        for k0 in (1, m // 2 + 1, m):
+            with pytest.raises(ValueError, match=f"at most {_IMBALANCE_M_MAX} .* got {m}$"):
+                binomial_upper_tail_exact(m, k0)
+        assert [binomial_upper_tail_exact(m, k0) for k0 in (-1, 0, m + 1)] == [1, 1, 0]
+        assert binomial_upper_tail_exact(_IMBALANCE_M_MAX, _IMBALANCE_M_MAX) == Fraction(
+            1, 2**_IMBALANCE_M_MAX
+        )
 
     @pytest.mark.parametrize("m", [_TAIL_M_MAX + 1, 10**11, 10**30])
     def test_refuses_m_above_the_limit_before_allocating(self, m):
@@ -457,7 +481,8 @@ class TestMvAudit:
     def test_larger_scan_clean(self):
         report = verify_mv_bound(200)
         assert report.ok
-        assert not report.violations
+        assert (report.pairs_checked, report.violations) == (1325, ())
+        assert (report.min_slack, report.min_slack_at) == (0.0002497132432088767, (200, 25))
 
     def test_rejects_tiny_range(self):
         with pytest.raises(ValueError):

@@ -273,6 +273,22 @@ class TestMcTail:
         with pytest.raises(ValueError, match="workers must be a positive integer, got 0"):
             mc_tail(sampler, 1.0, sided="upper", trials=10, seed=0, workers=0)
 
+    def test_rejects_seeds_that_would_alias_before_sampling(self):
+        # Seeds become 64-bit stream keys: 2^64 + 12345 would draw what 12345 draws.
+        def never(seed, trials):
+            raise AssertionError("sampler called")
+
+        refused = ((-1, "at least 0"), (2**64 + 12345, f"at most {2**64 - 1}"), (1.5, "an integer"))
+        for seed, limit in refused:
+            with pytest.raises(ValueError, match=f"seed must be {limit}"):
+                mc_tail(never, 0.5, sided="upper", trials=10, seed=seed)
+        sampler = tree_deviation_sampler(*random_tree(3, 2, seed=1), 1)
+        kwargs = dict(sided="upper", trials=2000)
+        assert mc_tail(sampler, 0.5, seed=np.uint64(12345), **kwargs) == mc_tail(
+            sampler, 0.5, seed=12345, **kwargs
+        )
+        assert mc_tail(sampler, 0.5, seed=2**64 - 1, **kwargs).trials == 2000
+
     def test_coverage_over_repeated_seeds(self):
         # 99% intervals of a conservative exact method must contain the true
         # value nearly always; 194/200 allows more than 4 sigma of slack.

@@ -216,7 +216,8 @@ class TestErrors:
         with pytest.raises(TreeFileError, match="too shallow"):
             bundle_from_dict(doc)
         doc["losses"]["impact_horizon"] = 2.0
-        with pytest.raises(TreeFileError, match="impact_horizon"):
+        message = "invalid losses block: impact horizon must be a positive integer, got 2.0"
+        with pytest.raises(TreeFileError, match=message):
             bundle_from_dict(doc)
 
     @pytest.mark.parametrize(

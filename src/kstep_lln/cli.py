@@ -364,7 +364,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except Exception as exc:  # pragma: no cover - last-resort diagnostics
+    except Exception as exc:  # last-resort diagnostics
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
 

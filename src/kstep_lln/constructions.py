@@ -272,6 +272,8 @@ def binomial_upper_tail_exact(m: int, k0: int) -> Fraction:
         return Fraction(0)
     if m > _IMBALANCE_M_MAX:
         raise ValueError(f"m must be at most {_IMBALANCE_M_MAX} for an exact tail, got {m!r}")
+    if 2 * k0 <= m:  # walk the short side: P(Z >= k0) = 1 - P(Z >= m - k0 + 1)
+        return 1 - binomial_upper_tail_exact(m, m - k0 + 1)
     return Fraction(_tail_counts(m, k0, k0)[0], 1 << m)
 
 

@@ -10,15 +10,17 @@ applied to the shifted difference sequence, nearly unbeatable in total
 loss over N steps: any rival's lead at the usual threshold has probability
 below eps/2.  Decisions never influence the tree's dynamics.
 
-A loss spec, like a tree, is immutable after construction.  Each (tree,
-loss) pair becomes one decision problem, validated and built in one step:
-its stacked loss tables, expected-loss stacks, Bayesian strategy and that
-strategy's realized losses.  The loss spec caches the last tree's problem,
-the Bayesian strategy and the last rival: the rival is validated once and
-its per-step and total realized losses are kept until another rival or
-tree is used, so strategies passed in must not be modified either.  Arrays
-handed out from that cache are read-only.  Sums over the tree use the two
-walks of `trees`: `_pull_back` for expected losses, `_path_sums` for totals;
+A loss spec, like a tree, is immutable after construction.  Its losses,
+and a strategy's choices, pass the per-step rule of `trees`: losses real
+in [0, 1], choices integer menu indices.  Each (tree, loss) pair becomes
+one decision problem, validated and built in one step: its stacked loss
+tables, expected-loss stacks, Bayesian strategy and that strategy's
+realized losses.  The loss spec caches the last tree's problem, the
+Bayesian strategy and the last rival: the rival is validated once and its
+per-step and total realized losses are kept until another rival or tree is
+used, so strategies passed in must not be modified either.  Arrays handed
+out from that cache are read-only.  Sums over the tree use the two walks
+of `trees`: `_pull_back` for expected losses, `_path_sums` for totals;
 choices are carried down by their level step, `_step_down`.
 """
 
@@ -32,7 +34,7 @@ import numpy as np
 from .bounds import _integer
 from .constructions import _exact_sum, _tail_event
 from .trees import (
-    _REAL_KINDS, AdaptedSequence, ProbabilityTree, _first_outside, _path_sums, _pull_back,
+    _REAL_KINDS, AdaptedSequence, ProbabilityTree, _check_steps, _path_sums, _pull_back,
     _step_down,
 )
 
@@ -86,16 +88,11 @@ class LossSpec:
         for n, per_decision in enumerate(self.tables, start=1):
             if len(per_decision) != k:
                 raise ValueError(f"step {n}: expected {k} decision tables")
-            for d, tab in enumerate(per_decision):
-                if not (
-                    isinstance(tab, np.ndarray) and tab.ndim == 1 and tab.dtype.kind in _REAL_KINDS
-                ):
-                    raise ValueError(f"step {n}, decision {d}: losses must be a 1-D real array")
-        flat = [tab for per_decision in self.tables for tab in per_decision]
-        bad = _first_outside(flat, 0.0, 1.0)
-        if bad is not None:
-            n, d = divmod(bad, k)
-            raise ValueError(f"step {n + 1}, decision {d}: losses must lie in [0, 1]")
+        _check_steps(
+            [tab for per_decision in self.tables for tab in per_decision],
+            lambda i: f"step {i // k + 1}, decision {i % k}", _REAL_KINDS, 0.0, 1.0,
+            "losses must be a 1-D real array", "losses must lie in [0, 1]",
+        )
         # The decision problem of the last tree used with this spec; see `_problem`.
         object.__setattr__(self, "_last", None)
 
@@ -200,15 +197,14 @@ def _problem(tree: ProbabilityTree, loss: LossSpec) -> _Problem:
 def _check_strategy(tree: ProbabilityTree, loss: LossSpec, strategy: Strategy) -> None:
     if strategy.n_steps != loss.n_steps:
         raise ValueError(f"strategy covers {strategy.n_steps} steps, losses {loss.n_steps}")
+    _check_steps(
+        strategy.choices, lambda i: f"step {i + 1}", "iu", 0, len(loss.space) - 1,
+        "choices must be a 1-D integer array", "decision index out of range",
+    )
     counts = tree.node_counts
     for n, ch in enumerate(strategy.choices, start=1):
-        if not (isinstance(ch, np.ndarray) and ch.ndim == 1 and ch.dtype.kind in "iu"):
-            raise ValueError(f"step {n}: choices must be a 1-D integer array")
         if len(ch) != counts[n]:
             raise ValueError(f"step {n}: {len(ch)} choices for {counts[n]} depth-{n} nodes")
-    bad = _first_outside(strategy.choices, 0, len(loss.space) - 1)
-    if bad is not None:
-        raise ValueError(f"step {bad + 1}: decision index out of range")
 
 
 def expected_losses(tree: ProbabilityTree, loss: LossSpec, n: int, d: int) -> np.ndarray:

@@ -24,33 +24,29 @@ level up (the per-parent `bincount` the check needs anyway serves as this
 range check, and a fan-out level, below, is in range by construction),
 every branch probability is positive, and each parent's branch
 probabilities sum to 1 within 1e-12; then the leaf probabilities, formed
-once, must total 1 within 1e-9.  An adapted sequence checks that each step
-is a 1-D real array of finite values bounded by 1 in absolute value.  The
-value checks are grouped: every array of at most `_GROUP_MAX` = 4096
-entries is concatenated into one and reduced once, because each numpy call
-costs about a microsecond however small its array, while a larger array is
-reduced on its own, because copying it costs more than the calls saved.
-Only a failed check looks at the arrays one by one, so an error names the
-first faulty depth or step.
+once, must total 1 within 1e-9.  Sequences, loss specs (see `decision`)
+and strategies pass one per-step rule, `_check_steps`: each step is a 1-D
+array, real for values and losses and integer for choices, with every
+entry in range (a value finite and bounded by 1 in absolute value).  An
+error names the first faulty depth or step, a dtype fault before a range
+fault.
 
 Trees and loss specs (see `decision`) are immutable after construction,
 and their arrays must not be modified once built: derived quantities are
 cached on them.  Block trees enforce this: their levels are read-only
-views of shared arrays, so a write raises.  numpy's bincount and argmin
-copy a read-only array before they read it, so an array of more than
-`_GROUP_MAX` entries is checked with min and max.  Validation also finds
-every level of more than `_GROUP_MAX` nodes whose parents are 0, ..., 0,
-1, ..., 1, and so on, each repeated b <= 16 times: a level of fan-out b
-(b = 1 passes each node through to one child).  The walks step down such a
-level by np.repeat, or not at all, and sum it per parent by columns, so
-they never gather or scatter through its parent array; every large level
-of a block tree is one.  A large read-only level of any other shape is
-summed by bincount, copy and all.  A tree keeps the node counts, fan-outs
-and leaf probabilities its validation computes; an adapted sequence keeps
-its deviation per leaf for the last (tree, lag) it was evaluated on; a
-loss spec keeps the last tree's problem, the Bayesian strategy and the
-last rival.  Arrays handed out from a cache are read-only.  Desk scale is
-about 10^6 leaves for exact enumeration; beyond that, sample.
+views of shared arrays, so a write raises.  Validation also finds every
+level of more than `_GROUP_MAX` nodes whose parents are 0, ..., 0, 1, ...,
+1, and so on, each repeated b <= 16 times: a level of fan-out b (b = 1
+passes each node through to one child).  The walks step down such a level
+by np.repeat, or not at all, and sum it per parent by columns, so they
+never gather or scatter through its parent array; every large level of a
+block tree is one.  A large read-only level of any other shape is summed
+by bincount, copy and all.  A tree keeps the node counts, fan-outs and
+leaf probabilities its validation computes; an adapted sequence keeps its
+deviation per leaf for the last (tree, lag) it was evaluated on; a loss
+spec keeps the last tree's problem, the Bayesian strategy and the last
+rival.  Arrays handed out from a cache are read-only.  Desk scale is about
+10^6 leaves for exact enumeration; beyond that, sample.
 """
 
 from __future__ import annotations
@@ -128,6 +124,19 @@ def _first_outside(arrays, lo, hi) -> int | None:
     return next(i for i, a in enumerate(arrays) if a.size and not _inside(a, lo, hi))
 
 
+def _check_steps(arrays, where, kinds: str, lo, hi, not_array: str, outside: str) -> None:
+    """Refuse the first array not 1-D of a kind in `kinds`, then the first outside [lo, hi].
+
+    An error is `where(i)`, naming array i, then `not_array` or `outside`.
+    """
+    for i, a in enumerate(arrays):
+        if not (isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype.kind in kinds):
+            raise ValueError(f"{where(i)}: {not_array}")
+    bad = _first_outside(arrays, lo, hi)
+    if bad is not None:
+        raise ValueError(f"{where(bad)}: {outside}")
+
+
 def _level_fault(par, pr) -> str | None:
     """What is wrong with one level's array types and lengths, if anything."""
     if not (isinstance(par, np.ndarray) and par.ndim == 1 and par.dtype.char in _INDEX_CODES):
@@ -141,23 +150,22 @@ def _level_fault(par, pr) -> str | None:
     return None
 
 
-def _value_fault(levels) -> str | None:
+def _value_fault(probs, sums) -> str | None:
     """The shallowest non-positive branch probability or parent sum off 1, as a message.
 
-    `levels` holds (depth, branch probabilities, per-parent sums) in depth order;
-    at one depth a non-positive probability is reported before its sums.
+    `sums[i]` holds the per-parent sums of depth i + 1, for the depths checked so
+    far; at one depth a non-positive probability is reported before its sums.
     """
     # math.ulp(0.0) is the least positive double, so [ulp, inf] means "> 0"; a float64
     # scalar, as numpy rounds a Python float to 0.0 in a float16 or float32 array's dtype.
-    pos = _first_outside([pr for _, pr, _ in levels], np.float64(math.ulp(0.0)), math.inf)
-    off = _first_outside([sums for _, _, sums in levels], _SUM_LO, _SUM_HI)
+    pos = _first_outside(probs[: len(sums)], np.float64(math.ulp(0.0)), math.inf)
+    off = _first_outside(sums, _SUM_LO, _SUM_HI)
     if pos is not None and (off is None or pos <= off):
-        return f"depth {levels[pos][0]}: branch probabilities must be positive"
+        return f"depth {pos + 1}: branch probabilities must be positive"
     if off is None:
         return None
-    d, _, sums = levels[off]
-    bad = int(np.argmax(np.abs(sums - 1.0)))
-    return f"depth {d}: branch probabilities at parent {bad} sum to {float(sums[bad])!r}"
+    bad = int(np.argmax(np.abs(sums[off] - 1.0)))
+    return f"depth {off + 1}: branch probabilities at parent {bad} sum to {float(sums[off][bad])!r}"
 
 
 def _fan_out(par: np.ndarray, n_parents: int) -> int:
@@ -231,9 +239,7 @@ class ProbabilityTree:
             raise ValueError("parents and branch_probs must cover the same depths")
         if not self.parents:
             raise ValueError("tree must have depth at least 1")
-        counts = [1]
-        fan_outs = []
-        small = []  # (depth, branch probabilities, per-parent sums) left for the grouped check
+        counts, fan_outs, level_sums = [1], [], []
         for d, (par, pr) in enumerate(zip(self.parents, self.branch_probs), start=1):
             fault = _level_fault(par, pr)
             if fault is None:
@@ -248,14 +254,11 @@ class ProbabilityTree:
                 if sums is None or len(sums) > counts[-1]:
                     fault = "parent index out of range"
             if fault is not None:
-                raise ValueError(_value_fault(small) or f"depth {d}: {fault}")
+                raise ValueError(_value_fault(self.branch_probs, level_sums) or f"depth {d}: {fault}")
             counts.append(len(par))
             fan_outs.append(b)
-            if len(par) <= _GROUP_MAX:
-                small.append((d, pr, sums))
-            elif fault := _value_fault([(d, pr, sums)]):
-                raise ValueError(_value_fault(small) or fault)
-        if fault := _value_fault(small):
+            level_sums.append(sums)
+        if fault := _value_fault(self.branch_probs, level_sums):
             raise ValueError(fault)
         object.__setattr__(self, "_node_counts", tuple(counts))
         object.__setattr__(self, "_fan_outs", tuple(fan_outs))
@@ -303,14 +306,11 @@ class AdaptedSequence:
     def __post_init__(self) -> None:
         if not self.values:
             raise ValueError("sequence must cover at least one step")
-        for n, v in enumerate(self.values, start=1):
-            if not (isinstance(v, np.ndarray) and v.ndim == 1 and v.dtype.kind in _REAL_KINDS):
-                raise ValueError(f"step {n}: values must be a 1-D real array")
-        bad = _first_outside(self.values, -1.0, 1.0)
-        if bad is not None:
-            raise ValueError(
-                f"step {bad + 1}: values must be finite and bounded by 1 in absolute value"
-            )
+        _check_steps(
+            self.values, lambda i: f"step {i + 1}", _REAL_KINDS, -1.0, 1.0,
+            "values must be a 1-D real array",
+            "values must be finite and bounded by 1 in absolute value",
+        )
         # (tree, lag, deviation per leaf) of the last `deviation_per_leaf` call.
         object.__setattr__(self, "_deviation", (None, 0, None))
 

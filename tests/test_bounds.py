@@ -249,6 +249,12 @@ class TestSuitableXCheck:
         assert suitable_x_check(0.70, 2.0)
         assert not suitable_x_check(0.71, 2.0)
 
+    @pytest.mark.parametrize("eps", [0.0, 1.0, math.nan])
+    def test_rejects_epsilon_outside_the_open_unit_interval(self, eps):
+        with pytest.raises(ValueError) as err:
+            suitable_x_check(eps, 2.0)
+        assert str(err.value) == f"epsilon must lie in (0, 1), got {eps!r}"
+
     def test_equality_case_is_strict(self):
         # At eps = 1/e, x = 1: both sides equal 1, strict inequality fails.
         assert not suitable_x_check(math.exp(-1), 1.0)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kstep_lln import bounds, constructions, decision, verify
+from kstep_lln import bounds, cli, constructions, decision, verify
 from kstep_lln.bounds import gaussian_survival
 from kstep_lln.cli import EXIT_OK, EXIT_TREEFILE, EXIT_USAGE, EXIT_VERIFY, main
 from kstep_lln.constructions import binomial_upper_tail, imbalance_prob_exact
@@ -58,6 +58,14 @@ class TestBound:
         code, _, err = run(capsys, "bound", "--N", "100", "--K", "5", "--epsilon", "0.75")
         assert code == EXIT_USAGE
         assert "0.7" in err
+
+    def test_unexpected_exception_is_an_internal_error(self, capsys, monkeypatch):
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_bound", boom)
+        code, out, err = run(capsys, "bound", "--N", "100", "--K", "5", "--epsilon", "0.05")
+        assert (code, out, err) == (1, "", "internal error: boom\n")
 
 
 class TestInvert:

@@ -207,6 +207,19 @@ class TestBinomialUpperTail:
                 count = sum(math.comb(m, k) for k in range(max(k0, 0), m + 1))
                 assert binomial_upper_tail_exact(m, k0) == Fraction(count, 2**m), (m, k0)
 
+    def test_exact_tail_walks_the_short_side(self, monkeypatch):
+        m, starts = 200, []
+        walk = constructions._tail_counts
+
+        def spy(m, k_lo, k_hi):
+            starts.append(k_lo)
+            return walk(m, k_lo, k_hi)
+
+        monkeypatch.setattr(constructions, "_tail_counts", spy)
+        for k0 in range(1, m + 1):
+            binomial_upper_tail_exact(m, k0)
+        assert len(starts) == m and all(2 * k_lo > m for k_lo in starts)
+
     def test_tail_count_windows(self):
         for m in range(1, 31):
             counts = [sum(math.comb(m, j) for j in range(k, m + 1)) for k in range(m + 1)]

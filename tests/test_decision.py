@@ -130,6 +130,20 @@ class TestValidationMessages:
         assert str(err.value) == f"step {at}: decision index out of range"
 
 
+    def test_dtype_fault_is_reported_before_a_shallower_range_fault(self):
+        tables = two_decision_tables(2)
+        tables[0][0][0] = 1.5
+        tables[1][1] = tables[1][1].astype(complex)
+        with pytest.raises(ValueError) as err:
+            LossSpec(space=DecisionSpace(("a", "b")), horizon=1, tables=tuple(map(tuple, tables)))
+        assert str(err.value) == "step 2, decision 1: losses must be a 1-D real array"
+        tree = uniform_binary_tree(3)
+        loss = random_loss(tree, 2, 1, 2, seed=0)
+        with pytest.raises(ValueError) as err:
+            total_losses(tree, loss, Strategy(choices=(np.array([2, 0]), np.zeros(4))))
+        assert str(err.value) == "step 2: choices must be a 1-D integer array"
+
+
 class TestMalformedInputs:
     @pytest.mark.parametrize(
         "horizon, shown",

@@ -187,6 +187,18 @@ class TestConstructionMessages:
             parents, probs, f"depth 3: branch probabilities at parent 3 sum to {SUM_11}"
         )
 
+    def test_large_value_fault_is_reported_before_a_deeper_structural_one(self):
+        # Depth 13 has 8192 nodes, above the size that validation reduces in groups.
+        parents, probs = binary_levels(14)
+        probs[12][0] = 0.0
+        parents[13][-1] = 2**13
+        self.assert_rejected(parents, probs, "depth 13: branch probabilities must be positive")
+
+    def test_dtype_fault_is_reported_before_a_shallower_range_fault(self):
+        with pytest.raises(ValueError) as err:
+            AdaptedSequence(values=(np.array([1.5, 0.0]), np.zeros(4, dtype=complex)))
+        assert str(err.value) == "step 2: values must be a 1-D real array"
+
     @pytest.mark.parametrize("step_count, at", FAULT_PLACES)
     @pytest.mark.parametrize(
         "bad", [1.5, -2.0, math.nan, math.nextafter(1.0, 2.0), -math.nextafter(1.0, 2.0)]

@@ -146,17 +146,34 @@ def gaussian_survival(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-def _survival_integral(a: float, lo: float, hi: float) -> float:
-    """Closed form of int_lo^hi min(1, exp(-a x^2)) dx, for lo < hi and hi > 0.
+# Below s u = 1/16 (s = sqrt(a), u the upper limit) erfc(s t) - erfc(s u) cancels, both
+# near 1; criterion-4-shaped grids (N = K m, C = r sqrt(K N)) have s u > r/sqrt 2 >= 0.177.
+_SERIES_MAX = 1.0 / 16.0
+_SERIES = tuple((-1) ** n / (math.factorial(n) * (2 * n + 1)) for n in range(6))
 
-    The part of [lo, hi] below 0 contributes its length.  Above 0 the
-    difference of complementary error functions keeps deep tails from
-    cancelling to 0, as a difference of error functions would.  hi may be
-    infinite.
+
+def _objective(ap: AggregationParams, relaxed: bool):
+    """t -> `aggregation_objective(ap, t, relaxed)` for t < C/K, s and w computed once.
+
+    For y = s u >= `_SERIES_MAX` the integral above 0 is w (erfc(x) - erfc(y)), x = s max(t, 0),
+    w = sqrt(pi/(4a)); erfc(0) = 1 and erfc(inf) = 0 are not called.  Below, it is
+    (u - max(t, 0)) sum_n (-1)^n h_2n / (n! (2n+1)), h_k = sum_j x^j y^(k-j), the terms past
+    n = 5 below 1e-17 relative; for t >= 0 that factor is C - K t, so nothing cancels.
     """
-    s = math.sqrt(a)
-    tail = math.erfc(s * max(lo, 0.0)) - math.erfc(s * hi)
-    return max(0.0, -lo) + math.sqrt(math.pi / (4.0 * a)) * tail
+    C, K, K1 = ap.C, ap.K, ap.K - 1
+    s, w = math.sqrt(ap.a), math.sqrt(math.pi / (4.0 * ap.a))
+
+    def f(t: float) -> float:
+        u = math.inf if relaxed else C - K1 * t
+        if s * u < _SERIES_MAX:
+            x, y, h, total = s * max(t, 0.0), s * u, 1.0, 0.0
+            for n, c in enumerate(_SERIES):  # h = h_2n, and h_2n+2 = y^2 h_2n + x^(2n+1) (x + y)
+                total, h = total + c * h, y * y * h + x ** (2 * n + 1) * (x + y)
+            return K * total if t >= 0 else K * (u * total - t) / (C - K * t)
+        tail = (math.erfc(s * t) if t > 0 else 1.0) - (0.0 if relaxed else math.erfc(s * u))
+        return K * (w * tail if t > 0 else -t + w * tail) / (C - K * t)
+
+    return f
 
 
 def aggregation_objective(ap: AggregationParams, t: float, relaxed: bool = False) -> float:
@@ -169,13 +186,11 @@ def aggregation_objective(ap: AggregationParams, t: float, relaxed: bool = False
     """
     if t >= ap.C / ap.K:
         raise ValueError(f"t must be below C/K = {ap.C / ap.K!r}, got {t!r}")
-    hi = math.inf if relaxed else ap.C - (ap.K - 1) * t
-    return ap.K * _survival_integral(ap.a, t, hi) / (ap.C - ap.K * t)
+    return _objective(ap, relaxed)(t)
 
 
-def _golden_section(f, lo: float, hi: float) -> float:
+def _golden_section(f, a: float, b: float) -> float:
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
@@ -197,15 +212,15 @@ def aggregation_bound(ap: AggregationParams, relaxed: bool = False) -> float:
     """Infimum of `aggregation_objective` over t in (-inf, C/K), clamped to [0, 1].
 
     This is the dual bound of Embrechts & Puccetti (Finance Stoch. 2006) on
-    P(X_1 + ... + X_K >= C) over all dependence structures of K summands
-    with survival min(1, exp(-a x^2)); at K = 2 it is sharp (Makarov 1981).
-    The search runs on [-C, C/K - delta] with delta = 1e-5 * C/K: a coarse
-    uniform grid plus a geometric ladder of points approaching C/K from
-    below, always including the midpoint t = C/(2K).  The best grid point
-    is then refined by golden-section between its neighbours.  The exact
-    objective tends to K exp(-a (C/K)^2) as t -> C/K, a limit that is not
-    attained; it is taken in closed form, since closer to C/K than delta
-    the error-function difference loses most of its digits.
+    P(X_1 + ... + X_K >= C) over all dependence structures of K summands with
+    survival min(1, exp(-a x^2)): sharp at K = 2 (Makarov 1981), and at K = 1
+    the marginal tail exp(-a C^2) to within 1e-12.  The objective, built once,
+    is an erfc difference for s u >= 1/16 (s = sqrt(a), u the upper limit) and
+    a power series below.  The search on [-C, C/K - delta], delta = 1e-5 C/K,
+    takes a uniform grid, a geometric ladder towards C/K and t = C/(2K), then
+    golden-section between the best point's neighbours.  The limit K exp(-a
+    (C/K)^2) as t -> C/K, not attained, is taken in closed form, since closer
+    to C/K than delta the error-function difference loses most of its digits.
     """
     T = ap.C / ap.K
     delta = 1e-5 * T
@@ -215,16 +230,14 @@ def aggregation_bound(ap: AggregationParams, relaxed: bool = False) -> float:
     while gap > delta:
         gap *= 0.5
         candidates.append(T - gap)
-    candidates.append(T - delta)
-    candidates.append(ap.C / (2.0 * ap.K))
+    candidates += [T - delta, ap.C / (2.0 * ap.K)]
     candidates = sorted(set(c for c in candidates if left <= c <= T - delta))
 
-    values = [aggregation_objective(ap, t, relaxed) for t in candidates]
+    objective = _objective(ap, relaxed)
+    values = [objective(t) for t in candidates]
     best = min(range(len(values)), key=values.__getitem__)
-    lo = candidates[max(best - 1, 0)]
-    hi = candidates[min(best + 1, len(candidates) - 1)]
-    refined = _golden_section(lambda t: aggregation_objective(ap, t, relaxed), lo, hi)
-    value = min(values[best], refined)
+    lo, hi = candidates[max(best - 1, 0)], candidates[min(best + 1, len(candidates) - 1)]
+    value = min(values[best], _golden_section(objective, lo, hi))
     if not relaxed:
         value = min(value, ap.K * math.exp(-ap.a * T * T))
     return min(1.0, max(0.0, value))

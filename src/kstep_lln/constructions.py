@@ -202,28 +202,30 @@ def binomial_upper_tail(m: int, k0: int) -> float:
         return 0.0
     if m > _TAIL_M_MAX:
         raise ValueError(f"m must be at most {_TAIL_M_MAX} for a binomial tail, got {m!r}")
-    if 2 * k0 <= m:
-        # P(>= k0) = 1 - P(<= k0-1) = 1 - P(>= m-k0+1) by coin symmetry.
-        return 1.0 - binomial_upper_tail(m, m - k0 + 1)
+    # P(>= k0) = 1 - P(<= k0-1) = 1 - P(>= m-k0+1) by coin symmetry.
+    return 1.0 - _upper_tail(m, m - k0 + 1) if 2 * k0 <= m else _upper_tail(m, k0)
 
+
+def _upper_tail(m: int, k0: int) -> float:
+    """`binomial_upper_tail(m, k0)` for m/2 < k0 <= m, its arguments already checked."""
     term = _pmf_float(m, k0)
     # With k0 > m/2, step i leaves from k >= m/2 + i + 1/2, where the ratio
     # (m-k)/(k+1) is below (1-y)/(1+y) <= e^{-2y} for y = 2(k - m/2)/m; so the
     # term j steps on is below e^{-2j^2/m} of the first.  Past 6 sqrt(m) steps
     # that is under e^{-72} ~ 2^-104, so every later term, and their sum, is
     # far below an ulp of the tail.  terms[i] is pmf(k0 + i): the ratio into
-    # k0 is set to 1, so the window starts at term itself.
-    ks = np.arange(k0 - 1, min(m, k0 + 6 * math.isqrt(m) + 6), dtype=np.float64)
-    terms = m - ks
-    terms /= ks + 1.0
+    # k0 is set to 1, so the window starts at term itself, its largest entry.
+    stop = min(m, k0 + 6 * math.isqrt(m) + 6)
+    terms = np.arange(m - k0 + 1, m - stop, -1, dtype=np.float64)
+    terms /= np.arange(k0, stop + 1, dtype=np.float64)
     terms[0] = 1.0
-    np.cumprod(terms, out=terms)
+    np.multiply.accumulate(terms, out=terms)
     terms *= term
-    return _exact_sum(terms)
+    return _exact_sum(terms, term)
 
 
-def _exact_sum(x: np.ndarray) -> float:
-    """math.fsum(x.tolist()) for a 1-D array of non-negative finite floats.
+def _exact_sum(x: np.ndarray, top: float | None = None) -> float:
+    """math.fsum(x.tolist()) for a 1-D array of non-negative finite floats, `top` max(x) if known.
 
     The extraction step of Rump, Ogita & Oishi (SIAM J. Sci. Comput. 31,
     2008) splits each entry at a power of two sigma >= (n + 2) max(x):
@@ -237,14 +239,14 @@ def _exact_sum(x: np.ndarray) -> float:
     the underflow or overflow range, it is fsum itself.
     """
     n = len(x)
-    top = (n + 2) * float(x.max()) if n >= _EXACT_SUM_MIN else 0.0
+    top = (n + 2) * (top or float(np.maximum.reduce(x))) if n >= _EXACT_SUM_MIN else 0.0
     if not 2.0**-800 <= top <= 2.0**1000:
         return math.fsum(x.tolist())
     sigma = math.ldexp(1.0, math.frexp(top)[1])  # a power of two >= top
     q = x + sigma
     q -= sigma
-    hi = float(q.sum())
-    lo = float(np.subtract(x, q, out=q).sum())
+    hi = float(np.add.reduce(q))
+    lo = float(np.add.reduce(np.subtract(x, q, out=q)))
     err = n * n * sigma * 2.0**-104
     total = hi + math.nextafter(lo - err, -math.inf)
     if total == hi + math.nextafter(lo + err, math.inf):

@@ -96,12 +96,12 @@ _REAL_KINDS = "biuf"
 
 
 def _inside(a: np.ndarray, lo, hi) -> bool:
-    # NaN fails both comparisons.  a[a.argmin()] is a.min(), NaN included, at a
-    # third of its cost on small arrays; but argmin copies a read-only array
-    # first, which tripled its cost on a 2^20-entry block-tree level.
+    # NaN fails lo <= min.  a[a.argmin()] is a.min(), NaN included, at a third of its
+    # cost on small arrays; but argmin copies a read-only array first, which tripled
+    # its cost on a 2^20-entry block-tree level.  hi = +inf needs no maximum.
     if a.size > _GROUP_MAX:
-        return bool(lo <= a.min() and a.max() <= hi)
-    return bool(lo <= a[a.argmin()] and a[a.argmax()] <= hi)
+        return bool(lo <= a.min() and (hi == math.inf or a.max() <= hi))
+    return bool(lo <= a[a.argmin()] and (hi == math.inf or a[a.argmax()] <= hi))
 
 
 def _first_outside(arrays, lo, hi) -> int | None:

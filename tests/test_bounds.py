@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from kstep_lln.bounds import (
     HorizonParams,
     aggregation_bound,
     aggregation_objective,
+    dominance_rows,
     gaussian_survival,
     kr_threshold,
     midpoint_bound,
@@ -75,6 +77,51 @@ class TestGaussianSurvival:
         assert gaussian_survival(z) + gaussian_survival(-z) == pytest.approx(1.0, abs=1e-14)
 
 
+def _reference_objective(ap, t, relaxed=False):
+    """The objective as an erfc difference evaluated in full at every t, s and w included."""
+    s = math.sqrt(ap.a)
+    hi = math.inf if relaxed else ap.C - (ap.K - 1) * t
+    tail = math.erfc(s * max(t, 0.0)) - math.erfc(s * hi)
+    integral = max(0.0, -t) + math.sqrt(math.pi / (4.0 * ap.a)) * tail
+    return ap.K * integral / (ap.C - ap.K * t)
+
+
+def _reference_bound(ap, relaxed=False):
+    """`aggregation_bound`'s grid and golden-section search over `_reference_objective`."""
+    f = lambda t: _reference_objective(ap, t, relaxed)  # noqa: E731
+    T = ap.C / ap.K
+    delta = 1e-5 * T
+    left = -ap.C
+    candidates = [left + (T - delta - left) * i / 48.0 for i in range(49)]
+    gap = T - left
+    while gap > delta:
+        gap *= 0.5
+        candidates.append(T - gap)
+    candidates += [T - delta, ap.C / (2.0 * ap.K)]
+    candidates = sorted(set(c for c in candidates if left <= c <= T - delta))
+    values = [f(t) for t in candidates]
+    best = min(range(len(values)), key=values.__getitem__)
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = candidates[max(best - 1, 0)], candidates[min(best + 1, len(candidates) - 1)]
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(60):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+        if (b - a) <= 1e-9 * max(1.0, abs(a), abs(b)):
+            break
+    value = min(values[best], f(0.5 * (a + b)))
+    if not relaxed:
+        value = min(value, ap.K * math.exp(-ap.a * T * T))
+    return min(1.0, max(0.0, value))
+
+
 class TestAggregationBound:
     def test_single_summand_collapses_to_marginal_tail(self):
         # For K=1 the infimum is the limit toward the right endpoint, where
@@ -136,6 +183,63 @@ class TestAggregationBound:
             relaxed = aggregation_bound(ap, relaxed=True)
             N = round(ap.K / (2 * ap.a))
             assert exact <= relaxed + 1e-9 and relaxed <= midpoint_bound(ap.C, ap.K, N) + 1e-9, ap
+
+    def test_single_summand_is_the_marginal_tail_on_a_sweep(self):
+        # At K = 1 the bound is exp(-a C^2); small s C once cancelled it to 0.
+        # Where exp(-a C^2) is subnormal (N = 1, C near 38.45) the erfc
+        # difference underflows first and the bound reads 0.0: only there is
+        # the error measured against the least normal float instead.
+        for N in (1, 4, 16, 64, 1000):
+            for C in np.geomspace(1e-4, 50.0, 2000).tolist():
+                ap = AggregationParams.from_horizon(C, N, 1)
+                want = math.exp(-ap.a * C * C)
+                got = aggregation_bound(ap)
+                assert abs(got - want) <= 1e-12 * max(want, sys.float_info.min), (N, C, got)
+
+    @pytest.mark.parametrize("ap", [
+        AggregationParams.from_horizon(1e-12, 1, 1),
+        AggregationParams.from_horizon(1e-12, 9, 3),
+        AggregationParams(C=3.0, K=2, a=1e-300),
+    ])
+    def test_vanishing_rate_or_level_gives_one(self, ap):
+        assert aggregation_bound(ap) == pytest.approx(1.0, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("C, K, a", [
+        (1e-12, 1, 0.5), (1e-12, 3, 1 / 6), (3.0, 2, 2e-309), (0.05, 2, 0.25),
+        (0.5, 4, 0.01), (0.124, 1, 0.25), (0.126, 1, 0.25), (0.06, 3, 0.1),
+    ])
+    def test_small_argument_objective_matches_quadrature(self, C, K, a):
+        # Both sides of s u = 1/16 and both signs of t, away from t = C/K, where
+        # the reference's own C - K t and u - t part by more than 1e-12.
+        ap = AggregationParams(C=C, K=K, a=a)
+        T = C / K
+        for t in np.linspace(-C, T * (1 - 1e-3), 41).tolist():
+            u = C - (K - 1) * t
+            lo = max(t, 0.0)
+            integral, _ = quad(lambda x: math.exp(-a * x * x), lo, u, epsabs=0.0, epsrel=1e-13)
+            want = K * (max(0.0, -t) + integral) / (C - K * t)
+            got = aggregation_objective(ap, t)
+            assert got == pytest.approx(want, rel=1e-12, abs=0), (t, math.sqrt(a) * u)
+
+    @given(st.integers(1, 8), st.integers(1, 64), st.floats(0.1, 12.0))
+    @settings(max_examples=100, deadline=None)
+    def test_same_bits_as_the_reference_on_criterion_4_shapes(self, K, m, r):
+        # N = K m and C = r sqrt(K N) keep s u above r / sqrt 2 >= 0.07, on the
+        # erfc side of the series threshold 1/16.
+        ap = AggregationParams.from_horizon(r * math.sqrt(K * K * m), K * m, K)
+        assert math.sqrt(ap.a) * ap.C / ap.K >= 1 / 16
+        for relaxed in (False, True):
+            assert aggregation_bound(ap, relaxed) == _reference_bound(ap, relaxed)
+
+    def test_dominance_rows_keep_their_bits_on_criterion_4s_full_grid(self):
+        ks, ms = [1, 2, 3, 4, 5], [2, 4, 8, 16, 32]
+        rows = dominance_rows(ks, ms, [0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0])
+        assert len(rows) == 200
+        for row in rows:
+            ap = AggregationParams.from_horizon(row["C"], row["N"], row["K"])
+            assert row["exact"] == _reference_bound(ap, relaxed=False), row
+            assert row["relaxed"] == _reference_bound(ap, relaxed=True), row
+            assert row["midpoint"] == midpoint_bound(row["C"], row["K"], row["N"]), row
 
     def test_objective_clips_the_survival_at_one(self):
         # below 0 the integrand is 1: [-2, 0] adds its length 2 to int_0^inf exp(-x^2) dx

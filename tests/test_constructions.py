@@ -38,6 +38,37 @@ from kstep_lln.constructions import (
 from kstep_lln.trees import block_process_tree, exact_tail
 
 
+def _reference_exact_sum(x):
+    """`_exact_sum` as first written: the extraction with max(x) read from x."""
+    n = len(x)
+    top = (n + 2) * float(x.max()) if n >= _EXACT_SUM_MIN else 0.0
+    if not 2.0**-800 <= top <= 2.0**1000:
+        return math.fsum(x.tolist())
+    sigma = math.ldexp(1.0, math.frexp(top)[1])
+    q = x + sigma
+    q -= sigma
+    hi = float(q.sum())
+    lo = float(np.subtract(x, q, out=q).sum())
+    err = n * n * sigma * 2.0**-104
+    total = hi + math.nextafter(lo - err, -math.inf)
+    if total == hi + math.nextafter(lo + err, math.inf):
+        return total
+    return math.fsum(x.tolist())
+
+
+def _reference_tail(m, k0):
+    """`binomial_upper_tail` for 0 < k0 <= m as first written: the window from one arange of k."""
+    if 2 * k0 <= m:
+        return 1.0 - _reference_tail(m, m - k0 + 1)
+    ks = np.arange(k0 - 1, min(m, k0 + 6 * math.isqrt(m) + 6), dtype=np.float64)
+    terms = m - ks
+    terms /= ks + 1.0
+    terms[0] = 1.0
+    np.cumprod(terms, out=terms)
+    terms *= _pmf_float(m, k0)
+    return _reference_exact_sum(terms)
+
+
 class TestBinomialUpperTail:
     def test_headline_constant(self):
         assert binomial_upper_tail(6, 5) == 7 / 64
@@ -80,6 +111,19 @@ class TestBinomialUpperTail:
         ref = float(scipy.stats.binom.sf(k0 - 1, m, 0.5))
         if ref > 1e-300:
             assert ours == pytest.approx(ref, rel=1e-10)
+
+    @given(st.one_of(st.integers(1, 2 * _COMB_MAX), st.integers(1, 10**6)), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_same_bits_as_the_reference_window(self, m, data):
+        # Both halves, central and deep tails, and both pmf starts: the integer
+        # ratio (m <= 600 or a short side of at most 64) and the fixed-point one.
+        k0 = data.draw(st.one_of(
+            st.floats(-10.0, 10.0).map(lambda z: round(m / 2 + z * math.sqrt(m) / 2)),
+            st.integers(0, 80).map(lambda j: m - j),
+            st.integers(1, 80),
+        ))
+        k0 = min(max(k0, 1), m)
+        assert binomial_upper_tail(m, k0).hex() == _reference_tail(m, k0).hex(), (m, k0)
 
     def test_large_m_frozen_high_precision_values(self):
         # 40-digit references computed independently with mpmath

@@ -137,7 +137,7 @@ class TestConstructionMessages:
         assert str(via_file.value) == f"invalid tree: {message}"
 
     @pytest.mark.parametrize("depth, at", FAULT_PLACES)
-    @pytest.mark.parametrize("bad", [0.0, -0.5])
+    @pytest.mark.parametrize("bad", [0.0, -0.5, math.nan])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16])
     def test_non_positive_probability(self, depth, at, bad, dtype):
         # The positivity bound must not round to 0.0 in a narrower float dtype.

@@ -11,8 +11,9 @@ and nearly matched from below by block-sign constructions (see the
 aggregation of the marginal Hoeffding tails of K interleaved sums (rate
 1/(2 ceil(N/K)), which is K/(2N) when K divides N, set in
 `AggregationParams.from_horizon`) -> a Gaussian survival
-bound -> the epsilon-cutoff condition, and each link in that chain is
-exposed as its own function so it can be checked numerically.
+bound -> the epsilon-cutoff condition.  The links are `aggregation_bound`,
+the infimum of the private objective `_objective`, then `gaussian_survival`,
+`midpoint_bound` and `suitable_x_check`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ __all__ = [
     "ThresholdCheck",
     "deviation_threshold",
     "gaussian_survival",
-    "aggregation_objective",
     "aggregation_bound",
     "midpoint_bound",
     "suitable_x_check",
@@ -153,9 +153,11 @@ _SERIES = tuple((-1) ** n / (math.factorial(n) * (2 * n + 1)) for n in range(6))
 
 
 def _objective(ap: AggregationParams, relaxed: bool):
-    """t -> `aggregation_objective(ap, t, relaxed)` for t < C/K, s and w computed once.
+    """t -> K int_t^u min(1, exp(-a x^2)) dx / (C - K t) for t < C/K, s and w computed once.
 
-    For y = s u >= `_SERIES_MAX` the integral above 0 is w (erfc(x) - erfc(y)), x = s max(t, 0),
+    The integrand is the marginal survival bound clipped at 1, since no survival function
+    exceeds 1; u is C - (K-1) t, or infinity when relaxed.  For y = s u >= `_SERIES_MAX`
+    (s = sqrt(a)) the integral above 0 is w (erfc(x) - erfc(y)), x = s max(t, 0),
     w = sqrt(pi/(4a)); erfc(0) = 1 and erfc(inf) = 0 are not called.  Below, it is
     (u - max(t, 0)) sum_n (-1)^n h_2n / (n! (2n+1)), h_k = sum_j x^j y^(k-j), the terms past
     n = 5 below 1e-17 relative; for t >= 0 that factor is C - K t, so nothing cancels.
@@ -174,19 +176,6 @@ def _objective(ap: AggregationParams, relaxed: bool):
         return K * (w * tail if t > 0 else -t + w * tail) / (C - K * t)
 
     return f
-
-
-def aggregation_objective(ap: AggregationParams, t: float, relaxed: bool = False) -> float:
-    """Worst-case-dependence objective K * int_t^u min(1, exp(-a x^2)) dx / (C - K t).
-
-    The integrand is the marginal survival bound clipped at 1, since no
-    survival function exceeds 1; it equals exp(-a x^2) for x >= 0.  The
-    upper limit u is C - (K-1) t, or infinity under the relaxed flag.
-    Defined for t < C/K.
-    """
-    if t >= ap.C / ap.K:
-        raise ValueError(f"t must be below C/K = {ap.C / ap.K!r}, got {t!r}")
-    return _objective(ap, relaxed)(t)
 
 
 def _golden_section(f, a: float, b: float) -> float:
@@ -209,18 +198,18 @@ def _golden_section(f, a: float, b: float) -> float:
 
 
 def aggregation_bound(ap: AggregationParams, relaxed: bool = False) -> float:
-    """Infimum of `aggregation_objective` over t in (-inf, C/K), clamped to [0, 1].
+    """Infimum of the objective `_objective` over t < C/K, clamped to [exp(-a (C/K)^2), 1].
 
     This is the dual bound of Embrechts & Puccetti (Finance Stoch. 2006) on
     P(X_1 + ... + X_K >= C) over all dependence structures of K summands with
     survival min(1, exp(-a x^2)): sharp at K = 2 (Makarov 1981), and at K = 1
-    the marginal tail exp(-a C^2) to within 1e-12.  The objective, built once,
-    is an erfc difference for s u >= 1/16 (s = sqrt(a), u the upper limit) and
-    a power series below.  The search on [-C, C/K - delta], delta = 1e-5 C/K,
-    takes a uniform grid, a geometric ladder towards C/K and t = C/(2K), then
-    golden-section between the best point's neighbours.  The limit K exp(-a
-    (C/K)^2) as t -> C/K, not attained, is taken in closed form, since closer
-    to C/K than delta the error-function difference loses most of its digits.
+    the marginal tail exp(-a C^2) to within 1e-12.  It is never below the
+    comonotone tail exp(-a (C/K)^2), which every objective value bounds.  The
+    search on [-C, C/K - delta], delta = 1e-5 C/K, takes a uniform grid, a
+    geometric ladder towards C/K and t = C/(2K), then golden-section between the
+    best point's neighbours.  The limit K exp(-a (C/K)^2) as t -> C/K, not
+    attained, is taken in closed form, since closer to C/K than delta the
+    error-function difference loses most of its digits.
     """
     T = ap.C / ap.K
     delta = 1e-5 * T
@@ -238,9 +227,10 @@ def aggregation_bound(ap: AggregationParams, relaxed: bool = False) -> float:
     best = min(range(len(values)), key=values.__getitem__)
     lo, hi = candidates[max(best - 1, 0)], candidates[min(best + 1, len(candidates) - 1)]
     value = min(values[best], _golden_section(objective, lo, hi))
+    comonotone = math.exp(-ap.a * T * T)
     if not relaxed:
-        value = min(value, ap.K * math.exp(-ap.a * T * T))
-    return min(1.0, max(0.0, value))
+        value = min(value, ap.K * comonotone)
+    return min(1.0, max(comonotone, value))
 
 
 def midpoint_bound(C: float, K: int, N: int) -> float:

@@ -65,6 +65,10 @@ _TAIL_M_MAX = 10**9
 _IMBALANCE_M_MAX = 10**5
 _MV_AUDIT_M_MAX = 3200
 
+# Largest N of a sampled block-sign path.  `construct --N` holds about 330 bytes a
+# step (values and rows): its peak RSS read 67 and 364 MB at 10^5 and 10^6 (2-core x86).
+_SAMPLE_N_MAX = 10**6
+
 # Below this many entries `_exact_sum` is `math.fsum` itself: on CPython 3.11
 # with numpy 2.4 the extraction's fixed cost, about 6 us, is fsum's at 200.
 _EXACT_SUM_MIN = 200
@@ -282,9 +286,11 @@ def binomial_upper_tail_exact(m: int, k0: int) -> Fraction:
 def sample_block_process(N: int, K: int, seed: int) -> tuple[int, ...]:
     """One block-sign path: m = N/K independent fair signs, each held over K steps.
 
-    Returns the N values in {-1, +1}; their sum is the deviation (2Z - m) K.
+    Returns the N values in {-1, +1}, N at most `_SAMPLE_N_MAX`; their sum is (2Z - m) K.
     """
-    _, K, m = _block_shape(N, K)
+    N, K, m = _block_shape(N, K)
+    if N > _SAMPLE_N_MAX:
+        raise ValueError(f"N must be at most {_SAMPLE_N_MAX} for a sampled path, got {N!r}")
     rng = np.random.default_rng(seed)
     signs = 2 * rng.integers(0, 2, size=m) - 1
     return tuple(int(s) for s in np.repeat(signs, K))

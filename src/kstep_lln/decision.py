@@ -45,7 +45,6 @@ __all__ = [
     "ShiftedDeviationReport",
     "expected_losses",
     "bayesian_strategy",
-    "total_losses",
     "regret_tail",
     "shifted_sequence",
     "shifted_deviation_check",
@@ -127,8 +126,7 @@ class _Problem:
     strategy and the last rival seen, each as (strategy, per-step realized
     losses, path totals).  The rival slot is replaced by one assignment of
     a finished tuple, so it never pairs one strategy with another's losses:
-    a reader, on whatever thread a caller runs it, sees the old entry or the
-    new one whole.
+    a reader sees the old entry or the new one whole.
     """
 
     __slots__ = ("tree", "tables", "stacks", "bayes", "rival")
@@ -224,14 +222,6 @@ def bayesian_strategy(tree: ProbabilityTree, loss: LossSpec) -> Strategy:
     problem; its choice arrays are read-only.
     """
     return _problem(tree, loss).bayes[0]
-
-
-def total_losses(tree: ProbabilityTree, loss: LossSpec, strategy: Strategy) -> np.ndarray:
-    """Realized N-step total loss per depth-(N+K) node (read-only).
-
-    Public as the only reader of the totals `regret_tail` compares, which the by-hand table tests pin.
-    """
-    return _problem(tree, loss).realized(loss, strategy)[2]
 
 
 def _regret(tree: ProbabilityTree, loss: LossSpec, alt: Strategy) -> np.ndarray:

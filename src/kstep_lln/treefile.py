@@ -32,7 +32,7 @@ import numpy as np
 from .decision import DecisionSpace, LossSpec, _problem
 from .trees import AdaptedSequence, ProbabilityTree, _check_consistent
 
-__all__ = ["TreeFileError", "TreeBundle", "bundle_to_dict", "bundle_from_dict", "save_tree", "load_tree"]
+__all__ = ["TreeFileError", "TreeBundle", "bundle_to_dict", "bundle_from_dict", "load_tree"]
 
 
 class TreeFileError(ValueError):
@@ -143,10 +143,6 @@ def bundle_from_dict(doc: dict) -> TreeBundle:
         except (KeyError, TypeError, ValueError) as exc:
             raise TreeFileError(f"invalid losses block: {exc}") from exc
     return TreeBundle(tree=tree, sequence=sequence, losses=losses)
-
-
-def save_tree(path: str | Path, bundle: TreeBundle) -> None:
-    Path(path).write_text(json.dumps(bundle_to_dict(bundle), indent=1) + "\n")
 
 
 def load_tree(path: str | Path) -> TreeBundle:

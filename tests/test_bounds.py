@@ -1,5 +1,4 @@
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -10,8 +9,8 @@ from scipy.integrate import quad
 from kstep_lln.bounds import (
     AggregationParams,
     HorizonParams,
+    _objective,
     aggregation_bound,
-    aggregation_objective,
     dominance_rows,
     gaussian_survival,
     kr_threshold,
@@ -135,7 +134,8 @@ class TestAggregationBound:
         for relaxed in (False, True):
             T = ap.C / ap.K
             grid = np.linspace(-ap.C, T - 1e-9 * T, 20001)
-            grid_min = min(aggregation_objective(ap, float(t), relaxed) for t in grid)
+            objective = _objective(ap, relaxed)
+            grid_min = min(objective(float(t)) for t in grid)
             got = aggregation_bound(ap, relaxed)
             assert got <= grid_min + 1e-9
             assert got >= 0.0
@@ -176,6 +176,8 @@ class TestAggregationBound:
     def test_deep_tail_is_not_zero(self):
         ap = AggregationParams.from_horizon(8.0 * math.sqrt(2.0), 2, 1)
         assert aggregation_bound(ap) == pytest.approx(math.exp(-32.0), rel=1e-12, abs=0)
+        ap = AggregationParams.from_horizon(38.45, 1, 1)  # a subnormal tail, 9.3e-322
+        assert aggregation_bound(ap) == pytest.approx(math.exp(-ap.a * ap.C**2), rel=1e-12, abs=0)
 
     def test_chain_holds_on_the_grid(self):
         for ap, _ in self.grid():
@@ -185,16 +187,15 @@ class TestAggregationBound:
             assert exact <= relaxed + 1e-9 and relaxed <= midpoint_bound(ap.C, ap.K, N) + 1e-9, ap
 
     def test_single_summand_is_the_marginal_tail_on_a_sweep(self):
-        # At K = 1 the bound is exp(-a C^2); small s C once cancelled it to 0.
-        # Where exp(-a C^2) is subnormal (N = 1, C near 38.45) the erfc
-        # difference underflows first and the bound reads 0.0: only there is
-        # the error measured against the least normal float instead.
+        # At K = 1 the bound is exp(-a C^2); small s C once cancelled it to 0, and
+        # where exp(-a C^2) is subnormal (N = 1, C near 38.45) the erfc difference
+        # underflowed to 0.0 before the comonotone floor held it up.
         for N in (1, 4, 16, 64, 1000):
             for C in np.geomspace(1e-4, 50.0, 2000).tolist():
                 ap = AggregationParams.from_horizon(C, N, 1)
                 want = math.exp(-ap.a * C * C)
                 got = aggregation_bound(ap)
-                assert abs(got - want) <= 1e-12 * max(want, sys.float_info.min), (N, C, got)
+                assert abs(got - want) <= 1e-12 * want, (N, C, got)
 
     @pytest.mark.parametrize("ap", [
         AggregationParams.from_horizon(1e-12, 1, 1),
@@ -212,13 +213,14 @@ class TestAggregationBound:
         # Both sides of s u = 1/16 and both signs of t, away from t = C/K, where
         # the reference's own C - K t and u - t part by more than 1e-12.
         ap = AggregationParams(C=C, K=K, a=a)
+        objective = _objective(ap, relaxed=False)
         T = C / K
         for t in np.linspace(-C, T * (1 - 1e-3), 41).tolist():
             u = C - (K - 1) * t
             lo = max(t, 0.0)
             integral, _ = quad(lambda x: math.exp(-a * x * x), lo, u, epsabs=0.0, epsrel=1e-13)
             want = K * (max(0.0, -t) + integral) / (C - K * t)
-            got = aggregation_objective(ap, t)
+            got = objective(t)
             assert got == pytest.approx(want, rel=1e-12, abs=0), (t, math.sqrt(a) * u)
 
     @given(st.integers(1, 8), st.integers(1, 64), st.floats(0.1, 12.0))
@@ -244,7 +246,7 @@ class TestAggregationBound:
     def test_objective_clips_the_survival_at_one(self):
         # below 0 the integrand is 1: [-2, 0] adds its length 2 to int_0^inf exp(-x^2) dx
         ap = AggregationParams(C=1.0, K=1, a=1.0)
-        assert aggregation_objective(ap, -2.0, relaxed=True) == pytest.approx(
+        assert _objective(ap, relaxed=True)(-2.0) == pytest.approx(
             (2.0 + math.sqrt(math.pi) / 2.0) / 3.0, rel=1e-15
         )
 
@@ -254,7 +256,7 @@ class TestAggregationBound:
         K, N, C = 4, 64, 40.0
         ap = AggregationParams.from_horizon(C, N, K)
         t = C / (2 * K)
-        lhs = aggregation_objective(ap, t, relaxed=True)
+        lhs = _objective(ap, relaxed=True)(t)
         rhs = (
             (2 * K / C)
             * math.sqrt(2 * math.pi / (2 * ap.a))
@@ -287,8 +289,6 @@ class TestAggregationBound:
             AggregationParams(C=-1.0, K=2, a=1.0)
         with pytest.raises(ValueError):
             AggregationParams(C=1.0, K=2, a=0.0)
-        with pytest.raises(ValueError):
-            aggregation_objective(AggregationParams(C=2.0, K=2, a=1.0), t=1.0)
 
 
 class TestMidpointBound:
@@ -311,7 +311,7 @@ class TestMidpointBound:
     def test_dominates_relaxed_objective_at_midpoint(self):
         for K, N, C in ((1, 8, 6.0), (2, 16, 10.0), (4, 64, 40.0)):
             ap = AggregationParams.from_horizon(C, N, K)
-            assert midpoint_bound(C, K, N) > aggregation_objective(ap, C / (2 * K), relaxed=True)
+            assert midpoint_bound(C, K, N) > _objective(ap, relaxed=True)(C / (2 * K))
 
     def test_dominance_chain(self):
         for K in (1, 2, 3):

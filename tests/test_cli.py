@@ -14,12 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import write_tree
 from kstep_lln import bounds, cli, constructions, decision, verify
 from kstep_lln.bounds import gaussian_survival
 from kstep_lln.cli import EXIT_OK, EXIT_TREEFILE, EXIT_USAGE, EXIT_VERIFY, main
 from kstep_lln.constructions import binomial_upper_tail, imbalance_prob_exact
 from kstep_lln.decision import DecisionSpace, LossSpec
-from kstep_lln.treefile import TreeBundle, bundle_to_dict, save_tree
+from kstep_lln.treefile import TreeBundle, bundle_to_dict
 from kstep_lln.trees import random_tree
 from tests.test_treefile import full_bundle
 
@@ -263,7 +264,7 @@ class TestSimulate:
 
     def test_tree_file_two_sided(self, capsys, tmp_path):
         path = tmp_path / "t.json"
-        save_tree(path, full_bundle())
+        write_tree(path, full_bundle())
         code, out, _ = run(
             capsys, "simulate", "--tree-file", str(path), "--K", "2", "--C", "1.0",
             "--sided", "two_sided",
@@ -281,7 +282,7 @@ class TestSimulate:
     def test_tree_without_values_rejected(self, capsys, tmp_path):
         tree, _ = random_tree(2, 2, seed=1)
         path = tmp_path / "bare.json"
-        save_tree(path, TreeBundle(tree=tree))
+        write_tree(path, TreeBundle(tree=tree))
         code, _, err = run(
             capsys, "simulate", "--tree-file", str(path), "--K", "1", "--C", "1.0"
         )
@@ -292,7 +293,7 @@ class TestSimulate:
 class TestDecide:
     def test_regret_report(self, capsys, tmp_path):
         path = tmp_path / "d.json"
-        save_tree(path, full_bundle())
+        write_tree(path, full_bundle())
         code, out, _ = run(capsys, "decide", "--tree-file", str(path), "--epsilon", "0.3")
         assert code == EXIT_OK
         header, row = [line.split(",") for line in out.strip().splitlines()[1:3]]
@@ -309,7 +310,7 @@ class TestDecide:
         )
         losses = LossSpec(space=DecisionSpace(("hold", label)), horizon=2, tables=cheap_second)
         path = tmp_path / "labels.json"
-        save_tree(path, TreeBundle(tree=bundle.tree, sequence=bundle.sequence, losses=losses))
+        write_tree(path, TreeBundle(tree=bundle.tree, sequence=bundle.sequence, losses=losses))
         code, out, _ = run(capsys, "decide", "--tree-file", str(path))
         assert code == EXIT_OK
         (rec,) = records(out)[1]
@@ -343,7 +344,7 @@ class TestDecide:
     def test_missing_losses(self, capsys, tmp_path):
         tree, seq = random_tree(3, 2, seed=2)
         path = tmp_path / "nolosses.json"
-        save_tree(path, TreeBundle(tree=tree, sequence=seq))
+        write_tree(path, TreeBundle(tree=tree, sequence=seq))
         code, _, err = run(capsys, "decide", "--tree-file", str(path))
         assert code == EXIT_TREEFILE
         assert "no losses" in err
@@ -450,7 +451,7 @@ class TestErrorPath:
     )
     def test_invalid_run_parameter_exits_before_any_output(self, capsys, tmp_path, argv, message):
         path = tmp_path / "t.json"
-        save_tree(path, full_bundle())
+        write_tree(path, full_bundle())
         code, out, err = run(capsys, *[str(path) if a == "TREE" else a for a in argv])
         assert code == EXIT_USAGE
         assert out == ""
@@ -542,7 +543,7 @@ class TestSeedRange:
     @pytest.fixture
     def argv(self, tmp_path, request):
         path = tmp_path / "t.json"
-        save_tree(path, full_bundle())
+        write_tree(path, full_bundle())
         return [str(path) if a == "TREE" else a for a in self.COMMANDS[request.param]]
 
     @pytest.mark.parametrize("argv", list(COMMANDS), indirect=True)
@@ -574,7 +575,7 @@ class TestExtremeParameters:
     @pytest.mark.parametrize("eps", ["1e-310", "5e-324"])
     def test_subnormal_epsilon_gives_finite_thresholds(self, capsys, tmp_path, eps):
         path = tmp_path / "d.json"
-        save_tree(path, full_bundle())
+        write_tree(path, full_bundle())
         for argv, columns in [
             (["bound", "--N", "10", "--K", "1"], ["threshold"]),
             (["invert", "--N", "64", "--K", "1"], ["threshold", "upper_threshold", "kr_threshold"]),
@@ -602,6 +603,12 @@ class TestExtremeParameters:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("N, K", [(10**6 + 1, 1), (10**300, 10**300)], ids=["limit+1", "10^300"])
+    def test_construct_refuses_a_path_above_the_sampling_limit(self, capsys, N, K):
+        code, out, err = run(capsys, "construct", "--N", str(N), "--K", str(K))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: N must be at most 1000000 for a sampled path, got ")
 
     def test_trivial_tail_above_the_binomial_limit_is_exact(self, capsys):
         # C above the largest |S| = N needs no window, so the m limit does not apply.
@@ -688,7 +695,7 @@ class TestVerificationFailureExit:
                 lambda *args: dataclasses.replace(check(*args), failures=("forced",)),
             )
         path = tmp_path / "d.json"
-        save_tree(path, full_bundle())
+        write_tree(path, full_bundle())
         code, out, _ = run(capsys, "decide", "--tree-file", str(path))
         assert code == EXIT_VERIFY
         (rec,) = records(out)[1]

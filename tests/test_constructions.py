@@ -415,6 +415,10 @@ class TestBlockProcess:
         with pytest.raises(ValueError):
             sample_block_process(7, 2, seed=0)
 
+    def test_refuses_paths_longer_than_the_limit_before_sampling(self):
+        with pytest.raises(ValueError, match=r"^N must be at most 1000000 for a sampled path"):
+            sample_block_process(10**6 + 1, 1, seed=0)
+
     def test_mean_deviation_clt_sanity(self):
         # Mean of sum(values) over many seeds should be 0 within 3 sigma,
         # sigma = K sqrt(m / n_seeds).

@@ -23,7 +23,6 @@ from kstep_lln.decision import (
     regret_tail,
     shifted_deviation_check,
     shifted_sequence,
-    total_losses,
 )
 from kstep_lln.treefile import TreeBundle, TreeFileError, bundle_from_dict, bundle_to_dict
 from kstep_lln.trees import ProbabilityTree, exact_tail, random_tree
@@ -37,6 +36,11 @@ def uniform_binary_tree(depth):
         probs.append(np.full(2 * n, 0.5))
         n *= 2
     return ProbabilityTree(parents=tuple(parents), branch_probs=tuple(probs))
+
+
+def realized_totals(tree, loss, strategy):
+    """Realized N-step total loss per depth-(N+K) node (read-only), as `regret_tail` compares them."""
+    return decision._problem(tree, loss).realized(loss, strategy)[2]
 
 
 def random_loss(tree, n_steps, horizon, n_decisions, seed):
@@ -81,7 +85,7 @@ class TestValidation:
         tree = uniform_binary_tree(2)
         loss = random_loss(uniform_binary_tree(3), 2, 1, 2, seed=0)
         with pytest.raises(ValueError, match="too shallow"):
-            total_losses(tree, loss, Strategy(choices=(np.zeros(2, int), np.zeros(4, int))))
+            bayesian_strategy(tree, loss)
 
 
 def two_decision_tables(n_steps):
@@ -126,7 +130,7 @@ class TestValidationMessages:
         choices = [np.zeros(2**n, dtype=np.int64) for n in range(1, n_steps + 1)]
         choices[at - 1][-1] = bad
         with pytest.raises(ValueError) as err:
-            total_losses(tree, loss, Strategy(choices=tuple(choices)))
+            regret_tail(tree, loss, Strategy(choices=tuple(choices)), 0.0)
         assert str(err.value) == f"step {at}: decision index out of range"
 
 
@@ -140,7 +144,7 @@ class TestValidationMessages:
         tree = uniform_binary_tree(3)
         loss = random_loss(tree, 2, 1, 2, seed=0)
         with pytest.raises(ValueError) as err:
-            total_losses(tree, loss, Strategy(choices=(np.array([2, 0]), np.zeros(4))))
+            regret_tail(tree, loss, Strategy(choices=(np.array([2, 0]), np.zeros(4))), 0.0)
         assert str(err.value) == "step 2: choices must be a 1-D integer array"
 
 
@@ -202,7 +206,7 @@ class TestMalformedInputs:
         tree = uniform_binary_tree(3)
         loss = random_loss(tree, 2, 1, 2, seed=0)
         with pytest.raises(ValueError) as err:
-            total_losses(tree, loss, Strategy(choices=choices))
+            regret_tail(tree, loss, Strategy(choices=choices), 0.0)
         assert str(err.value) == message
 
     @pytest.mark.parametrize(
@@ -212,7 +216,7 @@ class TestMalformedInputs:
         tree = uniform_binary_tree(3)
         loss = random_loss(tree, 2, 1, 2, seed=0)
         with pytest.raises(ValueError) as err:
-            total_losses(tree, loss, Strategy(choices=(np.zeros(2, dtype=int), bad)))
+            regret_tail(tree, loss, Strategy(choices=(np.zeros(2, dtype=int), bad)), 0.0)
         assert str(err.value) == "step 2: choices must be a 1-D integer array"
 
 
@@ -292,7 +296,7 @@ class TestBayesianStrategy:
             n: np.stack([expected_losses(tree, loss, n, d) for d in (0, 1)]) for n in (1, 2)
         }
         probs = tree.node_probabilities(tree.depth)
-        bayes_expected_total = float(np.dot(probs, total_losses(tree, loss, bayes)))
+        bayes_expected_total = float(np.dot(probs, realized_totals(tree, loss, bayes)))
         counts = tree.node_counts
         for bits1 in itertools.product((0, 1), repeat=counts[1]):
             for bits2 in itertools.product((0, 1), repeat=counts[2]):
@@ -303,7 +307,7 @@ class TestBayesianStrategy:
                     mine = cond[n][bayes.choices[n - 1], np.arange(counts[n])]
                     theirs = cond[n][rival.choices[n - 1], np.arange(counts[n])]
                     assert np.all(mine <= theirs + 1e-12)
-                rival_total = float(np.dot(probs, total_losses(tree, loss, rival)))
+                rival_total = float(np.dot(probs, realized_totals(tree, loss, rival)))
                 assert bayes_expected_total <= rival_total + 1e-12
 
     def test_reordering_decisions_moves_the_tie_break(self):
@@ -338,7 +342,7 @@ class TestTotalLoss:
             tables=tuple((np.zeros(tree.node_counts[n + 1]),) for n in (1, 2)),
         )
         strat = Strategy(choices=(np.zeros(2, int), np.zeros(4, int)))
-        np.testing.assert_allclose(total_losses(tree, loss, strat), np.zeros(8), atol=1e-15)
+        np.testing.assert_allclose(realized_totals(tree, loss, strat), np.zeros(8), atol=1e-15)
 
     def test_single_step(self):
         tree = uniform_binary_tree(2)
@@ -348,7 +352,7 @@ class TestTotalLoss:
             tables=((np.array([0.25, 0.5, 0.75, 1.0]),),),
         )
         strat = Strategy(choices=(np.zeros(2, int),))
-        assert total_losses(tree, loss, strat)[0] == 0.25
+        assert realized_totals(tree, loss, strat)[0] == 0.25
 
     def test_two_step_table_lookups_by_hand(self):
         tree = uniform_binary_tree(3)
@@ -363,7 +367,7 @@ class TestTotalLoss:
         # Step 1 decision at node 1 is 1, loss read at depth-2 node 2;
         # step 2 decision at node 2 is 0, loss read at depth-3 node 5.
         expected = t1[1][2] + t2[0][5]
-        assert total_losses(tree, loss, strat)[5] == pytest.approx(expected, abs=1e-15)
+        assert realized_totals(tree, loss, strat)[5] == pytest.approx(expected, abs=1e-15)
 
     @given(st.integers(0, 5000))
     @settings(max_examples=50, deadline=None)
@@ -371,7 +375,7 @@ class TestTotalLoss:
         tree, _ = random_tree(4, 3, seed=seed)
         loss = random_loss(tree, 2, 2, 2, seed=seed + 1)
         strat = random_strategy(tree, loss, seed=seed + 2)
-        totals = total_losses(tree, loss, strat)
+        totals = realized_totals(tree, loss, strat)
         assert np.all(totals >= 0.0) and np.all(totals <= 2.0 + 1e-12)
 
 
@@ -520,8 +524,8 @@ def decision_results(tree, loss, alt):
         ],
         "bayes": [c.tolist() for c in bayes.choices],
         "adversarial": [c.tolist() for c in adversarial_strategy(tree, loss).choices],
-        "bayes_totals": total_losses(tree, loss, bayes).tolist(),
-        "alt_totals": total_losses(tree, loss, alt).tolist(),
+        "bayes_totals": realized_totals(tree, loss, bayes).tolist(),
+        "alt_totals": realized_totals(tree, loss, alt).tolist(),
         "shift": shifted_deviation_check(tree, loss, alt),
         "tails": [regret_tail(tree, loss, alt, C) for C in (0.0, 0.25, 0.5, 1.0)],
     }
@@ -549,8 +553,8 @@ class TestCachedQuantities:
         bayes = bayesian_strategy(tree, loss)
         arrays = [
             expected_losses(tree, loss, 1, 0),
-            total_losses(tree, loss, alt),
-            total_losses(tree, loss, bayes),
+            realized_totals(tree, loss, alt),
+            realized_totals(tree, loss, bayes),
             bayes.choices[0],
             tree.node_probabilities(tree.depth),
         ]

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import write_tree
 from kstep_lln.decision import DecisionSpace, LossSpec
 from kstep_lln.treefile import (
     TreeBundle,
@@ -11,7 +12,6 @@ from kstep_lln.treefile import (
     bundle_from_dict,
     bundle_to_dict,
     load_tree,
-    save_tree,
 )
 from kstep_lln.trees import AdaptedSequence, ProbabilityTree, block_process_tree, random_tree
 
@@ -34,7 +34,7 @@ class TestRoundTrip:
     def test_arrays_survive_exactly(self, tmp_path):
         bundle = full_bundle()
         path = tmp_path / "tree.json"
-        save_tree(path, bundle)
+        write_tree(path, bundle)
         back = load_tree(path)
         for a, b in zip(bundle.tree.parents, back.tree.parents):
             np.testing.assert_array_equal(a, b)
@@ -51,14 +51,14 @@ class TestRoundTrip:
     def test_serialization_is_stable(self, tmp_path):
         bundle = full_bundle()
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        save_tree(p1, bundle)
-        save_tree(p2, load_tree(p1))
+        write_tree(p1, bundle)
+        write_tree(p2, load_tree(p1))
         assert p1.read_text() == p2.read_text()
 
     def test_tree_only_document(self, tmp_path):
         tree, _ = random_tree(depth=2, max_branching=2, seed=3)
         path = tmp_path / "bare.json"
-        save_tree(path, TreeBundle(tree=tree))
+        write_tree(path, TreeBundle(tree=tree))
         back = load_tree(path)
         assert back.sequence is None
         assert back.losses is None
@@ -120,7 +120,7 @@ class TestSavedBytes:
     def test_same_bytes_as_per_scalar_conversion(self, tmp_path, make):
         bundle = make()
         path = tmp_path / "t.json"
-        save_tree(path, bundle)
+        write_tree(path, bundle)
         assert path.read_text() == json.dumps(per_scalar_dict(bundle), indent=1) + "\n"
 
 

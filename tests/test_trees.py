@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from kstep_lln.constructions import block_deviation_tail
 from kstep_lln.decision import (
-    DecisionSpace, LossSpec, bayesian_strategy, random_strategy, total_losses,
+    DecisionSpace, LossSpec, _problem, bayesian_strategy, random_strategy,
 )
 from kstep_lln.sampling import tree_deviation_sampler
 from kstep_lln.treefile import TreeFileError, bundle_from_dict
@@ -845,7 +845,8 @@ class TestFanOutLevels:
             return  # a loss spec on every level of the 2^20-leaf tree takes ~100 MB
         loss = two_decision_loss(tree, K, seed=9)
         for strategy in (bayesian_strategy(tree, loss), random_strategy(tree, loss, seed=10)):
-            self.assert_same(total_losses(tree, loss, strategy), general_totals(tree, loss, strategy))
+            totals = _problem(tree, loss).realized(loss, strategy)[2]
+            self.assert_same(totals, general_totals(tree, loss, strategy))
 
     def test_fan_outs_are_found_on_large_levels_only(self):
         tree, _ = block_process_tree(28, 2)
@@ -876,5 +877,6 @@ class TestFanOutLevels:
         for lag in (1, 2, 3):
             deviation_per_leaf(tree, seq, lag)
         loss = two_decision_loss(tree, 2, seed=1)
-        total_losses(tree, loss, random_strategy(tree, loss, seed=2))
+        strategy = random_strategy(tree, loss, seed=2)
+        _problem(tree, loss).realized(loss, strategy)
         assert sizes and max(sizes) <= 4096

@@ -158,12 +158,14 @@ def _objective(ap: AggregationParams, relaxed: bool):
     The integrand is the marginal survival bound clipped at 1, since no survival function
     exceeds 1; u is C - (K-1) t, or infinity when relaxed.  For y = s u >= `_SERIES_MAX`
     (s = sqrt(a)) the integral above 0 is w (erfc(x) - erfc(y)), x = s max(t, 0),
-    w = sqrt(pi/(4a)); erfc(0) = 1 and erfc(inf) = 0 are not called.  Below, it is
+    w = sqrt(pi/(4a)), or sqrt(pi)/(2s) where pi/(4a) overflows; erfc(0) = 1 and
+    erfc(inf) = 0 are not called.  Below, it is
     (u - max(t, 0)) sum_n (-1)^n h_2n / (n! (2n+1)), h_k = sum_j x^j y^(k-j), the terms past
     n = 5 below 1e-17 relative; for t >= 0 that factor is C - K t, so nothing cancels.
     """
     C, K, K1 = ap.C, ap.K, ap.K - 1
-    s, w = math.sqrt(ap.a), math.sqrt(math.pi / (4.0 * ap.a))
+    s, q = math.sqrt(ap.a), math.pi / (4.0 * ap.a)  # q overflows for a below about 4.4e-309
+    w = math.sqrt(q) if q < math.inf else math.sqrt(math.pi) / (2.0 * s)
 
     def f(t: float) -> float:
         u = math.inf if relaxed else C - K1 * t

@@ -12,16 +12,19 @@ below eps/2.  Decisions never influence the tree's dynamics.
 
 A loss spec, like a tree, is immutable after construction.  Its losses,
 and a strategy's choices, pass the per-step rule of `trees`: losses real
-in [0, 1], choices integer menu indices.  Each (tree, loss) pair becomes
-one decision problem, validated and built in one step: its stacked loss
+in [0, 1], choices integer menu indices; their lengths pass its size rule
+against the tree.  Each (tree, loss) pair becomes one decision problem,
+validated and built in one step: its horizon K, stacked float64 loss
 tables, expected-loss stacks, Bayesian strategy and that strategy's
 realized losses.  The loss spec caches the last tree's problem, the
 Bayesian strategy and the last rival: the rival is validated once and its
 per-step and total realized losses are kept until another rival or tree is
 used, so strategies passed in must not be modified either.  Arrays handed
-out from that cache are read-only.  Sums over the tree use the two walks
-of `trees`: `_pull_back` for expected losses, `_path_sums` for totals;
-choices are carried down by their level step, `_step_down`.
+out from that cache are read-only.  The shifted check takes its
+differences straight from the problem's realized losses.  Sums over the
+tree use the two walks of `trees`: `_pull_back` for expected losses and
+conditional means, `_path_sums` for totals; choices are carried down by
+their level step, `_step_down`.
 """
 
 from __future__ import annotations
@@ -34,8 +37,7 @@ import numpy as np
 from .bounds import _integer
 from .constructions import _exact_sum, _tail_event
 from .trees import (
-    _REAL_KINDS, AdaptedSequence, ProbabilityTree, _check_steps, _path_sums, _pull_back,
-    _step_down,
+    _REAL_KINDS, ProbabilityTree, _check_sizes, _check_steps, _path_sums, _pull_back, _step_down,
 )
 
 __all__ = [
@@ -46,7 +48,6 @@ __all__ = [
     "expected_losses",
     "bayesian_strategy",
     "regret_tail",
-    "shifted_sequence",
     "shifted_deviation_check",
     "random_strategy",
     "adversarial_strategy",
@@ -88,9 +89,8 @@ class LossSpec:
             if len(per_decision) != k:
                 raise ValueError(f"step {n}: expected {k} decision tables")
         _check_steps(
-            [tab for per_decision in self.tables for tab in per_decision],
-            lambda i: f"step {i // k + 1}, decision {i % k}", _REAL_KINDS, 0.0, 1.0,
-            "losses must be a 1-D real array", "losses must lie in [0, 1]",
+            [tab for per_decision in self.tables for tab in per_decision], _table_name(k),
+            _REAL_KINDS, 0.0, 1.0, "losses must be a 1-D real array", "losses must lie in [0, 1]",
         )
         # The decision problem of the last tree used with this spec; see `_problem`.
         object.__setattr__(self, "_last", None)
@@ -98,6 +98,10 @@ class LossSpec:
     @property
     def n_steps(self) -> int:
         return len(self.tables)
+
+
+def _table_name(k: int):  # loss table i of the flattened tables, k decisions a step
+    return lambda i: f"step {i // k + 1}, decision {i % k}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,42 +125,39 @@ def _frozen(arrays) -> tuple[np.ndarray, ...]:
 class _Problem:
     """One validated (tree, loss) pair and all it derives, built in one step.
 
-    Holds, per step, the stacked loss tables (decisions, depth-(n+K) nodes)
-    and expected-loss stacks (decisions, depth-n nodes); the Bayesian
-    strategy and the last rival seen, each as (strategy, per-step realized
-    losses, path totals).  The rival slot is replaced by one assignment of
-    a finished tuple, so it never pairs one strategy with another's losses:
-    a reader sees the old entry or the new one whole.
+    Holds the horizon K and, per step, the stacked loss tables (decisions,
+    depth-(n+K) nodes) and expected-loss stacks (decisions, depth-n nodes);
+    the Bayesian strategy and the last rival seen, each as (strategy,
+    per-step realized losses, path totals).  The rival slot is replaced by
+    one assignment of a finished tuple, so it never pairs one strategy with
+    another's losses: a reader sees the old entry or the new one whole.
     """
 
-    __slots__ = ("tree", "tables", "stacks", "bayes", "rival")
+    __slots__ = ("tree", "K", "tables", "stacks", "bayes", "rival")
 
     def __init__(self, tree: ProbabilityTree, loss: LossSpec) -> None:
-        K = loss.horizon
+        K, k = loss.horizon, len(loss.space)
         if loss.n_steps + K > tree.depth:
             raise ValueError(
                 f"tree depth {tree.depth} too shallow for {loss.n_steps} steps "
                 f"with impact horizon {K}"
             )
-        counts = tree.node_counts
-        for n, per_decision in enumerate(loss.tables, start=1):
-            for d, tab in enumerate(per_decision):
-                if len(tab) != counts[n + K]:
-                    raise ValueError(
-                        f"step {n}, decision {d}: {len(tab)} losses for "
-                        f"{counts[n + K]} depth-{n + K} nodes"
-                    )
-        self.tree = tree
-        self.tables = _frozen(np.stack(per_decision) for per_decision in loss.tables)
+        _check_sizes(
+            tree, (tab for per_decision in loss.tables for tab in per_decision),
+            lambda i: i // k + 1 + K, _table_name(k), "losses",
+        )
+        self.tree, self.K = tree, K
+        # float64 rows, so that differences of losses of any real dtype are exact values in [-1, 1]
+        self.tables = _frozen(np.stack(per_decision, dtype=float) for per_decision in loss.tables)
         self.stacks = _frozen(
             np.stack([_pull_back(tree, tab, n + K, n) for tab in loss.tables[n - 1]])
             for n in range(1, loss.n_steps + 1)
         )
         # argmin takes the first minimizer
         bayes = Strategy(choices=_frozen(np.argmin(table, axis=0) for table in self.stacks))
-        self.bayes = self.rival = (bayes, *self._realize(K, bayes))
+        self.bayes = self.rival = (bayes, *self._realize(bayes))
 
-    def _realize(self, K: int, strategy: Strategy) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    def _realize(self, strategy: Strategy) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         """Per step n the realized losses on the depth-(n+K) nodes, and their path totals.
 
         The decision made at a depth-n node is carried down to its
@@ -164,22 +165,20 @@ class _Problem:
         """
         steps = []
         for n, choice in enumerate(strategy.choices, start=1):
-            for d in range(n + 1, n + K + 1):
+            for d in range(n + 1, n + self.K + 1):
                 choice = _step_down(self.tree, d, choice)
             steps.append(self.tables[n - 1][choice, np.arange(len(choice))])
-        totals = _path_sums(self.tree, steps, K + 1)
+        totals = _path_sums(self.tree, steps, self.K + 1)
         totals.flags.writeable = False
         return _frozen(steps), totals
 
-    def realized(
-        self, loss: LossSpec, strategy: Strategy
-    ) -> tuple[Strategy, tuple[np.ndarray, ...], np.ndarray]:
+    def realized(self, strategy: Strategy) -> tuple[Strategy, tuple[np.ndarray, ...], np.ndarray]:
         """(strategy, per-step realized losses, totals); a new rival is validated once."""
         for hit in (self.bayes, self.rival):
             if hit[0] is strategy:
                 return hit
-        _check_strategy(self.tree, loss, strategy)
-        hit = self.rival = (strategy, *self._realize(loss.horizon, strategy))
+        _check_strategy(self, strategy)
+        hit = self.rival = (strategy, *self._realize(strategy))
         return hit
 
 
@@ -192,17 +191,16 @@ def _problem(tree: ProbabilityTree, loss: LossSpec) -> _Problem:
     return prob
 
 
-def _check_strategy(tree: ProbabilityTree, loss: LossSpec, strategy: Strategy) -> None:
-    if strategy.n_steps != loss.n_steps:
-        raise ValueError(f"strategy covers {strategy.n_steps} steps, losses {loss.n_steps}")
+def _check_strategy(prob: _Problem, strategy: Strategy) -> None:
+    """Refuse a strategy that does not fit the problem: its step count, choices and sizes."""
+    n_steps, k = len(prob.tables), len(prob.tables[0])
+    if strategy.n_steps != n_steps:
+        raise ValueError(f"strategy covers {strategy.n_steps} steps, losses {n_steps}")
     _check_steps(
-        strategy.choices, lambda i: f"step {i + 1}", "iu", 0, len(loss.space) - 1,
+        strategy.choices, lambda i: f"step {i + 1}", "iu", 0, k - 1,
         "choices must be a 1-D integer array", "decision index out of range",
     )
-    counts = tree.node_counts
-    for n, ch in enumerate(strategy.choices, start=1):
-        if len(ch) != counts[n]:
-            raise ValueError(f"step {n}: {len(ch)} choices for {counts[n]} depth-{n} nodes")
+    _check_sizes(prob.tree, strategy.choices, lambda i: i + 1, lambda i: f"step {i + 1}", "choices")
 
 
 def expected_losses(tree: ProbabilityTree, loss: LossSpec, n: int, d: int) -> np.ndarray:
@@ -224,12 +222,6 @@ def bayesian_strategy(tree: ProbabilityTree, loss: LossSpec) -> Strategy:
     return _problem(tree, loss).bayes[0]
 
 
-def _regret(tree: ProbabilityTree, loss: LossSpec, alt: Strategy) -> np.ndarray:
-    """Loss(Bayesian) - Loss(alt) per depth-(N+K) node."""
-    prob = _problem(tree, loss)
-    return prob.bayes[2] - prob.realized(loss, alt)[2]
-
-
 def regret_tail(tree: ProbabilityTree, loss: LossSpec, alt: Strategy, C: float) -> float:
     """Exact P(Loss(Bayesian) - Loss(alt) >= C) by leaf enumeration.
 
@@ -237,22 +229,9 @@ def regret_tail(tree: ProbabilityTree, loss: LossSpec, alt: Strategy, C: float) 
     depth-(N+K) nodes in the event (`constructions._exact_sum`).
     """
     event = _tail_event(C, "upper")
-    probs = tree.node_probabilities(loss.n_steps + loss.horizon)
-    return _exact_sum(probs[event(_regret(tree, loss, alt))])
-
-
-def shifted_sequence(tree: ProbabilityTree, loss: LossSpec, alt: Strategy) -> AdaptedSequence:
-    """The adapted difference sequence: step n+K carries loss(B_n) - loss(A_n).
-
-    Steps 1..K are zero; the step-(n+K) value is a function of the
-    depth-(n+K) node because both losses are, so the sequence is adapted by
-    construction and bounded by 1 since losses live in [0, 1].
-    """
     prob = _problem(tree, loss)
-    counts = tree.node_counts
-    values = [np.zeros(counts[d]) for d in range(1, loss.horizon + 1)]
-    values += [b - a for b, a in zip(prob.bayes[1], prob.realized(loss, alt)[1])]
-    return AdaptedSequence(values=tuple(values))
+    regret = prob.bayes[2] - prob.realized(alt)[2]
+    return _exact_sum(tree.node_probabilities(loss.n_steps + prob.K)[event(regret)])
 
 
 @dataclass(frozen=True)
@@ -271,21 +250,22 @@ class ShiftedDeviationReport:
 def shifted_deviation_check(
     tree: ProbabilityTree, loss: LossSpec, alt: Strategy
 ) -> ShiftedDeviationReport:
-    """Verify the three facts the regret bound rests on.
+    """Verify the three facts the regret bound rests on, on the problem's differences.
 
-    The shifted difference sequence must be adapted (structural here), its
-    step-(n+K) conditional mean given F_n must be <= 0 at every depth-n
-    node (Bayesian dominance), and its path sum must reproduce
-    Loss(B) - Loss(alt) leaf by leaf.  Violations are reported with their
-    coordinates rather than raised.
+    The shifted difference sequence is zero at steps 1..K and loss(B_n) - loss(alt_n), a
+    value in [-1, 1] on the depth-(n+K) nodes, at step n + K: adapted by construction.
+    Each difference's conditional mean given F_n must be <= 0 at every depth-n node
+    (Bayesian dominance), and their sums down every path from depth K + 1 must reproduce
+    Loss(B) - Loss(alt) leaf by leaf.  Violations are reported with their coordinates.
     """
-    seq = shifted_sequence(tree, loss, alt)
-    N, K = loss.n_steps, loss.horizon
+    prob = _problem(tree, loss)
+    rival = prob.realized(alt)
+    diffs = [b - a for b, a in zip(prob.bayes[1], rival[1])]
     failures: list[str] = []
 
     max_cond = -math.inf
-    for n in range(1, N + 1):
-        cond = _pull_back(tree, seq.values[n + K - 1], n + K, n)
+    for n, diff in enumerate(diffs, start=1):
+        cond = _pull_back(tree, diff, n + prob.K, n)
         worst = float(cond.max())
         max_cond = max(max_cond, worst)
         if worst > _COND_TOL:
@@ -294,7 +274,7 @@ def shifted_deviation_check(
                 f"conditional mean {worst!r} > 0 at step {n}, depth-{n} node {node}"
             )
 
-    err = np.abs(_path_sums(tree, seq.values, 1) - _regret(tree, loss, alt))
+    err = np.abs(_path_sums(tree, diffs, prob.K + 1) - (prob.bayes[2] - rival[2]))
     max_err = float(err.max())
     if max_err > _COND_TOL:
         leaf = int(np.argmax(err))

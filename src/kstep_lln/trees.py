@@ -29,7 +29,8 @@ and strategies pass one per-step rule, `_check_steps`: each step is a 1-D
 array, real for values and losses and integer for choices, with every
 entry in range (a value finite and bounded by 1 in absolute value).  An
 error names the first faulty depth or step, a dtype fault before a range
-fault.
+fault.  Against a tree, their lengths pass one size rule, `_check_sizes`:
+one entry per node of the array's depth.
 
 Trees and loss specs (see `decision`) are immutable after construction,
 and their arrays must not be modified once built: derived quantities are
@@ -135,6 +136,15 @@ def _check_steps(arrays, where, kinds: str, lo, hi, not_array: str, outside: str
     bad = _first_outside(arrays, lo, hi)
     if bad is not None:
         raise ValueError(f"{where(bad)}: {outside}")
+
+
+def _check_sizes(tree: ProbabilityTree, arrays, depth, where, noun: str) -> None:
+    """Refuse the first array i not one `noun` a node at depth `depth(i)`, named by `where(i)`."""
+    counts = tree.node_counts
+    for i, a in enumerate(arrays):
+        d = depth(i)
+        if len(a) != counts[d]:
+            raise ValueError(f"{where(i)}: {len(a)} {noun} for {counts[d]} depth-{d} nodes")
 
 
 def _level_fault(par, pr) -> str | None:
@@ -322,10 +332,7 @@ class AdaptedSequence:
 def _check_consistent(tree: ProbabilityTree, seq: AdaptedSequence) -> None:
     if seq.n_steps > tree.depth:
         raise ValueError(f"sequence has {seq.n_steps} steps but tree depth is {tree.depth}")
-    counts = tree.node_counts
-    for n, v in enumerate(seq.values, start=1):
-        if len(v) != counts[n]:
-            raise ValueError(f"step {n}: {len(v)} values for {counts[n]} depth-{n} nodes")
+    _check_sizes(tree, seq.values, lambda i: i + 1, lambda i: f"step {i + 1}", "values")
 
 
 def _pull_back(tree: ProbabilityTree, values: np.ndarray, depth: int, target: int) -> np.ndarray:

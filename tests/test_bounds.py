@@ -250,6 +250,17 @@ class TestAggregationBound:
             (2.0 + math.sqrt(math.pi) / 2.0) / 3.0, rel=1e-15
         )
 
+    def test_objective_stays_finite_where_pi_over_4a_overflows(self):
+        # pi/(4a) overflows at a = 2e-309, so w = sqrt(pi)/(2 sqrt a) there; the objective
+        # read NaN at t = 2.5e159 and inf at t = -1e160, and the relaxed bound 1.0.
+        ap = AggregationParams(C=1e160, K=2, a=2e-309)
+        want = 2 * (1e160 + math.sqrt(math.pi) / (2 * math.sqrt(ap.a))) / 3e160
+        for relaxed in (False, True):
+            objective = _objective(ap, relaxed)
+            assert math.isfinite(objective(2.5e159))
+            assert objective(-1e160) == pytest.approx(want, rel=1e-12, abs=0)
+        assert aggregation_bound(ap, relaxed=False) <= aggregation_bound(ap, relaxed=True)
+
     def test_midpoint_evaluation_closed_form(self):
         # At t = C/(2K) the relaxed objective has the survival-function form
         # (2K/C) sqrt(2 pi / (2a)) * survival(sqrt(2a) C / (2K)).

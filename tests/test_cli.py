@@ -31,6 +31,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def readme_tree_file(tmp_path) -> str:
+    """Writes the JSON block under README.md's `## Tree files` heading; returns its path."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    path = tmp_path / "readme.json"
+    path.write_text(readme.split("\n## Tree files\n")[1].split("```json\n")[1].split("```")[0])
+    return str(path)
+
+
 def records(out):
     """The config comment line and the CSV rows below it, parsed as a CSV reader would."""
     config, body = out.split("\n", 1)
@@ -219,6 +227,16 @@ class TestSimulate:
         rec = dict(zip(*[line.split(",") for line in out.strip().splitlines()[1:3]]))
         assert rec["ci_contains_exact"] == "true"
 
+    def test_readme_tree_file(self, capsys, tmp_path):
+        # |S| >= 0.5 on the leaves where S = 1.525 (probability 0.125) and 1.625 (0.075)
+        code, out, _ = run(
+            capsys, "simulate", "--tree-file", readme_tree_file(tmp_path), "--K", "1", "--C", "0.5",
+            "--sided", "two_sided", "--trials", "20000",
+        )
+        assert code == EXIT_OK
+        (rec,) = records(out)[1]
+        assert (rec["exact_tail"], rec["ci_contains_exact"]) == ("0.2", "true")
+
     def test_block_exact_tail_and_seed_in_config(self, capsys):
         # two fair blocks of length 2 reach sqrt(8) only when both are +1
         code, out, _ = run(capsys, "simulate", "--N", "4", "--K", "2", "--C", "2.8284271247461903")
@@ -319,7 +337,7 @@ class TestDecide:
 
     def test_losses_just_outside_the_unit_interval_are_refused_at_load(self, capsys, tmp_path):
         # Losses 1e-12 outside [0, 1] would make shifted differences of 1 + 2e-12,
-        # which the adapted sequence behind the shift check refuses.
+        # outside the [-1, 1] the regret bound assumes.
         doc = {
             "depth": 2,
             "nodes": [
@@ -340,6 +358,13 @@ class TestDecide:
         assert err.endswith(
             "invalid losses block: step 1, decision 0: losses must lie in [0, 1]\n"
         )
+
+    @pytest.mark.parametrize("alt", ["adversarial", "random"])
+    def test_readme_tree_file(self, capsys, tmp_path, alt):
+        code, out, _ = run(capsys, "decide", "--tree-file", readme_tree_file(tmp_path), "--alt", alt)
+        assert code == EXIT_OK
+        (rec,) = records(out)[1]
+        assert (rec["bound_holds"], rec["shift_check_passed"]) == ("true", "true")
 
     def test_missing_losses(self, capsys, tmp_path):
         tree, seq = random_tree(3, 2, seed=2)

@@ -15,6 +15,7 @@ from kstep_lln.bounds import HorizonParams, deviation_threshold
 from kstep_lln.decision import (
     DecisionSpace,
     LossSpec,
+    ShiftedDeviationReport,
     Strategy,
     adversarial_strategy,
     bayesian_strategy,
@@ -22,10 +23,12 @@ from kstep_lln.decision import (
     random_strategy,
     regret_tail,
     shifted_deviation_check,
-    shifted_sequence,
 )
 from kstep_lln.treefile import TreeBundle, TreeFileError, bundle_from_dict, bundle_to_dict
-from kstep_lln.trees import ProbabilityTree, exact_tail, random_tree
+from kstep_lln.constructions import _exact_sum, _tail_event
+from kstep_lln.trees import (
+    AdaptedSequence, ProbabilityTree, _path_sums, _pull_back, exact_tail, random_tree,
+)
 
 
 def uniform_binary_tree(depth):
@@ -40,7 +43,16 @@ def uniform_binary_tree(depth):
 
 def realized_totals(tree, loss, strategy):
     """Realized N-step total loss per depth-(N+K) node (read-only), as `regret_tail` compares them."""
-    return decision._problem(tree, loss).realized(loss, strategy)[2]
+    return decision._problem(tree, loss).realized(strategy)[2]
+
+
+def shifted_sequence(tree, loss, alt):
+    """The shifted difference sequence as an adapted sequence: zero at steps 1..K, then
+    loss(B_n) - loss(alt_n) at step n + K, from the problem's realized losses."""
+    prob = decision._problem(tree, loss)
+    values = [np.zeros(tree.node_counts[d]) for d in range(1, loss.horizon + 1)]
+    values += [b - a for b, a in zip(prob.bayes[1], prob.realized(alt)[1])]
+    return AdaptedSequence(values=tuple(values))
 
 
 def random_loss(tree, n_steps, horizon, n_decisions, seed):
@@ -81,11 +93,21 @@ class TestValidation:
                 tables=((np.array([0.5, bad, 0.0, 0.1]),),),
             )
 
-    def test_tree_too_shallow(self):
+    @pytest.mark.parametrize("call", [
+        bayesian_strategy,
+        adversarial_strategy,
+        lambda tree, loss: random_strategy(tree, loss, seed=1),
+        lambda tree, loss: expected_losses(tree, loss, 1, 0),
+        lambda tree, loss: regret_tail(tree, loss, Strategy(choices=()), 0.5),
+        lambda tree, loss: shifted_deviation_check(tree, loss, Strategy(choices=())),
+    ], ids=["bayesian_strategy", "adversarial_strategy", "random_strategy", "expected_losses",
+            "regret_tail", "shifted_deviation_check"])
+    def test_tree_too_shallow(self, call):
         tree = uniform_binary_tree(2)
         loss = random_loss(uniform_binary_tree(3), 2, 1, 2, seed=0)
-        with pytest.raises(ValueError, match="too shallow"):
-            bayesian_strategy(tree, loss)
+        with pytest.raises(ValueError) as err:
+            call(tree, loss)
+        assert str(err.value) == "tree depth 2 too shallow for 2 steps with impact horizon 1"
 
 
 def two_decision_tables(n_steps):
@@ -456,7 +478,7 @@ class TestShiftedSequence:
         tree, loss, always_b = self.dyadic_problem()
         bayes = bayesian_strategy(tree, loss)
         prob = decision._problem(tree, loss)
-        prob.bayes = (always_b, *prob._realize(loss.horizon, always_b))
+        prob.bayes = (always_b, *prob._realize(always_b))
         report = shifted_deviation_check(tree, loss, bayes)
         assert report.failures == ("conditional mean 0.5 > 0 at step 1, depth-1 node 1",)
         assert (report.max_conditional_mean, report.max_sum_identity_error) == (0.5, 0.0)
@@ -492,6 +514,72 @@ class TestShiftedSequence:
         for eps in (0.1, 0.69):
             thr = deviation_threshold(HorizonParams(N=3, K=2, epsilon=eps))
             assert exact_tail(tree, seq, 2, thr, sided="upper") < eps / 2
+
+
+    @staticmethod
+    def reference(tree, loss, alt):
+        """The report and regret tails as computed through the adapted sequence: its K zero
+        steps kept, each step pulled back, and the path sums taken from depth 1."""
+        seq = shifted_sequence(tree, loss, alt)
+        N, K = loss.n_steps, loss.horizon
+        failures, max_cond = [], -math.inf
+        for n in range(1, N + 1):
+            cond = _pull_back(tree, seq.values[n + K - 1], n + K, n)
+            worst = float(cond.max())
+            max_cond = max(max_cond, worst)
+            if worst > 1e-9:
+                node = int(np.argmax(cond))
+                failures.append(f"conditional mean {worst!r} > 0 at step {n}, depth-{n} node {node}")
+        regret = realized_totals(tree, loss, bayesian_strategy(tree, loss)) - realized_totals(
+            tree, loss, alt
+        )
+        err = np.abs(_path_sums(tree, seq.values, 1) - regret)
+        max_err = float(err.max())
+        if max_err > 1e-9:
+            failures.append(
+                f"path sum differs from realized regret by {max_err!r} at leaf {int(np.argmax(err))}"
+            )
+        probs = tree.node_probabilities(N + K)
+        tails = [_exact_sum(probs[_tail_event(C, "upper")(regret)]) for C in (0.0, 0.3, 1.0)]
+        return ShiftedDeviationReport(max_cond, max_err, tuple(failures)), tails
+
+    @given(
+        K=st.integers(1, 2), N=st.integers(2, 3), menu=st.integers(2, 3), extra=st.integers(0, 1),
+        seed=st.integers(0, 10**6), rival=st.sampled_from(["random", "adversarial"]),
+        planted=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_same_bits_as_the_adapted_sequence(self, K, N, menu, extra, seed, rival, planted):
+        # Trees as deep as N + K or one deeper.  The adversarial strategy planted in the
+        # Bayesian slot makes a random rival's conditional means positive, so failures are
+        # compared too.
+        tree, _ = random_tree(N + K + extra, 3, seed=seed)
+        loss = random_loss(tree, N, K, menu, seed=seed + 1)
+        if rival == "random":
+            alt = random_strategy(tree, loss, seed=seed + 2)
+        else:
+            alt = adversarial_strategy(tree, loss)
+        if planted:
+            prob = decision._problem(tree, loss)
+            worst = adversarial_strategy(tree, loss)
+            prob.bayes = (worst, *prob._realize(worst))
+        report, tails = self.reference(tree, loss, alt)
+        assert shifted_deviation_check(tree, loss, alt) == report
+        assert [regret_tail(tree, loss, alt, C) for C in (0.0, 0.3, 1.0)] == tails
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64, np.float32])
+    def test_losses_of_any_real_dtype_give_the_float64_results(self, dtype):
+        # 0/1 losses: a uint8 difference 0 - 1 would wrap to 255, and numpy has no bool minus.
+        tree = uniform_binary_tree(4)
+        rng = np.random.default_rng(24)
+        tables = [[rng.integers(0, 2, size=tree.node_counts[n + 1]) for _ in range(2)] for n in (1, 2, 3)]
+        space = DecisionSpace(("a", "b"))
+        as_float = LossSpec(space, 1, tuple(tuple(t.astype(float) for t in ts) for ts in tables))
+        as_dtype = LossSpec(space, 1, tuple(tuple(t.astype(dtype) for t in ts) for ts in tables))
+        alt = random_strategy(tree, as_float, seed=25)
+        want = decision_results(tree, as_float, alt)
+        assert not want["shift"].failures and want["tails"][0] < 1.0  # some differences are -1
+        assert decision_results(tree, as_dtype, alt) == want
 
 
 class TestBaselines:
@@ -572,7 +660,7 @@ class TestCachedQuantities:
         checked = []
         check = decision._check_strategy
         monkeypatch.setattr(
-            decision, "_check_strategy", lambda t, l, s: (checked.append(s), check(t, l, s))[1]
+            decision, "_check_strategy", lambda p, s: (checked.append(s), check(p, s))[1]
         )
         alt = random_strategy(tree, loss, seed=53)
         decision_results(tree, loss, alt)

@@ -300,6 +300,12 @@ class TestMalformedArrays:
             deviation_per_leaf(two_level_tree(), seq, 1)
         assert str(err.value) == "sequence has 3 steps but tree depth is 2"
 
+    def test_sequence_step_must_fit_its_depth(self):
+        seq = AdaptedSequence(values=(np.zeros(2), np.zeros(3)))
+        with pytest.raises(ValueError) as err:
+            deviation_per_leaf(two_level_tree(), seq, 1)
+        assert str(err.value) == "step 2: 3 values for 4 depth-2 nodes"
+
     @pytest.mark.parametrize("bad", [np.array([[0.1, 0.2]]), [0.1, 0.2]])
     def test_sequence_steps(self, bad):
         with pytest.raises(ValueError) as err:
@@ -845,7 +851,7 @@ class TestFanOutLevels:
             return  # a loss spec on every level of the 2^20-leaf tree takes ~100 MB
         loss = two_decision_loss(tree, K, seed=9)
         for strategy in (bayesian_strategy(tree, loss), random_strategy(tree, loss, seed=10)):
-            totals = _problem(tree, loss).realized(loss, strategy)[2]
+            totals = _problem(tree, loss).realized(strategy)[2]
             self.assert_same(totals, general_totals(tree, loss, strategy))
 
     def test_fan_outs_are_found_on_large_levels_only(self):
@@ -878,5 +884,5 @@ class TestFanOutLevels:
             deviation_per_leaf(tree, seq, lag)
         loss = two_decision_loss(tree, 2, seed=1)
         strategy = random_strategy(tree, loss, seed=2)
-        _problem(tree, loss).realized(loss, strategy)
+        _problem(tree, loss).realized(strategy)
         assert sizes and max(sizes) <= 4096

@@ -148,13 +148,13 @@ class _Problem:
         )
         self.tree, self.K = tree, K
         # float64 rows, so that differences of losses of any real dtype are exact values in [-1, 1]
-        self.tables = _frozen(np.stack(per_decision, dtype=float) for per_decision in loss.tables)
+        self.tables = _frozen(np.array(per_decision, dtype=float) for per_decision in loss.tables)
         self.stacks = _frozen(
-            np.stack([_pull_back(tree, tab, n + K, n) for tab in loss.tables[n - 1]])
+            np.array([_pull_back(tree, tab, n + K, n) for tab in loss.tables[n - 1]])
             for n in range(1, loss.n_steps + 1)
         )
         # argmin takes the first minimizer
-        bayes = Strategy(choices=_frozen(np.argmin(table, axis=0) for table in self.stacks))
+        bayes = Strategy(choices=_frozen(table.argmin(axis=0) for table in self.stacks))
         self.bayes = self.rival = (bayes, *self._realize(bayes))
 
     def _realize(self, strategy: Strategy) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
@@ -302,5 +302,5 @@ def random_strategy(tree: ProbabilityTree, loss: LossSpec, seed: int) -> Strateg
 def adversarial_strategy(tree: ProbabilityTree, loss: LossSpec) -> Strategy:
     """Per node, the first decision maximizing conditional expected loss."""
     stacks = _problem(tree, loss).stacks
-    return Strategy(choices=tuple(np.argmax(table, axis=0) for table in stacks))
+    return Strategy(choices=tuple(table.argmax(axis=0) for table in stacks))
 

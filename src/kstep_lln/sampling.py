@@ -202,7 +202,8 @@ def _inverse_cdf_draw(values: np.ndarray, cdf: np.ndarray, x: np.ndarray) -> np.
     """
     xs = np.sort(x)
     if len(cdf) < len(x):
-        # Keys below cdf[j] are exactly those whose leaf is at most j.
+        # Keys below cdf[j] are exactly those whose leaf is at most j.  A chunk's 2^15 keys bound
+        # this branch to fewer leaves, where repeating a read-only `values` costs no more.
         starts = np.searchsorted(xs, cdf[:-1], side="left")
         return np.repeat(values, np.diff(starts, prepend=0, append=len(x)))
     return values[np.searchsorted(cdf[:-1], xs, side="right")]

@@ -436,18 +436,17 @@ def random_tree(
 ) -> tuple[ProbabilityTree, AdaptedSequence]:
     """Seeded random tree with Dirichlet-ish branch weights and Y uniform in [-1, 1].
 
-    Branching per node is uniform on {2, ..., max_branching}; children are
-    laid out parent-contiguously.  Deterministic given the seed.
+    Children are laid out parent-contiguously.  Each level draws, in order, per-node branching
+    uniform on {2, ..., max_branching} by `integers` (no draw when max_branching is 2: a range
+    of one value draws nothing), the exponential weights, and the values by `uniform`.
     """
     depth, max_branching = _integer("depth", depth), _integer("max_branching", max_branching, lo=2)
     rng = np.random.default_rng(seed)
-    parents: list[np.ndarray] = []
-    branch_probs: list[np.ndarray] = []
-    values: list[np.ndarray] = []
+    parents, branch_probs, values = [], [], []
     n_nodes = 1
     for _ in range(depth):
-        branching = rng.integers(2, max_branching + 1, size=n_nodes)
-        par = np.repeat(np.arange(n_nodes), branching)
+        branching = rng.integers(2, max_branching + 1, size=n_nodes) if max_branching > 2 else 2
+        par = np.arange(n_nodes).repeat(branching)
         weights = rng.exponential(size=len(par)) + 1e-6
         sums = np.bincount(par, weights=weights, minlength=n_nodes)
         parents.append(par)

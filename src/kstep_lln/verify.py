@@ -254,7 +254,7 @@ def _corollary_row(seed: int, i: int) -> dict:
     counts = tree.node_counts
     loss_rng = np.random.default_rng(derive_seed(seed, 9, i, 2))
     tables = tuple(
-        tuple(loss_rng.uniform(0.0, 1.0, size=counts[n + horizon]) for _ in range(n_dec))
+        tuple(loss_rng.random(counts[n + horizon]) for _ in range(n_dec))
         for n in range(1, n_steps + 1)
     )
     loss = LossSpec(space=space, horizon=horizon, tables=tables)
@@ -268,9 +268,9 @@ def _corollary_row(seed: int, i: int) -> dict:
     bayes = bayesian_strategy(tree, loss)
     dominance_ok = True
     for n in range(1, n_steps + 1):
-        per_d = np.stack([expected_losses(tree, loss, n, d) for d in range(n_dec)])
+        per_d = np.array([expected_losses(tree, loss, n, d) for d in range(n_dec)])
         chosen = per_d[bayes.choices[n - 1], np.arange(counts[n])]
-        if np.any(chosen > per_d.min(axis=0) + 1e-12):
+        if (chosen > per_d.min(axis=0) + 1e-12).any():
             dominance_ok = False
     shift = shifted_deviation_check(tree, loss, alt)
     regret_ok = True

@@ -601,6 +601,53 @@ class TestBaselines:
         assert all(np.array_equal(x, y) for x, y in zip(a.choices, b.choices))
 
 
+def loss_table(rng, dtype, n):
+    """n losses in [0, 1] of `dtype`: 0/1 for bool and integer dtypes, so ties are common."""
+    if np.dtype(dtype).kind == "f":
+        return rng.random(n).astype(dtype)
+    return rng.integers(0, 2, size=n).astype(dtype)
+
+
+class TestProblemArrays:
+    """The problem's arrays equal, bit for bit and flag for flag, `np.stack`'s and `np.argmin`'s."""
+
+    @staticmethod
+    def assert_same(got, want, writeable):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous and got.flags.writeable == writeable
+
+    @given(
+        dtype=st.sampled_from([bool, np.uint8, np.int64, np.float32, np.float64]),
+        K=st.integers(1, 2), n_steps=st.integers(1, 3), n_dec=st.integers(1, 3),
+        extra=st.integers(0, 1), seed=st.integers(0, 10**6),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_same_bits_as_stacked(self, dtype, K, n_steps, n_dec, extra, seed):
+        tree, _ = random_tree(n_steps + K + extra, 3, seed=seed)
+        rng = np.random.default_rng(seed + 1)
+        tables = tuple(
+            tuple(loss_table(rng, dtype, tree.node_counts[n + K]) for _ in range(n_dec))
+            for n in range(1, n_steps + 1)
+        )
+        loss = LossSpec(DecisionSpace(tuple(f"d{j}" for j in range(n_dec))), K, tables)
+        prob = decision._problem(tree, loss)
+        adversarial = adversarial_strategy(tree, loss)
+        for n in range(1, n_steps + 1):
+            table = np.stack(tables[n - 1], dtype=float)
+            stack = np.stack([_pull_back(tree, tab, n + K, n) for tab in tables[n - 1]])
+            assert stack.dtype == np.float64
+            self.assert_same(prob.tables[n - 1], table, writeable=False)
+            self.assert_same(prob.stacks[n - 1], stack, writeable=False)
+            bayes = np.argmin(stack, axis=0)
+            self.assert_same(prob.bayes[0].choices[n - 1], bayes, writeable=False)
+            self.assert_same(adversarial.choices[n - 1], np.argmax(stack, axis=0), writeable=True)
+            for d in range(n + 1, n + K + 1):
+                bayes = bayes[tree.parents[d - 1]]
+            realized = table[bayes, np.arange(len(bayes))]
+            self.assert_same(prob.bayes[1][n - 1], realized, writeable=False)
+
+
 def decision_results(tree, loss, alt):
     """Every cached quantity of (tree, loss), as plain values for comparison."""
     bayes = bayesian_strategy(tree, loss)

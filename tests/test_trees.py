@@ -655,6 +655,64 @@ class TestGenerators:
             block_process_tree(7, 2)
 
 
+def reference_random_tree(depth, max_branching, seed):
+    """`random_tree`'s levels with one `Generator` call per draw: the stream it must keep."""
+    rng = np.random.default_rng(seed)
+    parents, branch_probs, values = [], [], []
+    n = 1
+    for _ in range(depth):
+        par = np.repeat(np.arange(n), rng.integers(2, max_branching + 1, size=n))
+        weights = rng.exponential(size=len(par)) + 1e-6
+        parents.append(par)
+        branch_probs.append(weights / np.bincount(par, weights=weights, minlength=n)[par])
+        n = len(par)
+        values.append(rng.uniform(-1.0, 1.0, size=n))
+    return parents, branch_probs, values
+
+
+def assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestRandomTreeStream:
+    """`random_tree` and criterion 9's loss tables skip or swap `Generator` calls; the stream stays.
+
+    Each identity below is one the cheaper calls rest on, so a numpy release that
+    breaks one is named here before the criterion artifacts' digests move.
+    """
+
+    # Every depth 1-8 with every branching range whose worst case stays at 2^16 leaves.
+    @pytest.mark.parametrize("depth, max_branching", [
+        (depth, b) for b in (2, 3, 4, 16) for depth in range(1, 9) if b**depth <= 1 << 16
+    ])
+    def test_arrays_match_reference(self, depth, max_branching):
+        for seed in (0, 1, 1729, 2**64 - 1):
+            tree, seq = random_tree(depth, max_branching, seed)
+            parents, branch_probs, values = reference_random_tree(depth, max_branching, seed)
+            assert_same_bits(tree.parents, parents)
+            assert_same_bits(tree.branch_probs, branch_probs)
+            assert_same_bits(seq.values, values)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_one_value_integers_leave_the_state_alone(self, seed):
+        rng = np.random.default_rng(seed)
+        rng.integers(0, 1 << 20, size=3, dtype=np.uint32)  # three 32-bit draws: half a word buffered
+        before = rng.bit_generator.state
+        assert before["has_uint32"] == 1
+        twos = rng.integers(2, 3, size=1000)
+        assert rng.bit_generator.state == before
+        assert twos.dtype == np.int64 and np.all(twos == 2)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_uniform_zero_one_is_random(self, seed):
+        for n in (1, 7, 4096):
+            a = np.random.default_rng(seed).uniform(0.0, 1.0, n)
+            b = np.random.default_rng(seed).random(n)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def block_levels_one_by_one(N, K):
     """The block tree's level arrays, each allocated on its own."""
     parents, branch_probs, values = [], [], []

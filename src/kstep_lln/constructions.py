@@ -99,7 +99,7 @@ def _tail_event(C: float, sided: str):
     if not math.isfinite(C):
         raise ValueError(f"threshold C must be finite, got {C!r}")
     if sided == "two_sided":
-        return lambda s: np.abs(s) >= C
+        return lambda s: (s >= C) | (s <= -C)  # |S| >= C with no float copy of |S|
     return lambda s: s >= C
 
 

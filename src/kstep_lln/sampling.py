@@ -238,7 +238,7 @@ def mc_tail(
             raise RuntimeError(f"sampler failed in trials [{int(idx[0])}, {int(idx[-1])}]") from exc
         if len(dev) != len(idx):
             raise RuntimeError(f"sampler returned {len(dev)} values for {len(idx)} trials")
-        hits += int(event(dev).sum())
+        hits += int(np.count_nonzero(event(dev)))
 
     lo, hi = clopper_pearson(hits, trials)
     return TailEstimate(trials=trials, hits=hits, ci_low=lo, ci_high=hi)

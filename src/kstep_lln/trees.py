@@ -42,12 +42,15 @@ passes each node through to one child).  The walks step down such a level
 by np.repeat, or not at all, and sum it per parent by columns, so they
 never gather or scatter through its parent array; every large level of a
 block tree is one.  A large read-only level of any other shape is summed
-by bincount, copy and all.  A tree keeps the node counts, fan-outs and
-leaf probabilities its validation computes; an adapted sequence keeps its
-deviation per leaf for the last (tree, lag) it was evaluated on; a loss
-spec keeps the last tree's problem, the Bayesian strategy and the last
-rival.  Arrays handed out from a cache are read-only.  Desk scale is about
-10^6 leaves for exact enumeration; beyond that, sample.
+by bincount, copy and all.  Validation checks a large level as soon as
+its per-parent sums exist, on their extremes and on the least branch
+probability, and keeps none of its sums; a fault's message still names the
+parent.  A tree keeps the node counts, fan-outs and leaf probabilities
+its validation computes; an adapted sequence keeps its deviation per leaf
+for the last (tree, lag) it was evaluated on; a loss spec keeps the last
+tree's problem, the Bayesian strategy and the last rival.  Arrays handed
+out from a cache are read-only.  Desk scale is about 10^6 leaves for exact
+enumeration; beyond that, sample.
 """
 
 from __future__ import annotations
@@ -77,6 +80,9 @@ _LEAF_SUM_TOL = 1e-9
 # near 1, so that is s in [_SUM_LO, _SUM_HI].  1.0 + 1e-12 rounds up past it.
 _SUM_LO = 1.0 - _PROB_SUM_TOL
 _SUM_HI = math.nextafter(1.0 + _PROB_SUM_TOL, 0.0)
+# math.ulp(0.0) is the least positive double, so [ulp, inf] means "> 0"; a float64
+# scalar, as numpy rounds a Python float to 0.0 in a float16 or float32 array's dtype.
+_POSITIVE = np.float64(math.ulp(0.0))
 # Validation reduces arrays of at most this many entries together.  Each numpy
 # call costs about 1 us however small its array, so one concatenate and two
 # reductions beat two reductions per level; past a few thousand entries the
@@ -85,6 +91,9 @@ _SUM_HI = math.nextafter(1.0 + _PROB_SUM_TOL, 0.0)
 # at a time and 48 us grouped at this size, while grouping every level slowed
 # the construction of `block_process_tree(40, 2)` (2^20 leaves) from 33 to 57 ms.
 _GROUP_MAX = 4096
+# What the value checks hold for a level of more than `_GROUP_MAX` nodes, checked as
+# it is read: empty arrays pass `_first_outside`.
+_PASSED = np.empty(0)
 # Integer dtypes that bincount and indexing take without a cast (uint64 is not one).
 _INDEX_CODES = "".join(c for c in np.typecodes["AllInteger"] if np.can_cast(c, np.intp))
 # The largest fan-out summed by columns, one numpy call per column: on a 2-core x86
@@ -163,19 +172,23 @@ def _level_fault(par, pr) -> str | None:
 def _value_fault(probs, sums) -> str | None:
     """The shallowest non-positive branch probability or parent sum off 1, as a message.
 
-    `sums[i]` holds the per-parent sums of depth i + 1, for the depths checked so
-    far; at one depth a non-positive probability is reported before its sums.
+    `probs[i]` and `sums[i]` hold the branch probabilities and per-parent sums of
+    depth i + 1, for the depths checked so far, or `_PASSED` for a large level
+    checked as it was read; at one depth a non-positive probability is
+    reported before its sums.
     """
-    # math.ulp(0.0) is the least positive double, so [ulp, inf] means "> 0"; a float64
-    # scalar, as numpy rounds a Python float to 0.0 in a float16 or float32 array's dtype.
-    pos = _first_outside(probs[: len(sums)], np.float64(math.ulp(0.0)), math.inf)
+    pos = _first_outside(probs, _POSITIVE, math.inf)
     off = _first_outside(sums, _SUM_LO, _SUM_HI)
     if pos is not None and (off is None or pos <= off):
         return f"depth {pos + 1}: branch probabilities must be positive"
     if off is None:
         return None
-    bad = int(np.argmax(np.abs(sums[off] - 1.0)))
-    return f"depth {off + 1}: branch probabilities at parent {bad} sum to {float(sums[off][bad])!r}"
+    return f"depth {off + 1}: {_sum_fault(sums[off])}"
+
+
+def _sum_fault(sums: np.ndarray) -> str:
+    bad = int(np.argmax(np.abs(sums - 1.0)))
+    return f"branch probabilities at parent {bad} sum to {float(sums[bad])!r}"
 
 
 def _fan_out(par: np.ndarray, n_parents: int) -> int:
@@ -249,26 +262,35 @@ class ProbabilityTree:
             raise ValueError("parents and branch_probs must cover the same depths")
         if not self.parents:
             raise ValueError("tree must have depth at least 1")
-        counts, fan_outs, level_sums = [1], [], []
+        counts, fan_outs, level_probs, level_sums = [1], [], [], []
         for d, (par, pr) in enumerate(zip(self.parents, self.branch_probs), start=1):
             fault = _level_fault(par, pr)
             if fault is None:
                 # Only levels of more than `_GROUP_MAX` nodes get a fan-out, whose
                 # indices are in range by construction.  Elsewhere np.bincount raises
                 # on a negative index and lengthens the sums for one past the parent level.
-                b = _fan_out(par, counts[-1]) if len(par) > _GROUP_MAX else 0
+                large = len(par) > _GROUP_MAX
+                b = _fan_out(par, counts[-1]) if large else 0
                 try:
                     sums = pr if b == 1 else _parent_sums(par, pr, counts[-1], b)
                 except (ValueError, MemoryError):
                     sums = None
                 if sums is None or len(sums) > counts[-1]:
                     fault = "parent index out of range"
+                elif large:  # checked on its extremes now, so its sums are not kept
+                    lo, hi = sums.min(), sums.max()
+                    if not _POSITIVE <= (lo if b == 1 else pr.min()):
+                        fault = "branch probabilities must be positive"
+                    elif not (_SUM_LO <= lo and hi <= _SUM_HI):
+                        fault = _sum_fault(sums)
+                    pr = sums = _PASSED
             if fault is not None:
-                raise ValueError(_value_fault(self.branch_probs, level_sums) or f"depth {d}: {fault}")
+                raise ValueError(_value_fault(level_probs, level_sums) or f"depth {d}: {fault}")
             counts.append(len(par))
             fan_outs.append(b)
+            level_probs.append(pr)
             level_sums.append(sums)
-        if fault := _value_fault(self.branch_probs, level_sums):
+        if fault := _value_fault(level_probs, level_sums):
             raise ValueError(fault)
         object.__setattr__(self, "_node_counts", tuple(counts))
         object.__setattr__(self, "_fan_outs", tuple(fan_outs))

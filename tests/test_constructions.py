@@ -10,6 +10,7 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kstep_lln import constructions
 from kstep_lln.bounds import mv_lower_bound
@@ -34,6 +35,7 @@ from kstep_lln.constructions import (
     _TWO_PI,
     _exact_sum,
     _pmf_float,
+    _tail_event,
 )
 from kstep_lln.trees import block_process_tree, exact_tail
 
@@ -527,6 +529,27 @@ class TestBlockDeviationTail:
         res = mv_threshold(HorizonParams(N=m * K, K=K, epsilon=eps))
         assert res.valid, res.violations
         assert block_deviation_tail(m * K, K, res.threshold) >= eps
+
+
+# Signed zeros, infinities, NaN, subnormals and the ends of the float range.
+_SPECIAL_S = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.0**-1070, 1e308, -1e308]
+_SPECIAL_C = [0.0, -0.0, -1.0, 5e-324, -5e-324, 2.0**-1070, 1e308, -1e308]
+
+
+class TestTailEvent:
+    @given(
+        hnp.arrays(np.float64, st.integers(0, 64), elements=st.one_of(
+            st.sampled_from(_SPECIAL_S), st.floats(allow_subnormal=True),
+        )),
+        st.one_of(st.sampled_from(_SPECIAL_C), st.floats(allow_nan=False, allow_infinity=False)),
+    )
+    @settings(max_examples=300)
+    def test_two_sided_mask_is_abs_at_least_c(self, s, C):
+        # The mask is (s >= C) | (s <= -C), with no float copy of |s|: the same bytes.
+        want = np.abs(s) >= C
+        got = _tail_event(C, "two_sided")(s)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestMvAudit:

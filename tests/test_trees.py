@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,6 +256,38 @@ class TestConstructionMessages:
         else:
             with pytest.raises(ValueError, match="sum to"):
                 ProbabilityTree(**args)
+
+
+class TestPassThroughLevelFaults:
+    """Value faults on a large pass-through level, which validation checks on its extremes."""
+
+    assert_rejected = staticmethod(TestConstructionMessages.assert_rejected)
+
+    @staticmethod
+    def pass_through_levels():
+        """A binary tree of depth 13 and a depth-14 level passing each of 8192 nodes through."""
+        parents, probs = binary_levels(13)
+        parents.append(np.arange(8192))
+        probs.append(np.ones(8192))
+        return parents, probs
+
+    @pytest.mark.parametrize("at", [0, 5000, -1])
+    @pytest.mark.parametrize("bad, dtype", [(0.0, np.float64), (math.nan, np.float64), (0.0, np.float32)])
+    def test_pass_through_level_non_positive_probability(self, at, bad, dtype):
+        # A large level is checked on its extremes, and the message is the same.
+        parents, probs = self.pass_through_levels()
+        probs[-1] = probs[-1].astype(dtype)
+        probs[-1][at] = bad
+        self.assert_rejected(parents, probs, "depth 14: branch probabilities must be positive")
+
+    @pytest.mark.parametrize("at", [0, 5000, 8191])
+    def test_pass_through_level_sum_off_one(self, at):
+        # A large level is checked on its extremes, and the message still names the node.
+        parents, probs = self.pass_through_levels()
+        probs[-1][at] = 1.0 + 2.0**-30
+        self.assert_rejected(
+            parents, probs, f"depth 14: branch probabilities at parent {at} sum to {1.0 + 2.0**-30!r}"
+        )
 
 
 class TestMalformedArrays:
@@ -803,6 +836,14 @@ def near_miss(kind):
     return parents, probs, values
 
 
+def near_unit():
+    """A valid tree whose last level (8192 nodes) passes each node through, one with 1 - 2^-42."""
+    parents, probs, values = regular_tree((2,) * 13 + (1,), seed=7)
+    probs[-1] = probs[-1].copy()
+    probs[-1][3000] = 1.0 - 2.0**-42  # within the 1e-12 sum tolerance
+    return parents, probs, values
+
+
 def built(levels):
     parents, probs, values = levels
     tree = ProbabilityTree(parents=tuple(parents), branch_probs=tuple(probs))
@@ -818,6 +859,7 @@ FAN_OUT_TREES = {
     "fan-out 3": (1, lambda: built(regular_tree((3,) * 8 + (1,), seed=4))),
     "three and one": (1, lambda: built(near_miss("three and one"))),
     "swapped": (1, lambda: built(near_miss("swapped"))),
+    "near unit": (1, lambda: built(near_unit())),
 }
 
 
@@ -919,7 +961,7 @@ class TestFanOutLevels:
         )
         # The last two levels; a binary tree's depth-12 level has only 4096 nodes.
         for name, last_two in [("random binary", (0, 2)), ("fan-out 3", (3, 1)),
-                               ("three and one", (0, 0)), ("swapped", (0, 0))]:
+                               ("three and one", (0, 0)), ("swapped", (0, 0)), ("near unit", (2, 1))]:
             assert FAN_OUT_TREES[name][1]()[0]._fan_outs[-2:] == last_two
         # Past fan-out 16, one numpy call per column costs more than np.bincount.
         for b, found in [(16, 16), (17, 0)]:
@@ -944,3 +986,31 @@ class TestFanOutLevels:
         strategy = random_strategy(tree, loss, seed=2)
         _problem(tree, loss).realized(strategy)
         assert sizes and max(sizes) <= 4096
+
+
+class TestLargeTreeMemory:
+    """Large levels leave no level-sized temporary behind (2^16 leaves, 512 KiB of leaf probabilities)."""
+
+    @staticmethod
+    def peak_bytes(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_building_a_tree(self):
+        # Validation keeps none of a large level's per-parent sums (2.64x kept them all).
+        tree, _ = block_process_tree(32, 2)
+        leaf_bytes = tree.node_probabilities(32).nbytes
+        peak = self.peak_bytes(lambda: ProbabilityTree(parents=tree.parents, branch_probs=tree.branch_probs))
+        assert peak <= 2 * leaf_bytes
+
+    def test_two_sided_exact_tail(self):
+        # The two-sided event makes no float copy of |S| (1.13x made one).
+        tree, seq = block_process_tree(32, 2)
+        deviation_per_leaf(tree, seq, 2)  # cached on seq
+        leaf_bytes = tree.node_probabilities(32).nbytes
+        peak = self.peak_bytes(lambda: exact_tail(tree, seq, 2, 20.0))  # 1394 of 65536 leaves
+        assert peak <= leaf_bytes / 2

@@ -259,6 +259,8 @@ def suitable_x_check(epsilon: float, x: float) -> bool:
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x!r}")
     return epsilon ** (x - 1.0) < x * _log_inverse(epsilon)
 
 

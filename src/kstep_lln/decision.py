@@ -130,7 +130,7 @@ class _Problem:
     the Bayesian strategy and the last rival seen, each as (strategy,
     per-step realized losses, path totals).  The rival slot is replaced by
     one assignment of a finished tuple, so it never pairs one strategy with
-    another's losses: a reader sees the old entry or the new one whole.
+    another's losses.
     """
 
     __slots__ = ("tree", "K", "tables", "stacks", "bayes", "rival")

@@ -17,7 +17,8 @@ Conditional expectations stay internal, and tail probabilities of
 come out exact up to float accumulation, and serve as the oracle against
 which Monte Carlo estimates (see `sampling`) are judged.
 
-Construction validates each input once.  A tree checks every level: the
+Construction validates each input once.  A tree checks each level as it
+reads it, shallowest first, and keeps none of its per-parent sums: the
 parents are a 1-D integer array and the branch probabilities a 1-D real
 array of the same nonzero length, every parent index names a node one
 level up (the per-parent `bincount` the check needs anyway serves as this
@@ -42,15 +43,12 @@ passes each node through to one child).  The walks step down such a level
 by np.repeat, or not at all, and sum it per parent by columns, so they
 never gather or scatter through its parent array; every large level of a
 block tree is one.  A large read-only level of any other shape is summed
-by bincount, copy and all.  Validation checks a large level as soon as
-its per-parent sums exist, on their extremes and on the least branch
-probability, and keeps none of its sums; a fault's message still names the
-parent.  A tree keeps the node counts, fan-outs and leaf probabilities
-its validation computes; an adapted sequence keeps its deviation per leaf
-for the last (tree, lag) it was evaluated on; a loss spec keeps the last
-tree's problem, the Bayesian strategy and the last rival.  Arrays handed
-out from a cache are read-only.  Desk scale is about 10^6 leaves for exact
-enumeration; beyond that, sample.
+by bincount, copy and all.  A tree keeps the node counts, fan-outs and
+leaf probabilities its validation computes; an adapted sequence keeps its
+deviation per leaf for the last (tree, lag) it was evaluated on; a loss
+spec keeps the last tree's problem, the Bayesian strategy and the last
+rival.  Arrays handed out from a cache are read-only.  Desk scale is
+about 10^6 leaves for exact enumeration; beyond that, sample.
 """
 
 from __future__ import annotations
@@ -83,17 +81,15 @@ _SUM_HI = math.nextafter(1.0 + _PROB_SUM_TOL, 0.0)
 # math.ulp(0.0) is the least positive double, so [ulp, inf] means "> 0"; a float64
 # scalar, as numpy rounds a Python float to 0.0 in a float16 or float32 array's dtype.
 _POSITIVE = np.float64(math.ulp(0.0))
-# Validation reduces arrays of at most this many entries together.  Each numpy
-# call costs about 1 us however small its array, so one concatenate and two
-# reductions beat two reductions per level; past a few thousand entries the
-# copy costs more than the calls it saves.  On a 2-core x86 box the trees and
-# sequences of the `tree-exact` benchmark took 62 us apiece checked one array
-# at a time and 48 us grouped at this size, while grouping every level slowed
-# the construction of `block_process_tree(40, 2)` (2^20 leaves) from 33 to 57 ms.
+# Validation reduces per-step arrays (sequence values, loss tables, choices) of at
+# most this many entries together.  Each numpy call costs about 1 us however small
+# its array, so one concatenate and two reductions beat two reductions per step;
+# past a few thousand entries the copy costs more than the calls it saves.  On a
+# 2-core x86 box a criterion-7-shaped sequence took 7.2 us checked grouped and 9.9 us
+# one array at a time.  Tree levels are not grouped: each already costs a bincount,
+# beside which its own reductions are not measurable.  Above this size a level or
+# step is reduced by min and max, and a tree level may get a fan-out.
 _GROUP_MAX = 4096
-# What the value checks hold for a level of more than `_GROUP_MAX` nodes, checked as
-# it is read: empty arrays pass `_first_outside`.
-_PASSED = np.empty(0)
 # Integer dtypes that bincount and indexing take without a cast (uint64 is not one).
 _INDEX_CODES = "".join(c for c in np.typecodes["AllInteger"] if np.can_cast(c, np.intp))
 # The largest fan-out summed by columns, one numpy call per column: on a 2-core x86
@@ -108,10 +104,10 @@ _REAL_KINDS = "biuf"
 def _inside(a: np.ndarray, lo, hi) -> bool:
     # NaN fails lo <= min.  a[a.argmin()] is a.min(), NaN included, at a third of its
     # cost on small arrays; but argmin copies a read-only array first, which tripled
-    # its cost on a 2^20-entry block-tree level.  hi = +inf needs no maximum.
+    # its cost on a 2^20-entry block-tree level.
     if a.size > _GROUP_MAX:
-        return bool(lo <= a.min() and (hi == math.inf or a.max() <= hi))
-    return bool(lo <= a[a.argmin()] and (hi == math.inf or a[a.argmax()] <= hi))
+        return bool(lo <= a.min() and a.max() <= hi)
+    return bool(lo <= a[a.argmin()] and a[a.argmax()] <= hi)
 
 
 def _first_outside(arrays, lo, hi) -> int | None:
@@ -119,7 +115,8 @@ def _first_outside(arrays, lo, hi) -> int | None:
 
     Empty arrays pass.  Arrays of at most `_GROUP_MAX` entries are reduced as
     one, larger ones on their own; only when a check fails are the arrays
-    scanned one by one to find the first offender.
+    scanned one by one to find the first offender.  Only `_check_steps` groups:
+    checked one step at a time, a sequence took about 2.7 us more.
     """
     small = []
     for a in arrays:
@@ -167,28 +164,6 @@ def _level_fault(par, pr) -> str | None:
     if len(par) == 0:
         return "empty level"
     return None
-
-
-def _value_fault(probs, sums) -> str | None:
-    """The shallowest non-positive branch probability or parent sum off 1, as a message.
-
-    `probs[i]` and `sums[i]` hold the branch probabilities and per-parent sums of
-    depth i + 1, for the depths checked so far, or `_PASSED` for a large level
-    checked as it was read; at one depth a non-positive probability is
-    reported before its sums.
-    """
-    pos = _first_outside(probs, _POSITIVE, math.inf)
-    off = _first_outside(sums, _SUM_LO, _SUM_HI)
-    if pos is not None and (off is None or pos <= off):
-        return f"depth {pos + 1}: branch probabilities must be positive"
-    if off is None:
-        return None
-    return f"depth {off + 1}: {_sum_fault(sums[off])}"
-
-
-def _sum_fault(sums: np.ndarray) -> str:
-    bad = int(np.argmax(np.abs(sums - 1.0)))
-    return f"branch probabilities at parent {bad} sum to {float(sums[bad])!r}"
 
 
 def _fan_out(par: np.ndarray, n_parents: int) -> int:
@@ -262,36 +237,36 @@ class ProbabilityTree:
             raise ValueError("parents and branch_probs must cover the same depths")
         if not self.parents:
             raise ValueError("tree must have depth at least 1")
-        counts, fan_outs, level_probs, level_sums = [1], [], [], []
+        counts, fan_outs = [1], []
         for d, (par, pr) in enumerate(zip(self.parents, self.branch_probs), start=1):
-            fault = _level_fault(par, pr)
-            if fault is None:
-                # Only levels of more than `_GROUP_MAX` nodes get a fan-out, whose
-                # indices are in range by construction.  Elsewhere np.bincount raises
-                # on a negative index and lengthens the sums for one past the parent level.
-                large = len(par) > _GROUP_MAX
-                b = _fan_out(par, counts[-1]) if large else 0
-                try:
-                    sums = pr if b == 1 else _parent_sums(par, pr, counts[-1], b)
-                except (ValueError, MemoryError):
-                    sums = None
-                if sums is None or len(sums) > counts[-1]:
-                    fault = "parent index out of range"
-                elif large:  # checked on its extremes now, so its sums are not kept
-                    lo, hi = sums.min(), sums.max()
-                    if not _POSITIVE <= (lo if b == 1 else pr.min()):
-                        fault = "branch probabilities must be positive"
-                    elif not (_SUM_LO <= lo and hi <= _SUM_HI):
-                        fault = _sum_fault(sums)
-                    pr = sums = _PASSED
-            if fault is not None:
-                raise ValueError(_value_fault(level_probs, level_sums) or f"depth {d}: {fault}")
+            if fault := _level_fault(par, pr):
+                raise ValueError(f"depth {d}: {fault}")
+            # Only levels of more than `_GROUP_MAX` nodes get a fan-out, whose indices
+            # are in range by construction.  Elsewhere np.bincount raises on a negative
+            # index and lengthens the sums for one past the parent level.
+            large = len(par) > _GROUP_MAX
+            b = _fan_out(par, counts[-1]) if large else 0
+            try:
+                sums = pr if b == 1 else _parent_sums(par, pr, counts[-1], b)
+            except (ValueError, MemoryError):
+                sums = None
+            if sums is None or len(sums) > counts[-1]:
+                raise ValueError(f"depth {d}: parent index out of range")
+            # The level's extremes, reduced as `_inside` reduces them; NaN fails every test.
+            if large:
+                lo, hi = sums.min(), sums.max()
+                least = lo if b == 1 else pr.min()
+            else:
+                lo, hi, least = sums[sums.argmin()], sums[sums.argmax()], pr[pr.argmin()]
+            if not _POSITIVE <= least:
+                raise ValueError(f"depth {d}: branch probabilities must be positive")
+            if not (_SUM_LO <= lo and hi <= _SUM_HI):
+                bad = int(np.argmax(np.abs(sums - 1.0)))
+                raise ValueError(
+                    f"depth {d}: branch probabilities at parent {bad} sum to {float(sums[bad])!r}"
+                )
             counts.append(len(par))
             fan_outs.append(b)
-            level_probs.append(pr)
-            level_sums.append(sums)
-        if fault := _value_fault(level_probs, level_sums):
-            raise ValueError(fault)
         object.__setattr__(self, "_node_counts", tuple(counts))
         object.__setattr__(self, "_fan_outs", tuple(fan_outs))
         leaves = self._probabilities(self.depth)

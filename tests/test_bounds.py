@@ -370,6 +370,12 @@ class TestSuitableXCheck:
             suitable_x_check(eps, 2.0)
         assert str(err.value) == f"epsilon must lie in (0, 1), got {eps!r}"
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_x(self, x):
+        with pytest.raises(ValueError) as err:
+            suitable_x_check(0.5, x)
+        assert str(err.value) == f"x must be finite, got {x!r}"
+
     def test_equality_case_is_strict(self):
         # At eps = 1/e, x = 1: both sides equal 1, strict inequality fails.
         assert not suitable_x_check(math.exp(-1), 1.0)

@@ -258,6 +258,77 @@ class TestConstructionMessages:
                 ProbabilityTree(**args)
 
 
+def reference_fault(parents, probs):
+    """The message for the first faulty level, or None: levels in order, full reductions.
+
+    At one level a parent index out of range comes first, then a branch
+    probability not positive, then a parent whose branch probabilities sum
+    more than 1e-12 away from 1, named by the largest miss.
+    """
+    n_parents = 1
+    for d, (par, pr) in enumerate(zip(parents, probs), start=1):
+        if par.min() < 0 or par.max() >= n_parents:
+            return f"depth {d}: parent index out of range"
+        if not pr.min() > 0.0:
+            return f"depth {d}: branch probabilities must be positive"
+        sums = np.bincount(par, weights=pr, minlength=n_parents)
+        miss = np.abs(sums - 1.0)
+        if not miss.max() <= 1e-12:
+            bad = int(np.argmax(miss))
+            return f"depth {d}: branch probabilities at parent {bad} sum to {float(sums[bad])!r}"
+        n_parents = len(par)
+    return None
+
+
+PLANTED_FAULTS = ["zero", "negative", "nan", "sum", "parent -1", "parent past the end"]
+
+
+@st.composite
+def faulty_trees(draw):
+    """A binary tree of depth 1-14, maybe with a pass-through level, and 1-3 planted faults.
+
+    Depths 13 and 14, and a pass-through level below either, have more nodes
+    than validation reduces in groups; half the trees have them.
+    """
+    depth = draw(st.integers(1, 12) | st.integers(13, 14))
+    parents, probs = binary_levels(depth)
+    if draw(st.booleans()):
+        parents.append(np.arange(2**depth))
+        probs.append(np.ones(2**depth))
+    last = len(parents) - 1
+    top = draw(st.integers(0, last) | st.integers(max(last - 2, 0), last))  # deep half the time
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(top, last))
+        node = draw(st.integers(0, len(parents[at]) - 1))
+        fault = draw(st.sampled_from(PLANTED_FAULTS))
+        if fault == "parent -1":
+            parents[at][node] = -1
+        elif fault == "parent past the end":
+            parents[at][node] = len(parents[at - 1]) if at else 1
+        else:
+            probs[at][node] = {"zero": 0.0, "negative": -0.5, "nan": math.nan, "sum": 0.6}[fault]
+    return parents, probs
+
+
+class TestFirstFaultIsTheShallowest:
+    @given(faulty_trees(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_message_matches_a_level_by_level_reference(self, case, read_only):
+        parents, probs = case
+        message = reference_fault(parents, probs)
+        assert message is not None
+        if not any(np.isnan(pr).any() for pr in probs):  # JSON has no NaN
+            with pytest.raises(TreeFileError) as via_file:
+                bundle_from_dict(tree_doc(parents, probs))
+            assert str(via_file.value) == f"invalid tree: {message}"
+        if read_only:
+            for a in (*parents, *probs):
+                a.flags.writeable = False
+        with pytest.raises(ValueError) as direct:
+            ProbabilityTree(parents=tuple(parents), branch_probs=tuple(probs))
+        assert str(direct.value) == message
+
+
 class TestPassThroughLevelFaults:
     """Value faults on a large pass-through level, which validation checks on its extremes."""
 
